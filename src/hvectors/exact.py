@@ -1,11 +1,11 @@
 """Exact scalar arithmetic, seeded sampling, and matrix rank.
 
 Scalars are arbitrary-precision rationals (characteristic 0) or residues
-modulo a prime p.  Rank is computed by fraction-free (Bareiss) elimination
-over the rationals and by modular Gaussian elimination over GF(p); no
-floating point is used anywhere.  Random sampling is driven by splitmix64,
-a fixed, portable 64-bit generator, so every result is reproducible from
-its seed.
+modulo a prime p, held in numpy arrays: int64 over word primes, objects
+otherwise.  Rank is computed by fraction-free (Bareiss) elimination over the
+rationals and by modular Gaussian elimination over GF(p); no floating point
+is used anywhere.  Random sampling is driven by splitmix64, a fixed,
+portable 64-bit generator, so every result is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -112,14 +112,22 @@ class FieldSpec:
             return value.numerator * pow(den, -1, p) % p
         return int(value) % p
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.characteristic if self.is_modular else a + b
+    @property
+    def dtype(self):
+        """int64 where a residue plus a product of two still fits, else object."""
+        p = self.characteristic
+        return np.int64 if 0 < p <= _NUMPY_SAFE_MODULUS else object
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.characteristic if self.is_modular else a - b
+    def array(self, values: Sequence) -> np.ndarray:
+        """Normalized 1-D array of the given values."""
+        return np.array([self.normalize(v) for v in values], dtype=self.dtype)
 
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.characteristic if self.is_modular else a * b
+    def zeros(self, length: int) -> np.ndarray:
+        return np.full(length, self.zero(), dtype=self.dtype)
+
+    def reduce(self, values: np.ndarray) -> np.ndarray:
+        """Residues of an array of integers (identity over the rationals)."""
+        return values % self.characteristic if self.is_modular else values
 
     def invert(self, a: Scalar) -> Scalar:
         if a == 0:
@@ -132,35 +140,39 @@ class FieldSpec:
         return f"GF({self.characteristic})" if self.is_modular else "QQ"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseMatrix:
-    """Row-major matrix of scalars over a single field.
-
-    Entries are assumed already reduced (residues in [0, p) over GF(p));
-    use :meth:`from_rows` to normalize arbitrary input.
+    """Row-major matrix of scalars over a single field, as a 2-D array of the
+    field's dtype.  Entries are assumed already reduced (residues in [0, p)
+    over GF(p)); use :meth:`from_rows` to normalize arbitrary input.
     """
 
     field: FieldSpec
-    entries: tuple[tuple[Scalar, ...], ...]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.entries and len({len(row) for row in self.entries}) > 1:
+        entries = np.asarray(self.entries, dtype=self.field.dtype)
+        if entries.shape == (0,):
+            entries = entries.reshape(0, 0)
+        if entries.ndim != 2:
             raise ValueError("matrix rows must all have the same length")
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DenseMatrix) and self.field == other.field \
+            and np.array_equal(self.entries, other.entries)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "DenseMatrix":
-        normalized = tuple(
-            tuple(field.normalize(v) for v in row) for row in rows
-        )
-        return cls(field, normalized)
+        return cls(field, [[field.normalize(v) for v in row] for row in rows])
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return self.entries.shape[0]
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.entries.shape[1]
 
 
 def rank(matrix: DenseMatrix) -> int:
@@ -169,21 +181,18 @@ def rank(matrix: DenseMatrix) -> int:
         return 0
     p = matrix.field.characteristic
     if p == 0:
-        return _rank_bareiss(_integer_rows(matrix.entries))
+        return _rank_bareiss(_integer_rows(matrix.entries.tolist()))
     if p <= _NUMPY_SAFE_MODULUS:
-        return _rank_mod_p_numpy(matrix.entries, p)
-    return _rank_mod_p(matrix.entries, p)
+        return _rank_mod_p_numpy(matrix.entries.copy(), p)
+    return _rank_mod_p(matrix.entries.tolist(), p)
 
 
 def _integer_rows(entries) -> list[list[int]]:
     """Clear denominators row by row (rank is unchanged)."""
     rows = []
     for row in entries:
-        scale = 1
-        for v in row:
-            if isinstance(v, Fraction) and v.denominator != 1:
-                scale = lcm(scale, v.denominator)
-        rows.append([int(v * scale) for v in row])
+        scale = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
     return rows
 
 
@@ -218,8 +227,8 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return r
 
 
-def _rank_mod_p_numpy(entries, p: int) -> int:
-    a = np.array(entries, dtype=np.int64)
+def _rank_mod_p_numpy(a: np.ndarray, p: int) -> int:
+    """In-place elimination; columns left of a pivot are zero below it."""
     m, n = a.shape
     r = 0
     for c in range(n):
@@ -231,12 +240,11 @@ def _rank_mod_p_numpy(entries, p: int) -> int:
         pivot_row = r + int(support[0])
         if pivot_row != r:
             a[[r, pivot_row]] = a[[pivot_row, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        below = a[r + 1 :, c]
-        hit = np.nonzero(below)[0]
+        lead = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        below = a[r + 1 :, c:]
+        hit = np.nonzero(below[:, 0])[0]
         if hit.size:
-            a[r + 1 :][hit] = (a[r + 1 :][hit] - np.outer(below[hit], a[r])) % p
+            below[hit] = (below[hit] - np.outer(below[hit, 0], lead)) % p
         r += 1
     return r
 

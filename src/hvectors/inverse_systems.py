@@ -1,12 +1,13 @@
 """Macaulay inverse systems over an exact field.
 
-Homogeneous forms are stored densely per degree, the variables of the dual
-ring act by contraction (exponent subtraction, killing terms that would go
-negative), and the Hilbert function of the module generated by a list of
-forms is read off as the rank of the contraction coefficient matrix in each
-degree.  On top of that sit the randomized drivers that check the
-constructed level h-vectors against actual rank computations, including a
-characteristic sweep.
+Homogeneous forms are stored densely per degree as coefficient arrays, the
+variables of the dual ring act by contraction (exponent subtraction, killing
+terms that would go negative), and the Hilbert function of the module
+generated by a list of forms is read off as the rank of the contraction
+coefficient matrix in each degree, one gather from the stacked arrays.  On
+top of that sit the randomized drivers that check the constructed level
+h-vectors against actual rank computations, including a characteristic
+sweep.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .exact import (
     GENERATOR_NAME,
@@ -68,8 +71,8 @@ def _monomial_index(num_vars: int, degree: int) -> dict[Monomial, int]:
 class Form:
     """Homogeneous form: a coefficient for every monomial of one degree.
 
-    Coefficients live in a single :class:`FieldSpec` and are kept reduced;
-    a zero coefficient means the monomial is absent.
+    Coefficients live in a single :class:`FieldSpec`, in a read-only array
+    of its dtype, and are kept reduced; a zero means the monomial is absent.
     """
 
     __slots__ = ("num_vars", "degree", "field", "coeffs")
@@ -85,24 +88,24 @@ class Form:
         self.num_vars = num_vars
         self.degree = degree
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = np.array(coeffs, dtype=field.dtype)
+        self.coeffs.flags.writeable = False
 
     @classmethod
     def zero(cls, num_vars: int, degree: int, field: FieldSpec) -> "Form":
         n = len(monomials(num_vars, degree))
-        return cls(num_vars, degree, field, (field.zero(),) * n)
+        return cls(num_vars, degree, field, field.zeros(n))
 
     @classmethod
     def from_coefficients(cls, num_vars: int, degree: int, field: FieldSpec,
                           coeffs: Sequence) -> "Form":
-        return cls(num_vars, degree, field,
-                   [field.normalize(v) for v in coeffs])
+        return cls(num_vars, degree, field, field.array(coeffs))
 
     @classmethod
     def from_terms(cls, num_vars: int, degree: int, field: FieldSpec,
                    terms: dict) -> "Form":
         index = _monomial_index(num_vars, degree)
-        dense = [field.zero()] * len(index)
+        dense = field.zeros(len(index))
         for mono, value in terms.items():
             mono = tuple(mono)
             if sum(mono) != degree:
@@ -117,24 +120,25 @@ class Form:
         return cls.from_terms(num_vars, sum(mono), field, {mono: 1})
 
     def coefficient(self, mono: Monomial) -> Scalar:
-        return self.coeffs[_monomial_index(self.num_vars, self.degree)[tuple(mono)]]
+        return self.coeffs.item(_monomial_index(self.num_vars, self.degree)[tuple(mono)])
 
     def terms(self) -> list[tuple[Monomial, Scalar]]:
         """Nonzero (monomial, coefficient) pairs in the canonical order."""
         order = monomials(self.num_vars, self.degree)
-        return [(m, c) for m, c in zip(order, self.coeffs) if c != 0]
+        return [(m, c) for m, c in zip(order, self.coeffs.tolist()) if c != 0]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not np.count_nonzero(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
-        return (self.num_vars, self.degree, self.field, self.coeffs) == (
-            other.num_vars, other.degree, other.field, other.coeffs)
+        return (self.num_vars, self.degree, self.field) == (
+            other.num_vars, other.degree, other.field) and np.array_equal(
+            self.coeffs, other.coeffs)
 
     def __repr__(self) -> str:
-        nonzero = sum(1 for c in self.coeffs if c != 0)
+        nonzero = np.count_nonzero(self.coeffs)
         return (f"Form(num_vars={self.num_vars}, degree={self.degree}, "
                 f"field={self.field}, terms={nonzero})")
 
@@ -159,7 +163,7 @@ def contract(operator: Monomial, form: Form) -> Form:
             f"operator degree {sum(operator)} exceeds form degree {form.degree}"
         )
     index = _monomial_index(form.num_vars, out_degree)
-    dense = [form.field.zero()] * len(index)
+    dense = form.field.zeros(len(index))
     for mono, value in form.terms():
         shifted = tuple(a - b for a, b in zip(mono, operator))
         if min(shifted) >= 0:
@@ -181,18 +185,16 @@ def _check_generators(generators: Sequence[Form]) -> tuple[int, int, FieldSpec]:
     return num_vars, degree, field
 
 
-@lru_cache(maxsize=None)
 def _contraction_layout(num_vars: int, form_degree: int,
-                        degree: int) -> tuple[tuple[int, ...], ...]:
-    """For each operator monomial, the dense index of operator+column."""
-    index = _monomial_index(num_vars, form_degree)
-    cols = monomials(num_vars, degree)
-    table = []
-    for op in monomials(num_vars, form_degree - degree):
-        table.append(tuple(
-            index[tuple(a + b for a, b in zip(op, col))] for col in cols
-        ))
-    return tuple(table)
+                        degree: int) -> np.ndarray:
+    """Index among the form's monomials of operator+column, one row per
+    operator and one column per column monomial.  Mixed-radix keys, first
+    variable most significant, descend in lex order, so a binary search over
+    the negated keys finds each index."""
+    radix = (form_degree + 1) ** np.arange(num_vars - 1, -1, -1)
+    ops, cols, form = (np.array(monomials(num_vars, d)) @ radix
+                       for d in (form_degree - degree, degree, form_degree))
+    return np.searchsorted(-form, -(ops[:, None] + cols))
 
 
 def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
@@ -209,12 +211,8 @@ def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
             f"degree must lie in [0, {form_degree}], got {degree}"
         )
     layout = _contraction_layout(num_vars, form_degree, degree)
-    rows = []
-    for g in generators:
-        co = g.coeffs
-        for positions in layout:
-            rows.append(tuple(co[k] for k in positions))
-    return DenseMatrix(field, tuple(rows))
+    coeffs = np.stack([g.coeffs for g in generators])
+    return DenseMatrix(field, coeffs[:, layout].reshape(-1, layout.shape[1]))
 
 
 def hilbert_function(generators: Sequence[Form]) -> HVector:
@@ -267,14 +265,11 @@ def linear_combination(weights: Sequence[Scalar], forms: Sequence[Form]) -> Form
     if len(weights) != len(forms):
         raise ValueError("one weight per form required")
     num_vars, degree, field = _check_generators(forms)
-    dense = [field.zero()] * len(forms[0].coeffs)
+    dense = field.zeros(len(forms[0].coeffs))
     for w, f in zip(weights, forms):
         w = field.normalize(w)
-        if w == 0:
-            continue
-        for k, c in enumerate(f.coeffs):
-            if c != 0:
-                dense[k] = field.add(dense[k], field.mul(w, c))
+        if w != 0:
+            dense = field.reduce(dense + w * f.coeffs)
     return Form(num_vars, degree, field, dense)
 
 
@@ -293,18 +288,14 @@ def contraction_power(linear: Form, power: int) -> Form:
     if power < 1:
         raise ValueError(f"power must be positive, got {power}")
     field = linear.field
-    cs = linear.coeffs
-    pows = [[field.one()] for _ in cs]
-    for var, c in enumerate(cs):
+    exponents = np.array(monomials(linear.num_vars, power))
+    dense = np.full(len(exponents), field.one(), dtype=field.dtype)
+    for var, c in enumerate(linear.coeffs.tolist()):
+        pows = [field.one()]
         for _ in range(power):
-            pows[var].append(field.mul(pows[var][-1], c))
-    dense = []
-    for mono in monomials(linear.num_vars, power):
-        value = field.one()
-        for var, a in enumerate(mono):
-            if a:
-                value = field.mul(value, pows[var][a])
-        dense.append(value)
+            pows.append(field.normalize(pows[-1] * c))
+        table = np.array(pows, dtype=field.dtype)
+        dense = field.reduce(dense * table[exponents[:, var]])
     return Form(linear.num_vars, power, field, dense)
 
 
@@ -540,7 +531,7 @@ def sweep_characteristics(kind: str, parameter: int,
             reports.append(
                 verify_construction(kind, parameter, FieldSpec(ch), seed, trials)
             )
-        except Exception as exc:  # isolate per-characteristic failures
+        except (ValueError, ZeroDivisionError) as exc:
             reports.append(
                 VerificationReport(
                     kind=kind,

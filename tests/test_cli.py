@@ -1,9 +1,17 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from hvectors.cli import main
 
+# JSON reports of fixed commands, pinned byte for byte: the samples, the
+# matrices and their ranks must not drift between versions of the code.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_reports.json").read_text(encoding="utf-8")
+)
 GORENSTEIN_E6 = "1,10,14,20,14,10,1"
 LEVEL_E6 = "1,3,6,10,8,7"
 
@@ -194,3 +202,10 @@ def test_out_writes_file(tmp_path, capsys) -> None:
 
 def test_unknown_command_exits_two(capsys) -> None:
     assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_verify_json_matches_golden_bytes(capsys, case) -> None:
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]

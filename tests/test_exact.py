@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,16 +55,26 @@ def test_field_normalize() -> None:
         gf7.normalize(Fraction(1, 7))
 
 
-@pytest.mark.parametrize("field", [FieldSpec(7), GF, QQ])
+@pytest.mark.parametrize("field", [FieldSpec(7), GF, QQ,
+                                   FieldSpec(3_037_000_493),
+                                   FieldSpec(2**61 - 1)])
 def test_field_axioms_on_samples(field: FieldSpec) -> None:
-    a, b, c = sample_scalars(field, 3, seed=99)
-    assert field.add(a, b) == field.add(b, a)
-    assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-    assert field.mul(a, field.add(b, c)) == field.add(
-        field.mul(a, b), field.mul(a, c)
-    )
-    assert field.mul(a, field.invert(a)) == field.one()
-    assert field.sub(a, a) == field.zero()
+    a = field.array(sample_scalars(field, 3, seed=99))
+    b, c = np.roll(a, 1), np.roll(a, 2)
+
+    def add(x, y):
+        return field.reduce(x + y)
+
+    def mul(x, y):
+        return field.reduce(x * y)
+
+    assert np.array_equal(add(a, b), add(b, a))
+    assert np.array_equal(add(add(a, b), c), add(a, add(b, c)))
+    assert np.array_equal(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))
+    inverse = field.array([field.invert(v) for v in a.tolist()])
+    assert np.array_equal(mul(a, inverse), field.array([field.one()] * 3))
+    assert np.array_equal(field.reduce(a - a), field.zeros(3))
+    assert a.dtype == field.dtype
     with pytest.raises(ZeroDivisionError):
         field.invert(field.zero())
 
@@ -75,6 +86,13 @@ def test_rank_examples() -> None:
     gf2 = FieldSpec(2)
     assert rank(DenseMatrix.from_rows(gf2, [[1, 1], [1, 1]])) == 1
     assert rank(DenseMatrix(GF, ())) == 0
+    for field in (GF, QQ):
+        with pytest.raises(ValueError):
+            DenseMatrix.from_rows(field, [[1, 2], [3]])
+    assert DenseMatrix.from_rows(GF, [[1, 2]]) == DenseMatrix.from_rows(
+        GF, [[32004, 2]])
+    assert DenseMatrix.from_rows(GF, [[1, 2]]) != DenseMatrix.from_rows(
+        QQ, [[1, 2]])
 
 
 def test_rank_rational_entries() -> None:

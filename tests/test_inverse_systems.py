@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import random
-from math import comb
+from math import comb, prod
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvectors import (
     KIND_CODIM5_EVEN,
     KIND_CODIM5_ODD,
     KIND_SOCLE_DEGREE,
+    DenseMatrix,
     FieldSpec,
     FieldTooSmallError,
     Form,
@@ -20,6 +24,7 @@ from hvectors import (
     contraction_power,
     family_target,
     hilbert_function,
+    is_prime,
     linear_combination,
     monomials,
     rank,
@@ -30,6 +35,8 @@ from hvectors import (
     truncation_generators,
     verify_construction,
 )
+from hvectors import inverse_systems
+from hvectors.exact import _NUMPY_SAFE_MODULUS, _rank_mod_p
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -129,14 +136,77 @@ def test_contraction_matrix_validation() -> None:
         contraction_matrix([f, _random_form(3, 4, QQ, seed=9)], 2)
 
 
-def test_contraction_matrix_agrees_with_contract() -> None:
-    f = _random_form(3, 3, GF, seed=10)
-    m = contraction_matrix([f], 1)
-    ops = monomials(3, 2)
-    cols = monomials(3, 1)
-    for row, op in zip(m.entries, ops):
-        contracted = contract(op, f)
-        assert row == tuple(contracted.coefficient(c) for c in cols)
+@st.composite
+def _generators_and_degree(draw):
+    field = draw(st.sampled_from([FieldSpec(101), FieldSpec(2**61 - 1), QQ]))
+    num_vars = draw(st.integers(1, 4))
+    form_degree = draw(st.integers(0, 4))
+    size = len(monomials(num_vars, form_degree))
+    scalar = (st.integers(-(2**64), 2**64) if field.is_modular
+              else st.fractions(max_denominator=30))
+    coefficients = st.lists(st.one_of(st.just(0), scalar),
+                            min_size=size, max_size=size)
+    generators = [
+        Form.from_coefficients(num_vars, form_degree, field, draw(coefficients))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return generators, draw(st.integers(0, form_degree))
+
+
+@given(_generators_and_degree())
+@settings(max_examples=120, deadline=None)
+def test_contraction_matrix_agrees_with_contract(case) -> None:
+    generators, degree = case
+    num_vars, form_degree = generators[0].num_vars, generators[0].degree
+    expected = [
+        [contract(op, g).coefficient(c) for c in monomials(num_vars, degree)]
+        for g in generators
+        for op in monomials(num_vars, form_degree - degree)
+    ]
+    assert contraction_matrix(generators, degree).entries.tolist() == expected
+
+
+def test_word_prime_overflow_boundary() -> None:
+    """At the largest int64-safe prime, every array path equals plain
+    Python integer arithmetic on the same forms."""
+    p = 3_037_000_493
+    assert p <= _NUMPY_SAFE_MODULUS
+    assert not any(is_prime(q) for q in range(p + 1, _NUMPY_SAFE_MODULUS + 1))
+    field = FieldSpec(p)
+    assert field.dtype is np.int64
+    top = p - 1
+    linears = [
+        Form.from_coefficients(3, 1, field, [top, top, top]),
+        Form.from_coefficients(3, 1, field, [top, top - 1, 1]),
+        Form.from_coefficients(3, 1, field, sample_scalars(field, 3, seed=8)),
+    ]
+    power = 6
+    powers = [contraction_power(f, power) for f in linears]
+    for linear, form in zip(linears, powers):
+        c = linear.coeffs.tolist()
+        assert form.coeffs.tolist() == [
+            prod(pow(ck, ak, p) for ck, ak in zip(c, mono)) % p
+            for mono in monomials(3, power)
+        ]
+    weight_lists = ([top] * 3, [top, 1, top - 1])
+    generators = [linear_combination(w, powers) for w in weight_lists]
+    for weights, g in zip(weight_lists, generators):
+        expected = {}
+        for w, form in zip(weights, powers):
+            for mono, c in form.terms():
+                expected[mono] = (expected.get(mono, 0) + w * c) % p
+        assert g.terms() == [(m, c) for m, c in expected.items() if c]
+    for degree in range(power + 1):
+        matrix = contraction_matrix(generators, degree)
+        reference = [
+            [contract(op, g).coefficient(c) for c in monomials(3, degree)]
+            for g in generators
+            for op in monomials(3, power - degree)
+        ]
+        assert matrix.entries.tolist() == reference
+        assert rank(matrix) == _rank_mod_p(reference, p)
+    rows = [[top] * 4, [top, 1, top, top - 1], [1, top, top - 1, top]]
+    assert rank(DenseMatrix.from_rows(field, rows)) == _rank_mod_p(rows, p) == 3
 
 
 def test_hilbert_function_examples() -> None:
@@ -294,3 +364,13 @@ def test_sweep_duplicates_and_error_isolation() -> None:
     assert mixed[0].status == "error"
     assert "characteristic" in (mixed[0].detail or "")
     assert mixed[1].verdict == "match"
+
+
+def test_sweep_propagates_programming_errors(monkeypatch) -> None:
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(inverse_systems, "verify_construction", broken)
+    with pytest.raises(TypeError, match="injected"):
+        sweep_characteristics(KIND_SOCLE_DEGREE, 6, [15, 101],
+                              seed=9, trials=1)
