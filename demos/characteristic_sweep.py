@@ -4,8 +4,9 @@
 Level h-vectors are conjectured to exist independently of the base
 field's characteristic.  A sweep is evidence, not proof: it re-runs the
 same seeded verification over the rationals and over several prime
-fields and reports the verdict for each.  Characteristic 0 uses
-fraction-free integer elimination; the primes use modular elimination.
+fields and reports the verdict for each.  Every field uses the same
+modular elimination: the primes directly, and characteristic 0 modulo
+word primes until a Hadamard bound proves the rank exact.
 """
 from hvectors import KIND_SOCLE_DEGREE, sweep_characteristics
 

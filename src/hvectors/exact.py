@@ -2,16 +2,17 @@
 
 Scalars are arbitrary-precision rationals (characteristic 0) or residues
 modulo a prime p, held in numpy arrays: int64 over word primes, objects
-otherwise.  Rank is computed by fraction-free (Bareiss) elimination over the
-rationals and by modular Gaussian elimination over GF(p); no floating point
-is used anywhere.  Random sampling is driven by splitmix64, a fixed,
-portable 64-bit generator, so every result is reproducible from its seed.
+otherwise.  Every rank comes from one in-place modular Gaussian elimination:
+over GF(p) directly, and over the rationals modulo word primes until a
+Hadamard bound proves the largest rank seen exact.  No floating point is
+used anywhere.  Random sampling is driven by splitmix64, a fixed, portable
+64-bit generator, so every result is reproducible from its seed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence, Union
 
 import numpy as np
@@ -177,14 +178,11 @@ class DenseMatrix:
 
 def rank(matrix: DenseMatrix) -> int:
     """Rank of the matrix over its field; exact and deterministic."""
-    if matrix.rows == 0 or matrix.cols == 0:
+    nonzero = matrix.entries[(matrix.entries != 0).any(axis=1)]
+    if nonzero.size == 0:
         return 0
     p = matrix.field.characteristic
-    if p == 0:
-        return _rank_bareiss(_integer_rows(matrix.entries.tolist()))
-    if p <= _NUMPY_SAFE_MODULUS:
-        return _rank_mod_p_numpy(matrix.entries.copy(), p)
-    return _rank_mod_p(matrix.entries.tolist(), p)
+    return _rank_mod_p(nonzero, p) if p else _rank_rational(nonzero)
 
 
 def _integer_rows(entries) -> list[list[int]]:
@@ -196,81 +194,68 @@ def _integer_rows(entries) -> list[list[int]]:
     return rows
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination over the integers.
+def _rank_rational(entries: np.ndarray) -> int:
+    """Rank over QQ of nonzero rows, proved modulo word primes, largest first.
 
-    The one-step Bareiss update keeps every intermediate entry equal to a
-    minor of the input, so all divisions are exact and coefficient growth
-    stays polynomial.
+    A rank mod q is at most the rank over QQ (a minor nonzero mod q is a
+    nonzero integer), so the largest rank seen, rho, is a lower bound.  It is
+    exact once rho = min(rows, cols) of the distinct integer rows, or once the
+    product of the primes used exceeds a Hadamard bound on every (rho+1)-minor,
+    the smaller of the products of the rho+1 largest row and column norms:
+    each prime used gave rank at most rho, so each such minor is a multiple of
+    that product, and smaller than it in absolute value, hence zero.
     """
-    m, n = len(rows), len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        lead = rows[r]
-        for i in range(r + 1, m):
-            target = rows[i]
-            factor = target[c]
-            for j in range(c + 1, n):
-                target[j] = (target[j] * pivot - factor * lead[j]) // prev
-            target[c] = 0
-        prev = pivot
-        r += 1
-    return r
+    distinct = dict.fromkeys(map(tuple, _integer_rows(entries.tolist())))
+    rows = np.array(list(distinct), dtype=object)
+    # Squared norms, so the bound is compared exactly: modulus**2 > bound**2.
+    row_sq, col_sq = (sorted((rows * rows).sum(axis=k).tolist(), reverse=True)
+                      for k in (1, 0))
+    best, bound_sq, modulus = -1, 0, 1
+    for q in filter(is_prime, range(_NUMPY_SAFE_MODULUS, 2, -2)):
+        found = _rank_mod_p((rows % q).astype(np.int64), q)
+        if found > best:
+            best = found
+            if best == min(rows.shape):
+                return best
+            bound_sq = min(prod(row_sq[:best + 1]), prod(col_sq[:best + 1]))
+        modulus *= q
+        if modulus * modulus > bound_sq:
+            return best
+    raise ArithmeticError("Hadamard bound beyond the product of all word primes")
 
 
-def _rank_mod_p_numpy(a: np.ndarray, p: int) -> int:
-    """In-place elimination; columns left of a pivot are zero below it."""
+def _rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank of a 2-D array of residues mod p, by Gaussian elimination in place.
+
+    Each pivot row, scaled once by -1/pivot, is added times their entry in
+    the pivot column to the rows below that are nonzero there, right of that
+    column only: left of it those rows are zero already, and the pivot column
+    is not read again.  Python integers (the object dtype of big primes)
+    cannot overflow, so there only the column that yields the next pivot and
+    multipliers is reduced; int64 residues are reduced after every update.
+    """
+    lazy = a.dtype == object
     m, n = a.shape
     r = 0
     for c in range(n):
         if r == m:
             break
-        support = np.nonzero(a[r:, c])[0]
+        if lazy:
+            a[r:, c] %= p
+        support = np.flatnonzero(a[r:, c])
         if support.size == 0:
             continue
-        pivot_row = r + int(support[0])
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        lead = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        below = a[r + 1 :, c:]
-        hit = np.nonzero(below[:, 0])[0]
-        if hit.size:
-            below[hit] = (below[hit] - np.outer(below[hit, 0], lead)) % p
-        r += 1
-    return r
-
-
-def _rank_mod_p(entries, p: int) -> int:
-    """Plain-integer modular elimination (fallback for huge primes)."""
-    rows = [[v % p for v in row] for row in entries]
-    m, n = len(rows), len(rows[0])
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        lead = rows[r]
-        for i in range(r + 1, m):
-            factor = rows[i][c]
-            if factor:
-                rows[i] = [
-                    (v - factor * w) % p for v, w in zip(rows[i], lead)
-                ]
+        if support[0]:
+            a[[r, r + support[0]]] = a[[r + support[0], r]]
+        lead = a[r, c + 1:] * (p - pow(int(a[r, c]), -1, p)) % p
+        dense = support.size == m - r
+        below = slice(r + 1, None) if dense else r + support[1:]
+        block = a[below, c + 1:]  # a view when dense, else a copy
+        block += np.multiply.outer(a[below, c], lead)
+        if not lazy:
+            block %= p
+        if not dense:
+            a[below, c + 1:] = block
         r += 1
     return r
 

@@ -64,6 +64,14 @@ def monomials(num_vars: int, degree: int) -> tuple[Monomial, ...]:
 
 
 @lru_cache(maxsize=None)
+def _exponents(num_vars: int, degree: int) -> np.ndarray:
+    """Read-only array of :func:`monomials`, one row per monomial."""
+    out = np.array(monomials(num_vars, degree))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def _monomial_index(num_vars: int, degree: int) -> dict[Monomial, int]:
     return {m: k for k, m in enumerate(monomials(num_vars, degree))}
 
@@ -192,7 +200,7 @@ def _contraction_layout(num_vars: int, form_degree: int,
     variable most significant, descend in lex order, so a binary search over
     the negated keys finds each index."""
     radix = (form_degree + 1) ** np.arange(num_vars - 1, -1, -1)
-    ops, cols, form = (np.array(monomials(num_vars, d)) @ radix
+    ops, cols, form = (_exponents(num_vars, d) @ radix
                        for d in (form_degree - degree, degree, form_degree))
     return np.searchsorted(-form, -(ops[:, None] + cols))
 
@@ -288,7 +296,7 @@ def contraction_power(linear: Form, power: int) -> Form:
     if power < 1:
         raise ValueError(f"power must be positive, got {power}")
     field = linear.field
-    exponents = np.array(monomials(linear.num_vars, power))
+    exponents = _exponents(linear.num_vars, power)
     dense = np.full(len(exponents), field.one(), dtype=field.dtype)
     for var, c in enumerate(linear.coeffs.tolist()):
         pows = [field.one()]

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: monomial
 enumeration is reimplemented here, and ranks are computed by plain
-rational Gaussian elimination instead of fraction-free elimination.
+Gaussian elimination on Python lists, over the rationals or modulo p,
+instead of the library's multi-modular numpy elimination.
 """
 from __future__ import annotations
 
@@ -68,5 +69,29 @@ def fraction_rank(rows) -> int:
             f = matrix[k][c]
             if f:
                 matrix[k] = [v - f * w for v, w in zip(matrix[k], matrix[r])]
+        r += 1
+    return r
+
+
+def modular_rank(rows, p: int) -> int:
+    """Rank by ordinary Gaussian elimination over GF(p)."""
+    matrix = [[v % p for v in row] for row in rows]
+    if not matrix:
+        return 0
+    n_rows, n_cols = len(matrix), len(matrix[0])
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((k for k in range(r, n_rows) if matrix[k][c]), None)
+        if pivot is None:
+            continue
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        inv = pow(matrix[r][c], -1, p)
+        matrix[r] = [v * inv % p for v in matrix[r]]
+        for k in range(r + 1, n_rows):
+            f = matrix[k][c]
+            if f:
+                matrix[k] = [(v - f * w) % p for v, w in zip(matrix[k], matrix[r])]
         r += 1
     return r

@@ -19,7 +19,8 @@ from hvectors import (
     rank,
     sample_scalars,
 )
-from oracles import fraction_rank
+from hvectors.exact import _NUMPY_SAFE_MODULUS
+from oracles import fraction_rank, modular_rank
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -144,7 +145,7 @@ def test_rank_char0_agrees_with_gf32003() -> None:
     assert agree >= 99
 
 
-def test_bareiss_matches_plain_elimination_on_singular_matrices() -> None:
+def test_rational_rank_hadamard_stop_on_singular_matrices() -> None:
     rng = random.Random(23)
     for _ in range(150):
         inner = rng.randint(1, 4)
@@ -158,6 +159,51 @@ def test_bareiss_matches_plain_elimination_on_singular_matrices() -> None:
         expected = fraction_rank(product)
         assert rank(DenseMatrix.from_rows(QQ, product)) == expected
         assert expected <= inner
+
+
+def test_rational_rank_survives_unlucky_prime() -> None:
+    first = next(q for q in range(_NUMPY_SAFE_MODULUS, 2, -1) if is_prime(q))
+    assert rank(DenseMatrix.from_rows(QQ, [[first, 0], [0, 1]])) == 2
+    assert rank(DenseMatrix.from_rows(QQ, [[first, 0], [0, 0]])) == 1
+    assert rank(DenseMatrix.from_rows(QQ, [[first * first, 1], [0, 1]])) == 2
+
+
+def test_rank_ignores_zero_and_duplicate_rows() -> None:
+    rows = [[3, Fraction(1, 2), 0], [1, 1, 1]]
+    padded = [[0, 0, 0], rows[0], rows[0], [0, 0, 0], rows[1], rows[0]]
+    for field in (QQ, GF, FieldSpec(2**61 - 1)):
+        assert rank(DenseMatrix.from_rows(field, padded)) == rank(
+            DenseMatrix.from_rows(field, rows)) == 2
+
+
+_small_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.lists(st.lists(_small_rationals, min_size=cols,
+                                   max_size=cols),
+                          min_size=1, max_size=6)))
+@settings(max_examples=80, deadline=None)
+def test_rational_rank_matches_fraction_rank(rows) -> None:
+    assert rank(DenseMatrix.from_rows(QQ, rows)) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1])
+def test_big_prime_rank_matches_modular_oracle(p: int) -> None:
+    field = FieldSpec(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        inner = rng.randint(1, 5)
+        left = [[rng.randrange(p) for _ in range(inner)] for _ in range(7)]
+        right = [[rng.randrange(p) for _ in range(6)] for _ in range(inner)]
+        product = [
+            [sum(left[i][k] * right[k][j] for k in range(inner)) % p
+             for j in range(6)]
+            for i in range(7)
+        ]
+        product[rng.randrange(7)] = [0] * 6
+        assert rank(DenseMatrix.from_rows(field, product)) == modular_rank(
+            product, p)
 
 
 def test_sample_scalars_deterministic() -> None:

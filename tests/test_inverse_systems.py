@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from math import comb, prod
 
 import numpy as np
@@ -26,6 +27,7 @@ from hvectors import (
     hilbert_function,
     is_prime,
     linear_combination,
+    mix,
     monomials,
     rank,
     required_field_size,
@@ -36,7 +38,8 @@ from hvectors import (
     verify_construction,
 )
 from hvectors import inverse_systems
-from hvectors.exact import _NUMPY_SAFE_MODULUS, _rank_mod_p
+from hvectors.exact import _NUMPY_SAFE_MODULUS
+from oracles import modular_rank
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -204,9 +207,9 @@ def test_word_prime_overflow_boundary() -> None:
             for op in monomials(3, power - degree)
         ]
         assert matrix.entries.tolist() == reference
-        assert rank(matrix) == _rank_mod_p(reference, p)
+        assert rank(matrix) == modular_rank(reference, p)
     rows = [[top] * 4, [top, 1, top, top - 1], [1, top, top - 1, top]]
-    assert rank(DenseMatrix.from_rows(field, rows)) == _rank_mod_p(rows, p) == 3
+    assert rank(DenseMatrix.from_rows(field, rows)) == modular_rank(rows, p) == 3
 
 
 def test_hilbert_function_examples() -> None:
@@ -344,6 +347,21 @@ def test_verify_validates_parameters() -> None:
 def test_verify_codim5_targets() -> None:
     assert family_target(KIND_CODIM5_ODD, 10) == codim5_family(10, "odd").level
     assert family_target(KIND_CODIM5_EVEN, 12) == codim5_family(12, "even").level
+
+
+def test_rational_rank_on_codim5_plateau_within_budget() -> None:
+    """The odd d=10 plateau over QQ: entries of about 420 bits and a rank
+    below both dimensions, so only the Hadamard bound can stop the primes
+    (about 900 of them).  Budget: 60 s."""
+    generators = inverse_systems._trial_generators(KIND_CODIM5_ODD, 10, QQ,
+                                                   mix(0, 0))
+    matrix = contraction_matrix(generators, 12)
+    assert (matrix.rows, matrix.cols) == (90, 91)
+    start = time.perf_counter()
+    found = rank(matrix)
+    elapsed = time.perf_counter() - start
+    assert found == family_target(KIND_CODIM5_ODD, 10).entries[12] == 68
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
 
 
 def test_sweep_contract() -> None:
