@@ -4,9 +4,13 @@ Scalars are arbitrary-precision rationals (characteristic 0) or residues
 modulo a prime p, held in numpy arrays: int64 over word primes, objects
 otherwise.  Every rank comes from one in-place modular Gaussian elimination:
 over GF(p) directly, and over the rationals modulo word primes until a
-Hadamard bound proves the largest rank seen exact.  No floating point is
-used anywhere.  Random sampling is driven by splitmix64, a fixed, portable
-64-bit generator, so every result is reproducible from its seed.
+Hadamard bound proves the largest rank seen exact.  The elimination reduces
+its trailing block mod p only when one more int64 update could overflow
+(delayed reduction, as in Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008), and
+rows with a single nonzero entry never reach it: each pins its column, which
+adds one to the rank.  No floating point is used anywhere.  Random sampling
+is driven by splitmix64, a fixed, portable 64-bit generator, so every result
+is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -26,6 +30,8 @@ RATIONAL_HEIGHT_BOUND = 1 << 20
 _GOLDEN = 0x9E3779B97F4A7C15
 # Largest modulus whose squared residues still fit in int64.
 _NUMPY_SAFE_MODULUS = 3_037_000_499
+# Limb width for reducing big integers mod word primes in int64.
+_LIMB_BITS = 30
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -177,12 +183,28 @@ class DenseMatrix:
 
 
 def rank(matrix: DenseMatrix) -> int:
-    """Rank of the matrix over its field; exact and deterministic."""
-    nonzero = matrix.entries[(matrix.entries != 0).any(axis=1)]
-    if nonzero.size == 0:
-        return 0
+    """Rank of the matrix over its field; exact and deterministic.
+
+    A row with exactly one nonzero entry puts that unit vector in the row
+    space, so over any field the rank is the number of such pinned columns
+    plus the rank of the other nonzero rows restricted to the unpinned
+    columns (the row space modulo the pinned unit vectors).  Only that
+    remainder is eliminated.
+    """
+    support = matrix.entries != 0
+    counts = support.sum(axis=1)
+    rest = matrix.entries[counts > 1]
+    pinned = 0
+    units = counts == 1
+    if units.any():
+        columns = support[units].any(axis=0)
+        pinned = int(columns.sum())
+        rest = rest[:, ~columns]
+        rest = rest[(rest != 0).any(axis=1)]
+    if rest.size == 0:
+        return pinned
     p = matrix.field.characteristic
-    return _rank_mod_p(nonzero, p) if p else _rank_rational(nonzero)
+    return pinned + (_rank_mod_p(rest, p) if p else _rank_rational(rest))
 
 
 def _integer_rows(entries) -> list[list[int]]:
@@ -204,15 +226,29 @@ def _rank_rational(entries: np.ndarray) -> int:
     the smaller of the products of the rho+1 largest row and column norms:
     each prime used gave rank at most rho, so each such minor is a multiple of
     that product, and smaller than it in absolute value, hence zero.
+
+    The integers are split once into signed 30-bit int64 limbs, most
+    significant first, and reduced mod each q by Horner's rule,
+    acc = (acc * 2**30 + limb) mod q: with 0 <= acc < q < 2**31.6 no
+    intermediate leaves (-2**30, 2**62), and numpy's floor mod returns a
+    residue in [0, q) for negative limbs too.
     """
     distinct = dict.fromkeys(map(tuple, _integer_rows(entries.tolist())))
     rows = np.array(list(distinct), dtype=object)
     # Squared norms, so the bound is compared exactly: modulus**2 > bound**2.
     row_sq, col_sq = (sorted((rows * rows).sum(axis=k).tolist(), reverse=True)
                       for k in (1, 0))
+    magnitude, sign = np.abs(rows), np.where(rows < 0, -1, 1)
+    top = (int(magnitude.max()).bit_length() - 1) // _LIMB_BITS * _LIMB_BITS
+    mask = (1 << _LIMB_BITS) - 1
+    limbs = [sign * ((magnitude >> s) & mask).astype(np.int64)
+             for s in range(top, -1, -_LIMB_BITS)]
     best, bound_sq, modulus = -1, 0, 1
     for q in filter(is_prime, range(_NUMPY_SAFE_MODULUS, 2, -2)):
-        found = _rank_mod_p((rows % q).astype(np.int64), q)
+        residues = np.zeros(rows.shape, dtype=np.int64)
+        for limb in limbs:
+            residues = ((residues << _LIMB_BITS) + limb) % q
+        found = _rank_mod_p(residues, q)
         if found > best:
             best = found
             if best == min(rows.shape):
@@ -224,39 +260,57 @@ def _rank_rational(entries: np.ndarray) -> int:
     raise ArithmeticError("Hadamard bound beyond the product of all word primes")
 
 
+def _reduction_budget(p: int) -> int:
+    """Updates an int64 block of residues mod p can take between reductions.
+
+    After k updates, each adding a product of two residues, an entry is at
+    most (p - 1) + k * (p - 1)**2, which is at most 2**63 - 1 for every
+    k <= (2**63 - 1 - p) // (p - 1)**2.
+    """
+    return (2**63 - 1 - p) // (p - 1) ** 2
+
+
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank of a 2-D array of residues mod p, by Gaussian elimination in place.
 
     Each pivot row, scaled once by -1/pivot, is added times their entry in
     the pivot column to the rows below that are nonzero there, right of that
     column only: left of it those rows are zero already, and the pivot column
-    is not read again.  Python integers (the object dtype of big primes)
-    cannot overflow, so there only the column that yields the next pivot and
-    multipliers is reduced; int64 residues are reduced after every update.
+    is not read again.  Reduction mod p is delayed: while updates are
+    pending, each step reduces only the column that yields the next pivot
+    and multipliers and the lead row, so every product added is of two
+    residues.  The trailing block is reduced once `_reduction_budget(p)`
+    updates are pending, before an int64 entry could overflow; Python
+    integers (the object dtype of big primes) cannot overflow, so there it
+    is never reduced.
     """
-    lazy = a.dtype == object
+    budget = _reduction_budget(p) if a.dtype == np.int64 else None
+    pending = 0
     m, n = a.shape
     r = 0
     for c in range(n):
         if r == m:
             break
-        if lazy:
+        if pending:
             a[r:, c] %= p
         support = np.flatnonzero(a[r:, c])
         if support.size == 0:
             continue
         if support[0]:
             a[[r, r + support[0]]] = a[[r + support[0], r]]
-        lead = a[r, c + 1:] * (p - pow(int(a[r, c]), -1, p)) % p
+        lead = a[r, c + 1:] % p if pending else a[r, c + 1:]
+        lead = lead * (p - pow(int(a[r, c]), -1, p)) % p
         dense = support.size == m - r
         below = slice(r + 1, None) if dense else r + support[1:]
         block = a[below, c + 1:]  # a view when dense, else a copy
         block += np.multiply.outer(a[below, c], lead)
-        if not lazy:
-            block %= p
         if not dense:
             a[below, c + 1:] = block
         r += 1
+        pending += 1
+        if pending == budget:
+            a[r:, c + 1:] %= p
+            pending = 0
     return r
 
 

@@ -19,7 +19,7 @@ from hvectors import (
     rank,
     sample_scalars,
 )
-from hvectors.exact import _NUMPY_SAFE_MODULUS
+from hvectors.exact import _NUMPY_SAFE_MODULUS, _rank_mod_p, _reduction_budget
 from oracles import fraction_rank, modular_rank
 
 GF = FieldSpec(32003)
@@ -204,6 +204,109 @@ def test_big_prime_rank_matches_modular_oracle(p: int) -> None:
         product[rng.randrange(7)] = [0] * 6
         assert rank(DenseMatrix.from_rows(field, product)) == modular_rank(
             product, p)
+
+
+def test_rational_rank_of_multi_limb_entries() -> None:
+    rng = random.Random(41)
+    for _ in range(30):
+        inner = rng.randint(1, 4)
+        left = [[rng.randint(-2**70, 2**70) for _ in range(inner)]
+                for _ in range(5)]
+        right = [[rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 120))
+                  for _ in range(6)] for _ in range(inner)]
+        product = [
+            [sum(left[i][k] * right[k][j] for k in range(inner))
+             for j in range(6)]
+            for i in range(5)
+        ]
+        assert rank(DenseMatrix.from_rows(QQ, product)) == fraction_rank(
+            product)
+
+
+def test_reduction_budget_keeps_int64_path_reducing() -> None:
+    assert _reduction_budget(_NUMPY_SAFE_MODULUS) >= 1
+    assert [_reduction_budget(p) for p in
+            (3_037_000_493, 2**31 - 1, 1_749_999_991)] == [1, 2, 3]
+    assert _reduction_budget(1_000_003) == 9_223_335
+
+
+@pytest.mark.parametrize("p", [3_037_000_493, 2**31 - 1, 1_749_999_991, 32003])
+def test_delayed_reduction_matches_modular_oracle(p: int) -> None:
+    """Entries at or near p - 1 make every update add a product close to
+    (p - 1)**2, so a block left unreduced one update past the budget
+    overflows int64; the low-rank products with zero entries take the
+    non-dense path, where only some rows below a pivot are updated."""
+    rng = random.Random(p)
+    cases = [[[p - 1] * 9 for _ in range(9)]]
+    for size in (2, 5, 9, 12):
+        cases.append([[p - 1 - rng.randrange(4) for _ in range(size)]
+                      for _ in range(size)])
+    for _ in range(12):
+        inner = rng.randint(1, 6)
+        left = [[rng.choice((0, p - 1, rng.randrange(p)))
+                 for _ in range(inner)] for _ in range(10)]
+        right = [[rng.choice((0, p - 1, p - 2)) for _ in range(8)]
+                 for _ in range(inner)]
+        cases.append([
+            [sum(left[i][k] * right[k][j] for k in range(inner)) % p
+             for j in range(8)]
+            for i in range(10)
+        ])
+    for rows in cases:
+        expected = modular_rank(rows, p)
+        assert _rank_mod_p(np.array(rows, dtype=np.int64), p) == expected
+        assert rank(DenseMatrix.from_rows(FieldSpec(p), rows)) == expected
+
+
+_unit_row_fields = (QQ, FieldSpec(101), FieldSpec(2**61 - 1))
+
+
+def _oracle_rank(field: FieldSpec, rows) -> int:
+    if field.is_modular:
+        return modular_rank(rows, field.characteristic)
+    return fraction_rank(rows)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_rank_pins_unit_rows(data) -> None:
+    cols = data.draw(st.integers(min_value=1, max_value=6))
+    small = st.integers(min_value=-4, max_value=4)
+    rows = data.draw(st.lists(st.lists(small, min_size=cols, max_size=cols),
+                              max_size=5))
+    units = data.draw(st.lists(st.tuples(st.integers(0, cols - 1),
+                                         st.integers(1, 9), st.booleans()),
+                               min_size=1, max_size=4))
+    for col, value, duplicated in units:
+        unit = [0] * cols
+        unit[col] = value
+        rows += [unit] * (1 + duplicated)
+    pinned = sorted({col for col, _, _ in units})
+    covered = data.draw(st.lists(st.lists(small, min_size=len(pinned),
+                                          max_size=len(pinned)), max_size=2))
+    for values in covered:
+        row = [0] * cols
+        for col, value in zip(pinned, values):
+            row[col] = value
+        rows.append(row)
+    rows += [[0] * cols] * data.draw(st.integers(0, 2))
+    rows = data.draw(st.permutations(rows))
+    for field in _unit_row_fields:
+        assert rank(DenseMatrix.from_rows(field, rows)) == _oracle_rank(
+            field, rows)
+
+
+def test_rank_of_empty_and_all_unit_row_matrices() -> None:
+    units = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 5, 0, 0], [0, 0, 0, 0],
+             [3, 0, 0, 0]]
+    for field in _unit_row_fields:
+        assert rank(DenseMatrix(field, ())) == 0
+        for shape in ((0, 3), (3, 0)):
+            empty = np.zeros(shape, dtype=field.dtype)
+            assert rank(DenseMatrix(field, empty)) == 0
+        assert rank(DenseMatrix.from_rows(field, units)) == 2
+        identity = np.eye(5, dtype=np.int64).tolist()
+        assert rank(DenseMatrix.from_rows(field, identity)) == 5
 
 
 def test_sample_scalars_deterministic() -> None:
