@@ -1,6 +1,10 @@
 """Command-line front end: classify vectors, emit family constructions,
 run verifications and characteristic sweeps, write reports.
 
+``verify`` is a ``sweep`` over the one characteristic its ``--field``
+names: both commands share one grammar, one validation table and one
+handler, which runs every job through ``sweep_characteristics``.
+
 Exit codes: 0 success (or match), 1 verification mismatch, 2 invalid input.
 JSON output is canonical (sorted keys, no floats) so that reruns with the
 same seed are byte-identical.
@@ -16,13 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import families, sequences
-from .exact import MASK64, FieldSpec, is_prime
+from .exact import MASK64, is_prime
 from .families import NoSuchFamily
-from .inverse_systems import (
-    VerificationReport,
-    sweep_characteristics,
-    verify_construction,
-)
+from .inverse_systems import VerificationReport, sweep_characteristics
 from .sequences import HVector, Violation
 from .version import VERSION
 
@@ -67,11 +67,9 @@ class RunConfig:
     out_path: Optional[str] = None
     kind: Optional[str] = None
     vector: Optional[HVector] = None
-    e_values: tuple[int, ...] = ()
-    d_values: tuple[int, ...] = ()
-    parities: tuple[str, ...] = ()
+    parameters: tuple[int, ...] = ()
+    parities: tuple[Optional[str], ...] = ()
     lift: int = 0
-    characteristic: int = DEFAULT_FIELD
     characteristics: tuple[int, ...] = ()
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
@@ -105,32 +103,27 @@ def _build_parser() -> _Parser:
                              help="lift every interior entry by this amount")
     add_output(p_construct, ("plain", "json", "csv"))
 
-    p_verify = sub.add_parser(
-        "verify", help="recompute a family's Hilbert function from random "
-                       "inverse-system witnesses")
-    p_verify.add_argument("kind", choices=("thm-e", "thm-r"))
-    p_verify.add_argument("--e", help="socle degree or range, e.g. 6..10")
-    p_verify.add_argument("--d", help="half degree or range, e.g. 10..12")
-    p_verify.add_argument("--parity", choices=("odd", "even"),
-                          help="thm-r only; both parities when omitted")
-    p_verify.add_argument("--field", type=int, default=DEFAULT_FIELD,
-                          help="0 for the rationals or a prime")
-    p_verify.add_argument("--seed", default=str(DEFAULT_SEED))
-    p_verify.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    add_output(p_verify, ("plain", "json", "csv"))
-
-    p_sweep = sub.add_parser(
-        "sweep", help="verify one construction across characteristics")
-    p_sweep.add_argument("kind", choices=("thm-e", "thm-r"))
-    p_sweep.add_argument("--e", type=int)
-    p_sweep.add_argument("--d", type=int)
-    p_sweep.add_argument("--parity", choices=("odd", "even"))
-    p_sweep.add_argument("--chars",
-                         default=",".join(str(c) for c in DEFAULT_SWEEP_CHARS),
-                         help="comma-separated characteristics (0 or primes)")
-    p_sweep.add_argument("--seed", default=str(DEFAULT_SEED))
-    p_sweep.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    add_output(p_sweep, ("plain", "json", "csv"))
+    # verify and sweep differ only in how they name the characteristics;
+    # both store the tuple in ``chars``.
+    for command, help_text, flag, parse, default, flag_help in (
+            ("verify", "recompute a family's Hilbert function from random "
+                       "inverse-system witnesses",
+             "--field", _parse_field, (DEFAULT_FIELD,),
+             "0 for the rationals or a prime"),
+            ("sweep", "verify one construction across characteristics",
+             "--chars", _parse_chars, DEFAULT_SWEEP_CHARS,
+             "comma-separated characteristics (0 or primes)")):
+        p_run = sub.add_parser(command, help=help_text)
+        p_run.add_argument("kind", choices=("thm-e", "thm-r"))
+        p_run.add_argument("--e", help="socle degree or range, e.g. 6..10")
+        p_run.add_argument("--d", help="half degree or range, e.g. 10..12")
+        p_run.add_argument("--parity", choices=("odd", "even"),
+                           help="thm-r only; both parities when omitted")
+        p_run.add_argument(flag, dest="chars", type=parse, default=default,
+                           help=flag_help)
+        p_run.add_argument("--seed", default=str(DEFAULT_SEED))
+        p_run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+        add_output(p_run, ("plain", "json", "csv"))
     return parser
 
 
@@ -144,9 +137,7 @@ def _parse_vector(text: str) -> HVector:
         raise UsageError(f"malformed h-vector literal {text!r}: {err}") from None
 
 
-def _parse_values(text: Optional[str], flag: str) -> tuple[int, ...]:
-    if text is None:
-        raise UsageError(f"{flag} is required")
+def _parse_values(text: str, flag: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -159,6 +150,26 @@ def _parse_values(text: Optional[str], flag: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse {flag} value {text!r}") from None
 
 
+def _parse_chars(text: str) -> tuple[int, ...]:
+    try:
+        chars = tuple(int(c) for c in text.split(",") if c.strip())
+    except ValueError:
+        raise UsageError(f"cannot parse characteristics {text!r}") from None
+    if not chars:
+        raise UsageError("name at least one characteristic")
+    for c in chars:
+        if c != 0 and not is_prime(c):
+            raise UsageError(
+                f"field characteristic must be 0 or a prime, got {c}")
+    return chars
+
+
+def _parse_field(text: str) -> tuple[int, ...]:
+    if "," in text:
+        raise UsageError(f"--field takes one characteristic, got {text!r}")
+    return _parse_chars(text)
+
+
 def _parse_seed(text: str) -> int:
     try:
         seed = int(text, 0)
@@ -169,10 +180,12 @@ def _parse_seed(text: str) -> int:
     return seed & MASK64
 
 
-def _validate_field(value: int) -> int:
-    if value != 0 and not is_prime(value):
-        raise UsageError(f"field characteristic must be 0 or a prime, got {value}")
-    return value
+# kind -> (its parameter flag, the smallest parameter with a construction,
+# the flags it rejects)
+_KIND_RULES = {
+    "thm-e": ("e", families.MIN_SOCLE_DEGREE, ("d", "parity")),
+    "thm-r": ("d", families.MIN_HALF_DEGREE, ("e",)),
+}
 
 
 def _build_config(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
@@ -186,89 +199,32 @@ def _build_config(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
         return RunConfig(vector=_parse_vector(args.vector), **common)
 
     kind = args.kind
-    if kind == "thm-e" and (args.d is not None or args.parity is not None):
-        raise UsageError("thm-e takes --e only")
-    if kind == "thm-r" and args.e is not None:
-        raise UsageError("thm-r takes --d, not --e")
+    flag, minimum, rejected = _KIND_RULES[kind]
+    for name in rejected:
+        if getattr(args, name) is not None:
+            raise UsageError(f"{kind} does not take --{name}")
+    value = getattr(args, flag)
+    if value is None:
+        raise UsageError(f"--{flag} is required")
 
     if args.command == "construct":
-        if kind == "thm-e":
-            if args.e is None:
-                raise UsageError("--e is required")
-            e_values: tuple[int, ...] = (args.e,)
-            d_values: tuple[int, ...] = ()
-            parities: tuple[str, ...] = ()
-        else:
-            if args.d is None or args.parity is None:
-                raise UsageError("thm-r needs --d and --parity")
-            if args.d < families.MIN_HALF_DEGREE:
-                raise UsageError(
-                    f"--d must be >= {families.MIN_HALF_DEGREE}, got {args.d}"
-                )
-            e_values = ()
-            d_values = (args.d,)
-            parities = (args.parity,)
+        # Below the minimum the families module explains why no member exists.
+        if kind == "thm-r" and args.parity is None:
+            raise UsageError("thm-r needs --parity")
         if args.a < 0:
             raise UsageError("--a must be nonnegative")
-        return RunConfig(kind=kind, e_values=e_values, d_values=d_values,
-                         parities=parities, lift=args.a, **common)
+        return RunConfig(kind=kind, parameters=(value,),
+                         parities=(args.parity,), lift=args.a, **common)
 
-    if args.command == "verify":
-        seed = _parse_seed(args.seed)
-        if args.trials < 1:
-            raise UsageError("--trials must be at least 1")
-        characteristic = _validate_field(args.field)
-        if kind == "thm-e":
-            e_values = _parse_values(args.e, "--e")
-            if min(e_values) < families.MIN_SOCLE_DEGREE:
-                raise UsageError(
-                    f"--e must be >= {families.MIN_SOCLE_DEGREE} "
-                    "(no construction exists below that)"
-                )
-            d_values = ()
-            parities = ()
-        else:
-            d_values = _parse_values(args.d, "--d")
-            if min(d_values) < families.MIN_HALF_DEGREE:
-                raise UsageError(
-                    f"--d must be >= {families.MIN_HALF_DEGREE}, got {min(d_values)}"
-                )
-            e_values = ()
-            parities = (args.parity,) if args.parity else ("odd", "even")
-        return RunConfig(kind=kind, e_values=e_values, d_values=d_values,
-                         parities=parities, characteristic=characteristic,
-                         seed=seed, trials=args.trials, **common)
-
-    # sweep
-    seed = _parse_seed(args.seed)
+    parameters = _parse_values(value, f"--{flag}")
+    if min(parameters) < minimum:
+        raise UsageError(f"--{flag} must be >= {minimum} "
+                         "(no construction exists below that)")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    try:
-        chars = tuple(int(c) for c in args.chars.split(",") if c.strip())
-    except ValueError:
-        raise UsageError(f"cannot parse --chars {args.chars!r}") from None
-    if not chars:
-        raise UsageError("--chars must list at least one characteristic")
-    for c in chars:
-        _validate_field(c)
-    if kind == "thm-e":
-        if args.e is None:
-            raise UsageError("--e is required")
-        if args.e < families.MIN_SOCLE_DEGREE:
-            raise UsageError(f"--e must be >= {families.MIN_SOCLE_DEGREE}")
-        e_values = (args.e,)
-        d_values = ()
-        parities = ()
-    else:
-        if args.d is None:
-            raise UsageError("--d is required")
-        if args.d < families.MIN_HALF_DEGREE:
-            raise UsageError(f"--d must be >= {families.MIN_HALF_DEGREE}")
-        e_values = ()
-        d_values = (args.d,)
-        parities = (args.parity,) if args.parity else ("odd", "even")
-    return RunConfig(kind=kind, e_values=e_values, d_values=d_values,
-                     parities=parities, characteristics=chars, seed=seed,
+    return RunConfig(kind=kind, parameters=parameters,
+                     parities=(args.parity,) if args.parity else ("odd", "even"),
+                     characteristics=args.chars, seed=_parse_seed(args.seed),
                      trials=args.trials, **common)
 
 
@@ -348,11 +304,12 @@ def _cmd_check(config: RunConfig) -> int:
 
 def _cmd_construct(config: RunConfig) -> int:
     if config.kind == "thm-e":
-        outcome = families.socle_degree_family(config.e_values[0])
+        outcome = families.socle_degree_family(config.parameters[0])
         if isinstance(outcome, NoSuchFamily):
             raise UsageError(outcome.reason)
     else:
-        outcome = families.codim5_family(config.d_values[0], config.parities[0])
+        outcome = families.codim5_family(config.parameters[0],
+                                         config.parities[0])
     gorenstein = outcome.gorenstein
     level: Optional[HVector] = outcome.level
     if config.lift > 0:
@@ -403,14 +360,14 @@ def _cmd_construct(config: RunConfig) -> int:
 
 def _verification_jobs(config: RunConfig) -> list[tuple[str, int]]:
     if config.kind == "thm-e":
-        return [(families.KIND_SOCLE_DEGREE, e) for e in config.e_values]
+        return [(families.KIND_SOCLE_DEGREE, e) for e in config.parameters]
     kinds = {
         "odd": families.KIND_CODIM5_ODD,
         "even": families.KIND_CODIM5_EVEN,
     }
     return [
         (kinds[parity], d)
-        for d in config.d_values
+        for d in config.parameters
         for parity in config.parities
     ]
 
@@ -447,7 +404,14 @@ def _report_csv_rows(report: VerificationReport) -> list[list]:
     return rows
 
 
-def _emit_reports(reports: list[VerificationReport], config: RunConfig) -> int:
+def _cmd_verify(config: RunConfig) -> int:
+    reports = [
+        report
+        for kind, parameter in _verification_jobs(config)
+        for report in sweep_characteristics(
+            kind, parameter, config.characteristics, config.seed,
+            config.trials)
+    ]
     if config.output_format == "json":
         command = _command_text(config)
         payload = {
@@ -472,31 +436,12 @@ def _emit_reports(reports: list[VerificationReport], config: RunConfig) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    field = FieldSpec(config.characteristic)
-    reports = [
-        verify_construction(kind, parameter, field, config.seed, config.trials)
-        for kind, parameter in _verification_jobs(config)
-    ]
-    return _emit_reports(reports, config)
-
-
-def _cmd_sweep(config: RunConfig) -> int:
-    reports = []
-    for kind, parameter in _verification_jobs(config):
-        reports.extend(
-            sweep_characteristics(kind, parameter, config.characteristics,
-                                  config.seed, config.trials)
-        )
-    return _emit_reports(reports, config)
-
-
 def run(config: RunConfig) -> int:
     handlers = {
         "check": _cmd_check,
         "construct": _cmd_construct,
         "verify": _cmd_verify,
-        "sweep": _cmd_sweep,
+        "sweep": _cmd_verify,
     }
     return handlers[config.command](config)
 
@@ -507,10 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(arguments)
         config = _build_config(args, arguments)
         return run(config)
-    except UsageError as err:
-        print(f"hvectors: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as err:
+    except (UsageError, ValueError, OSError) as err:
         print(f"hvectors: error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

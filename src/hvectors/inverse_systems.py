@@ -41,8 +41,6 @@ from .version import VERSION
 
 Monomial = tuple[int, ...]
 
-VERIFICATION_KINDS = (KIND_SOCLE_DEGREE, KIND_CODIM5_ODD, KIND_CODIM5_EVEN)
-
 
 @lru_cache(maxsize=None)
 def monomials(num_vars: int, degree: int) -> tuple[Monomial, ...]:
@@ -98,11 +96,6 @@ class Form:
         self.field = field
         self.coeffs = np.array(coeffs, dtype=field.dtype)
         self.coeffs.flags.writeable = False
-
-    @classmethod
-    def zero(cls, num_vars: int, degree: int, field: FieldSpec) -> "Form":
-        n = len(monomials(num_vars, degree))
-        return cls(num_vars, degree, field, field.zeros(n))
 
     @classmethod
     def from_coefficients(cls, num_vars: int, degree: int, field: FieldSpec,
@@ -307,20 +300,6 @@ def contraction_power(linear: Form, power: int) -> Form:
     return Form(linear.num_vars, power, field, dense)
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """Sampled dual linear forms behind the codimension-5 generators.
-
-    ``general_forms`` are fully general in 3 variables; ``line_forms``
-    carry a zero first coefficient, dual to points on a fixed line.
-    """
-
-    general_forms: tuple[Form, ...]
-    line_forms: tuple[Form, ...]
-    field: FieldSpec
-    seed: int
-
-
 class FieldTooSmallError(ValueError):
     """The prime field is below the genericity floor: random points cannot
     be expected to behave generally, so verification would be meaningless
@@ -359,7 +338,7 @@ def required_field_size(kind: str, parameter: int) -> int:
 
 def codim5_generators(
     d: int, parity: str, field: FieldSpec, seed: int
-) -> tuple[PointConfiguration, Form, Form]:
+) -> tuple[Form, Form]:
     """Two random generators for the codimension-5 level module.
 
     Samples C(d+1,2) general linear forms in 3 variables and d+4 (odd) or
@@ -393,8 +372,7 @@ def codim5_generators(
     powers = [contraction_power(f, power) for f in general + line]
     weights_1 = [next(stream) for _ in range(n_general + n_line)]
     weights_2 = [next(stream) for _ in range(n_general + n_line)]
-    config = PointConfiguration(general, line, field, seed)
-    return config, linear_combination(weights_1, powers), \
+    return linear_combination(weights_1, powers), \
         linear_combination(weights_2, powers)
 
 
@@ -467,8 +445,7 @@ def _trial_generators(kind: str, parameter: int, field: FieldSpec,
         random_form = Form.from_coefficients(3, e - 1, field, coeffs)
         return truncation_generators(3, 2, e - 1, field) + [random_form]
     parity = "odd" if kind == KIND_CODIM5_ODD else "even"
-    _, f1, f2 = codim5_generators(parameter, parity, field, trial_seed)
-    return [f1, f2]
+    return list(codim5_generators(parameter, parity, field, trial_seed))
 
 
 def verify_construction(kind: str, parameter: int, field: FieldSpec,

@@ -143,6 +143,8 @@ def test_verify_validates_input(capsys) -> None:
     assert run_cli(capsys, "verify", "thm-e", "--e", "6",
                    "--field", "15")[0] == 2
     assert run_cli(capsys, "verify", "thm-e", "--e", "6",
+                   "--field", "0,101")[0] == 2
+    assert run_cli(capsys, "verify", "thm-e", "--e", "6",
                    "--trials", "0")[0] == 2
     assert run_cli(capsys, "verify", "thm-r", "--d", "10..9")[0] == 2
     assert run_cli(capsys, "verify", "thm-e", "--e", "oops")[0] == 2
@@ -184,6 +186,67 @@ def test_sweep_small(capsys) -> None:
     assert code == 0
     assert out.count("verdict match") == 2
     assert "GF(101)" in out and "GF(1009)" in out
+
+
+# Each input is invalid for verify and sweep alike, for the reason named
+# in the second column: the two commands share one validation table.
+# "{field}" stands for --field or --chars.
+INVALID_RUNS = [
+    (("thm-e", "--e", "5"), "--e must be >= 6"),
+    (("thm-r", "--d", "9", "--parity", "odd"), "--d must be >= 10"),
+    (("thm-e", "--e", "6", "--d", "10"), "thm-e does not take --d"),
+    (("thm-e", "--e", "6", "--parity", "odd"), "thm-e does not take --parity"),
+    (("thm-r", "--d", "10", "--e", "6"), "thm-r does not take --e"),
+    (("thm-e", "--e", "7..6"), "empty range"),
+    (("thm-r", "--d", "12..10"), "empty range"),
+    (("thm-e", "--e", "6", "--trials", "0"), "--trials must be at least 1"),
+    (("thm-e", "--e", "6", "{field}", "15"), "0 or a prime, got 15"),
+    (("thm-e", "--e", "6", "{field}", "x"), "cannot parse characteristics"),
+    (("thm-e", "--e", "6", "--seed", "-1"), "seed must be nonnegative"),
+    (("thm-e", "--e", "6", "--seed", "x"), "cannot parse seed"),
+    (("thm-e",), "--e is required"),
+]
+
+
+@pytest.mark.parametrize("command, field", [("verify", "--field"),
+                                            ("sweep", "--chars")],
+                         ids=["verify", "sweep"])
+@pytest.mark.parametrize("args, reason", INVALID_RUNS,
+                         ids=[" ".join(args) for args, _ in INVALID_RUNS])
+def test_verify_and_sweep_reject_invalid_input(capsys, command, field, args,
+                                              reason) -> None:
+    code, out, err = run_cli(capsys, command,
+                             *(a.format(field=field) for a in args))
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+
+def test_sweep_accepts_parameter_range(capsys) -> None:
+    code, out, _ = run_cli(
+        capsys, "sweep", "thm-e", "--e", "6..7", "--chars", "101",
+        "--trials", "1", "--format", "json",
+    )
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [(r["parameter"], r["verdict"]) for r in reports] == [
+        (6, "match"), (7, "match"),
+    ]
+
+
+def test_verify_is_a_one_characteristic_sweep(capsys) -> None:
+    tail = ("--trials", "2", "--seed", "5", "--format", "json")
+    code_v, out_v, _ = run_cli(capsys, "verify", "thm-e", "--e", "6",
+                               "--field", "101", *tail)
+    code_s, out_s, _ = run_cli(capsys, "sweep", "thm-e", "--e", "6",
+                               "--chars", "101", *tail)
+    assert code_v == code_s == 0
+
+    def reports(text: str) -> list[dict]:
+        return [{k: v for k, v in r.items() if k != "command"}
+                for r in json.loads(text)["reports"]]
+
+    assert reports(out_v) == reports(out_s)
 
 
 def test_out_writes_file(tmp_path, capsys) -> None:

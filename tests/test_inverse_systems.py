@@ -69,7 +69,7 @@ def test_form_construction_and_lookup() -> None:
     assert f.coefficient((2, 0, 0)) == 0
     assert f.terms() == [((1, 1, 0), 5), ((0, 0, 2), 1)]
     assert not f.is_zero()
-    assert Form.zero(3, 2, GF).is_zero()
+    assert Form.from_coefficients(3, 2, GF, [0] * 6).is_zero()
     with pytest.raises(ValueError):
         Form.from_terms(3, 2, GF, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
@@ -227,7 +227,7 @@ def test_hilbert_function_examples() -> None:
 
 def test_hilbert_function_rejects_zero_module() -> None:
     with pytest.raises(ValueError):
-        hilbert_function([Form.zero(3, 2, GF)])
+        hilbert_function([Form.from_coefficients(3, 2, GF, [0] * 6)])
     with pytest.raises(ValueError):
         hilbert_function([])
 
@@ -290,14 +290,11 @@ def test_required_field_size() -> None:
 
 
 def test_codim5_generators_contract() -> None:
-    config, f1, f2 = codim5_generators(10, "odd", GF, seed=3)
+    f1, f2 = codim5_generators(10, "odd", GF, seed=3)
     assert f1.degree == 2 * 10 and f2.degree == 2 * 10
-    assert len(config.general_forms) == comb(11, 2)
-    assert len(config.line_forms) == 14
-    assert all(form.coeffs[0] == 0 for form in config.line_forms)
-    _, g1, g2 = codim5_generators(10, "odd", GF, seed=3)
+    g1, g2 = codim5_generators(10, "odd", GF, seed=3)
     assert g1 == f1 and g2 == f2
-    _, e1, _ = codim5_generators(10, "even", GF, seed=3)
+    e1, _ = codim5_generators(10, "even", GF, seed=3)
     assert e1.degree == 19
     with pytest.raises(FieldTooSmallError):
         codim5_generators(10, "odd", FieldSpec(2), seed=1)
