@@ -136,13 +136,6 @@ class FieldSpec:
         """Residues of an array of integers (identity over the rationals)."""
         return values % self.characteristic if self.is_modular else values
 
-    def invert(self, a: Scalar) -> Scalar:
-        if a == 0:
-            raise ZeroDivisionError("cannot invert zero")
-        if self.is_modular:
-            return pow(a, -1, self.characteristic)
-        return Fraction(1) / a
-
     def __str__(self) -> str:
         return f"GF({self.characteristic})" if self.is_modular else "QQ"
 

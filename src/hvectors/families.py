@@ -177,13 +177,3 @@ def codim5_family(d: int, parity: str) -> FamilyResult:
         violation_step=(d - 1, d),
     )
 
-
-def lifted_gorenstein(result: FamilyResult, codimension: int) -> HVector:
-    """Family member with the same socle degree but larger codimension,
-    obtained by lifting the Gorenstein vector."""
-    base = result.gorenstein.codimension
-    if codimension < base:
-        raise ValueError(
-            f"target codimension {codimension} is below the base {base}"
-        )
-    return lift_codimension(result.gorenstein, codimension - base)

@@ -1,18 +1,20 @@
 """Macaulay inverse systems over an exact field.
 
-Homogeneous forms are stored densely per degree as coefficient arrays, the
-variables of the dual ring act by contraction (exponent subtraction, killing
-terms that would go negative), and the Hilbert function of the module
-generated by a list of forms is read off as the rank of the contraction
-coefficient matrix in each degree, one gather from the stacked arrays.  On
-top of that sit the randomized drivers that check the constructed level
-h-vectors against actual rank computations, including a characteristic
-sweep.
+Homogeneous forms are stored densely per degree as coefficient arrays, in
+the descending lex order of :func:`monomials`; a monomial's position comes
+from its mixed-radix exponent key by binary search (:func:`_positions`).
+The variables of the dual ring act by contraction (exponent subtraction,
+killing terms that would go negative), never term by term: the Hilbert
+function of the module generated by a list of forms is read off as the rank
+of the contraction coefficient matrix in each degree, one gather from the
+stacked arrays.  On top of that sit the randomized drivers that check the
+constructed level h-vectors against actual rank computations, including a
+characteristic sweep.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
@@ -69,9 +71,16 @@ def _exponents(num_vars: int, degree: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _monomial_index(num_vars: int, degree: int) -> dict[Monomial, int]:
-    return {m: k for k, m in enumerate(monomials(num_vars, degree))}
+def _positions(num_vars: int, degree: int, *factors: np.ndarray) -> np.ndarray:
+    """Index among ``monomials(num_vars, degree)`` of the product of one
+    exponent row from each factor array, the arrays broadcast against each
+    other.  A monomial's key is its exponents in base degree+1, first
+    variable most significant, so a product's key is the sum of its
+    factors' keys, and keys descend in lex order: a binary search over the
+    negated keys finds each index."""
+    radix = (degree + 1) ** np.arange(num_vars - 1, -1, -1)
+    order = _exponents(num_vars, degree) @ radix
+    return np.searchsorted(-order, -sum(f @ radix for f in factors))
 
 
 class Form:
@@ -105,23 +114,15 @@ class Form:
     @classmethod
     def from_terms(cls, num_vars: int, degree: int, field: FieldSpec,
                    terms: dict) -> "Form":
-        index = _monomial_index(num_vars, degree)
-        dense = field.zeros(len(index))
-        for mono, value in terms.items():
-            mono = tuple(mono)
-            if sum(mono) != degree:
-                raise ValueError(f"monomial {mono} does not have degree {degree}")
-            dense[index[mono]] = field.normalize(value)
+        bad = [m for m in terms if len(m) != num_vars or min(m) < 0
+               or sum(m) != degree]
+        if bad:
+            raise ValueError(f"{bad[0]} is not a monomial of degree {degree} "
+                             f"in {num_vars} variables")
+        exps = np.array(list(terms), dtype=np.int64).reshape(-1, num_vars)
+        dense = field.zeros(len(monomials(num_vars, degree)))
+        dense[_positions(num_vars, degree, exps)] = field.array(terms.values())
         return cls(num_vars, degree, field, dense)
-
-    @classmethod
-    def monomial_form(cls, num_vars: int, exponents: Sequence[int],
-                      field: FieldSpec) -> "Form":
-        mono = tuple(exponents)
-        return cls.from_terms(num_vars, sum(mono), field, {mono: 1})
-
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self.coeffs.item(_monomial_index(self.num_vars, self.degree)[tuple(mono)])
 
     def terms(self) -> list[tuple[Monomial, Scalar]]:
         """Nonzero (monomial, coefficient) pairs in the canonical order."""
@@ -144,34 +145,6 @@ class Form:
                 f"field={self.field}, terms={nonzero})")
 
 
-def contract(operator: Monomial, form: Form) -> Form:
-    """Apply the contraction action of a monomial operator to a form.
-
-    Each variable of the operator lowers the matching exponent by one;
-    any term whose exponent would go negative is killed.  The result has
-    degree ``form.degree - deg(operator)`` and may be the zero form.
-    """
-    operator = tuple(operator)
-    if len(operator) != form.num_vars:
-        raise ValueError(
-            f"operator has {len(operator)} variables, form has {form.num_vars}"
-        )
-    if any(a < 0 for a in operator):
-        raise ValueError(f"operator exponents must be nonnegative: {operator}")
-    out_degree = form.degree - sum(operator)
-    if out_degree < 0:
-        raise ValueError(
-            f"operator degree {sum(operator)} exceeds form degree {form.degree}"
-        )
-    index = _monomial_index(form.num_vars, out_degree)
-    dense = form.field.zeros(len(index))
-    for mono, value in form.terms():
-        shifted = tuple(a - b for a, b in zip(mono, operator))
-        if min(shifted) >= 0:
-            dense[index[shifted]] = value
-    return Form(form.num_vars, out_degree, form.field, dense)
-
-
 def _check_generators(generators: Sequence[Form]) -> tuple[int, int, FieldSpec]:
     if not generators:
         raise ValueError("generator list is empty")
@@ -189,13 +162,9 @@ def _check_generators(generators: Sequence[Form]) -> tuple[int, int, FieldSpec]:
 def _contraction_layout(num_vars: int, form_degree: int,
                         degree: int) -> np.ndarray:
     """Index among the form's monomials of operator+column, one row per
-    operator and one column per column monomial.  Mixed-radix keys, first
-    variable most significant, descend in lex order, so a binary search over
-    the negated keys finds each index."""
-    radix = (form_degree + 1) ** np.arange(num_vars - 1, -1, -1)
-    ops, cols, form = (_exponents(num_vars, d) @ radix
-                       for d in (form_degree - degree, degree, form_degree))
-    return np.searchsorted(-form, -(ops[:, None] + cols))
+    operator and one column per column monomial."""
+    ops = _exponents(num_vars, form_degree - degree)[:, None]
+    return _positions(num_vars, form_degree, ops, _exponents(num_vars, degree))
 
 
 def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
@@ -256,7 +225,7 @@ def truncation_generators(ambient_vars: int, used_vars: int, degree: int,
         raise ValueError(f"degree must be positive, got {degree}")
     padding = (0,) * (ambient_vars - used_vars)
     return [
-        Form.monomial_form(ambient_vars, mono + padding, field)
+        Form.from_terms(ambient_vars, degree, field, {mono + padding: 1})
         for mono in monomials(used_vars, degree)
     ]
 
@@ -404,23 +373,9 @@ class VerificationReport:
     degree_seconds: list[float] = dc_field(default_factory=list)
 
     def to_json_dict(self, command: str = "") -> dict:
-        return {
-            "kind": self.kind,
-            "parameter": self.parameter,
-            "characteristic": self.characteristic,
-            "seed": self.seed,
-            "trials": self.trials,
-            "generator": self.generator,
-            "version": self.version,
-            "command": command,
-            "target": list(self.target),
-            "trial_seeds": list(self.trial_seeds),
-            "per_trial": [list(t) for t in self.per_trial],
-            "best": list(self.best),
-            "verdict": self.verdict,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        out = asdict(self)
+        del out["degree_seconds"]
+        return {**out, "command": command}
 
 
 def family_target(kind: str, parameter: int) -> HVector:
@@ -456,7 +411,8 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     ``mix(seed, trial)``, so the report is a pure function of its inputs
     and trials may run in any order.  The verdict is ``match`` exactly
     when the entrywise-best computed vector equals the target,
-    ``inconclusive`` when the field is below the genericity floor.
+    ``inconclusive`` when the generators refuse a field below the
+    genericity floor (:class:`FieldTooSmallError`).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -469,18 +425,15 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
         trials=trials,
         target=target.entries,
     )
-    floor = required_field_size(kind, parameter)
-    if field.is_modular and field.characteristic < floor:
-        report.verdict = "inconclusive"
-        report.detail = (
-            f"GF({field.characteristic}) is below the genericity floor {floor}"
-        )
-        return report
     trial_seeds = tuple(mix(seed, t) for t in range(trials))
     per_trial = []
     degree_seconds = [0.0] * len(target)
     for trial_seed in trial_seeds:
-        generators = _trial_generators(kind, parameter, field, trial_seed)
+        try:
+            generators = _trial_generators(kind, parameter, field, trial_seed)
+        except FieldTooSmallError as exc:
+            report.detail = str(exc)
+            return report
         if all(g.is_zero() for g in generators):
             per_trial.append((0,) * len(target))
             continue

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: monomial
-enumeration is reimplemented here, and ranks are computed by plain
-Gaussian elimination on Python lists, over the rationals or modulo p,
-instead of the library's multi-modular numpy elimination.
+enumeration is reimplemented here, contraction acts term by term on
+``{monomial: coefficient}`` dicts instead of gathering from coefficient
+arrays, and ranks are computed by plain Gaussian elimination on Python
+lists, over the rationals or modulo p, instead of the library's
+multi-modular numpy elimination.
 """
 from __future__ import annotations
 
@@ -19,6 +21,23 @@ def descending_monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:
         out.extend(
             (head, *tail) for tail in descending_monomials(num_vars - 1, degree - head)
         )
+    return out
+
+
+def contract(operator: tuple[int, ...], terms: dict) -> dict:
+    """Contraction of a form, given as ``{monomial: coefficient}``, by a
+    monomial operator: each exponent drops by the operator's, and terms
+    that would go negative are killed."""
+    for mono in terms:
+        if len(mono) != len(operator):
+            raise ValueError(f"operator {operator} does not fit {mono}")
+        if min(operator) < 0 or sum(operator) > sum(mono):
+            raise ValueError(f"operator {operator} cannot act on {mono}")
+    out = {}
+    for mono, value in terms.items():
+        shifted = tuple(a - b for a, b in zip(mono, operator))
+        if min(shifted) >= 0:
+            out[shifted] = value
     return out
 
 

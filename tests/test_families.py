@@ -19,7 +19,6 @@ from hvectors import (
     is_symmetric,
     is_unimodal,
     lift_codimension,
-    lifted_gorenstein,
     si_violation,
     socle_degree_family,
     trivial_extension,
@@ -185,15 +184,6 @@ def test_lift_preserves_si_status_on_families() -> None:
             assert is_unimodal(lifted) and is_symmetric(lifted)
     si_base = HVector((1, 3, 3, 1))
     assert is_si_sequence(lift_codimension(si_base, 2))
-
-
-def test_lifted_gorenstein_wrapper() -> None:
-    result = socle_degree_family(6)
-    lifted = lifted_gorenstein(result, 12)
-    assert lifted.entries == (1, 12, 16, 22, 16, 12, 1)
-    assert lifted_gorenstein(result, 10) == result.gorenstein
-    with pytest.raises(ValueError):
-        lifted_gorenstein(result, 9)
 
 
 def test_first_half_of_families_is_differentiable_up_to_violation() -> None:
