@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from . import families, sequences
 from .exact import MASK64, is_prime
-from .families import NoSuchFamily
 from .inverse_systems import VerificationReport, sweep_characteristics
 from .sequences import HVector, Violation
 from .version import VERSION
@@ -65,10 +64,9 @@ class RunConfig:
     argv: tuple[str, ...]
     output_format: str = "plain"
     out_path: Optional[str] = None
-    kind: Optional[str] = None
     vector: Optional[HVector] = None
-    parameters: tuple[int, ...] = ()
-    parities: tuple[Optional[str], ...] = ()
+    # (library kind, parameter) pairs, in report order
+    jobs: tuple[tuple[str, int], ...] = ()
     lift: int = 0
     characteristics: tuple[int, ...] = ()
     seed: int = DEFAULT_SEED
@@ -180,11 +178,14 @@ def _parse_seed(text: str) -> int:
     return seed & MASK64
 
 
-# kind -> (its parameter flag, the smallest parameter with a construction,
-# the flags it rejects)
+# CLI kind -> (its parameter flag, the smallest parameter with a
+# construction, the flags it rejects, its library kind for each --parity)
 _KIND_RULES = {
-    "thm-e": ("e", families.MIN_SOCLE_DEGREE, ("d", "parity")),
-    "thm-r": ("d", families.MIN_HALF_DEGREE, ("e",)),
+    "thm-e": ("e", families.MIN_SOCLE_DEGREE, ("d", "parity"),
+              {None: families.KIND_SOCLE_DEGREE}),
+    "thm-r": ("d", families.MIN_HALF_DEGREE, ("e",),
+              {"odd": families.KIND_CODIM5_ODD,
+               "even": families.KIND_CODIM5_EVEN}),
 }
 
 
@@ -199,22 +200,24 @@ def _build_config(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
         return RunConfig(vector=_parse_vector(args.vector), **common)
 
     kind = args.kind
-    flag, minimum, rejected = _KIND_RULES[kind]
+    flag, minimum, rejected, library_kinds = _KIND_RULES[kind]
     for name in rejected:
         if getattr(args, name) is not None:
             raise UsageError(f"{kind} does not take --{name}")
     value = getattr(args, flag)
     if value is None:
         raise UsageError(f"--{flag} is required")
+    # Without --parity, thm-r runs both variants; thm-e has just one.
+    chosen = ([library_kinds[args.parity]] if args.parity in library_kinds
+              else list(library_kinds.values()))
 
     if args.command == "construct":
         # Below the minimum the families module explains why no member exists.
-        if kind == "thm-r" and args.parity is None:
-            raise UsageError("thm-r needs --parity")
+        if len(chosen) > 1:
+            raise UsageError(f"{kind} needs --parity")
         if args.a < 0:
             raise UsageError("--a must be nonnegative")
-        return RunConfig(kind=kind, parameters=(value,),
-                         parities=(args.parity,), lift=args.a, **common)
+        return RunConfig(jobs=((chosen[0], value),), lift=args.a, **common)
 
     parameters = _parse_values(value, f"--{flag}")
     if min(parameters) < minimum:
@@ -222,8 +225,7 @@ def _build_config(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
                          "(no construction exists below that)")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    return RunConfig(kind=kind, parameters=parameters,
-                     parities=(args.parity,) if args.parity else ("odd", "even"),
+    return RunConfig(jobs=tuple((k, p) for p in parameters for k in chosen),
                      characteristics=args.chars, seed=_parse_seed(args.seed),
                      trials=args.trials, **common)
 
@@ -303,13 +305,7 @@ def _cmd_check(config: RunConfig) -> int:
 
 
 def _cmd_construct(config: RunConfig) -> int:
-    if config.kind == "thm-e":
-        outcome = families.socle_degree_family(config.parameters[0])
-        if isinstance(outcome, NoSuchFamily):
-            raise UsageError(outcome.reason)
-    else:
-        outcome = families.codim5_family(config.parameters[0],
-                                         config.parities[0])
+    outcome = families.family(*config.jobs[0])
     gorenstein = outcome.gorenstein
     level: Optional[HVector] = outcome.level
     if config.lift > 0:
@@ -358,20 +354,6 @@ def _cmd_construct(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verification_jobs(config: RunConfig) -> list[tuple[str, int]]:
-    if config.kind == "thm-e":
-        return [(families.KIND_SOCLE_DEGREE, e) for e in config.parameters]
-    kinds = {
-        "odd": families.KIND_CODIM5_ODD,
-        "even": families.KIND_CODIM5_EVEN,
-    }
-    return [
-        (kinds[parity], d)
-        for d in config.parameters
-        for parity in config.parities
-    ]
-
-
 def _report_plain(report: VerificationReport) -> list[str]:
     lines = [
         f"{report.kind} parameter={report.parameter} "
@@ -407,7 +389,7 @@ def _report_csv_rows(report: VerificationReport) -> list[list]:
 def _cmd_verify(config: RunConfig) -> int:
     reports = [
         report
-        for kind, parameter in _verification_jobs(config)
+        for kind, parameter in config.jobs
         for report in sweep_characteristics(
             kind, parameter, config.characteristics, config.seed,
             config.trials)

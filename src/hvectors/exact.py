@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from numbers import Rational
 from typing import Sequence, Union
 
 import numpy as np
@@ -102,22 +103,18 @@ class FieldSpec:
     def is_modular(self) -> bool:
         return self.characteristic != 0
 
-    def zero(self) -> Scalar:
-        return 0 if self.is_modular else Fraction(0)
-
-    def one(self) -> Scalar:
-        return 1 % self.characteristic if self.is_modular else Fraction(1)
-
     def normalize(self, value) -> Scalar:
+        """A residue in [0, p), or over QQ an int unless a denominator is
+        left; input that is not an exact rational is refused."""
+        if not isinstance(value, Rational):
+            raise TypeError(f"need an exact rational, got {value!r}")
         p = self.characteristic
+        num, den = int(value.numerator), int(value.denominator)
         if p == 0:
-            return Fraction(value)
-        if isinstance(value, Fraction):
-            den = value.denominator % p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
-            return value.numerator * pow(den, -1, p) % p
-        return int(value) % p
+            return num if den == 1 else Fraction(num, den)
+        if den % p == 0:
+            raise ZeroDivisionError(f"denominator divisible by {p}")
+        return num % p if den == 1 else num * pow(den, -1, p) % p
 
     @property
     def dtype(self):
@@ -130,7 +127,7 @@ class FieldSpec:
         return np.array([self.normalize(v) for v in values], dtype=self.dtype)
 
     def zeros(self, length: int) -> np.ndarray:
-        return np.full(length, self.zero(), dtype=self.dtype)
+        return np.zeros(length, dtype=self.dtype)
 
     def reduce(self, values: np.ndarray) -> np.ndarray:
         """Residues of an array of integers (identity over the rationals)."""
@@ -330,5 +327,5 @@ def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
             draw = rng.next_u64()
             magnitude = (draw & (RATIONAL_HEIGHT_BOUND - 1)) + 1
             sign = -1 if draw >> 63 else 1
-            out.append(Fraction(sign * magnitude))
+            out.append(sign * magnitude)
     return out

@@ -6,6 +6,8 @@ half-degree d >= 10 with odd (socle degree 2d+1) and even (socle degree 2d)
 variants.  Both are assembled from three standard numeric moves: the
 trivial-extension sum H_i = h_i + h_{e-i}, the compressed-level minimum
 formula, and adding a constant to all interior entries.
+
+The construction kinds live here, with :func:`family`, their one dispatch.
 """
 from __future__ import annotations
 
@@ -23,6 +25,9 @@ MIN_SOCLE_DEGREE = 6
 MIN_HALF_DEGREE = 10
 
 _PARITY_KINDS = {"odd": KIND_CODIM5_ODD, "even": KIND_CODIM5_EVEN}
+# Every kind, mapped to the parity of its codimension-5 variant (None: thm-e).
+KIND_PARITIES = {KIND_SOCLE_DEGREE: None,
+                 **{kind: parity for parity, kind in _PARITY_KINDS.items()}}
 
 
 @dataclass(frozen=True)
@@ -177,3 +182,14 @@ def codim5_family(d: int, parity: str) -> FamilyResult:
         violation_step=(d - 1, d),
     )
 
+
+def family(kind: str, parameter: int) -> FamilyResult:
+    """Member of ``kind`` at ``parameter``; ValueError saying why if none."""
+    if kind not in KIND_PARITIES:
+        raise ValueError(f"unknown kind {kind!r}")
+    if KIND_PARITIES[kind] is not None:
+        return codim5_family(parameter, KIND_PARITIES[kind])
+    result = socle_degree_family(parameter)
+    if isinstance(result, NoSuchFamily):
+        raise ValueError(result.reason)
+    return result

@@ -9,7 +9,8 @@ function of the module generated by a list of forms is read off as the rank
 of the contraction coefficient matrix in each degree, one gather from the
 stacked arrays.  On top of that sit the randomized drivers that check the
 constructed level h-vectors against actual rank computations, including a
-characteristic sweep.
+characteristic sweep.  Kinds and targets live in :mod:`families`; the
+witness facts (point counts, powers) stay here, never derived from them.
 """
 from __future__ import annotations
 
@@ -30,14 +31,7 @@ from .exact import (
     rank,
     sample_scalars,
 )
-from .families import (
-    KIND_CODIM5_EVEN,
-    KIND_CODIM5_ODD,
-    KIND_SOCLE_DEGREE,
-    NoSuchFamily,
-    codim5_family,
-    socle_degree_family,
-)
+from .families import KIND_PARITIES, MIN_HALF_DEGREE, family
 from .sequences import HVector
 from .version import VERSION
 
@@ -223,11 +217,12 @@ def truncation_generators(ambient_vars: int, used_vars: int, degree: int,
         )
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
-    padding = (0,) * (ambient_vars - used_vars)
-    return [
-        Form.from_terms(ambient_vars, degree, field, {mono + padding: 1})
-        for mono in monomials(used_vars, degree)
-    ]
+    used = _exponents(used_vars, degree)
+    exps = np.pad(used, ((0, 0), (0, ambient_vars - used_vars)))
+    dense = np.zeros((len(used), len(monomials(ambient_vars, degree))),
+                     dtype=field.dtype)
+    dense[np.arange(len(used)), _positions(ambient_vars, degree, exps)] = 1
+    return [Form(ambient_vars, degree, field, row) for row in dense]
 
 
 def linear_combination(weights: Sequence[Scalar], forms: Sequence[Form]) -> Form:
@@ -259,11 +254,11 @@ def contraction_power(linear: Form, power: int) -> Form:
         raise ValueError(f"power must be positive, got {power}")
     field = linear.field
     exponents = _exponents(linear.num_vars, power)
-    dense = np.full(len(exponents), field.one(), dtype=field.dtype)
+    dense = np.ones(len(exponents), dtype=field.dtype)
     for var, c in enumerate(linear.coeffs.tolist()):
-        pows = [field.one()]
+        pows = [1]
         for _ in range(power):
-            pows.append(field.normalize(pows[-1] * c))
+            pows.append(field.reduce(pows[-1] * c))
         table = np.array(pows, dtype=field.dtype)
         dense = field.reduce(dense * table[exponents[:, var]])
     return Form(linear.num_vars, power, field, dense)
@@ -278,8 +273,6 @@ class FieldTooSmallError(ValueError):
         super().__init__(
             f"GF({characteristic}) is below the genericity floor {floor}"
         )
-        self.characteristic = characteristic
-        self.floor = floor
 
 
 def _codim5_counts(d: int, parity: str) -> tuple[int, int]:
@@ -290,19 +283,20 @@ def _codim5_counts(d: int, parity: str) -> tuple[int, int]:
     return n_general, n_line
 
 
+def _codim5_floor(d: int, parity: str) -> int:
+    return 2 * sum(_codim5_counts(d, parity)) ** 2
+
+
 def required_field_size(kind: str, parameter: int) -> int:
     """Genericity floor: 2 * (number of sampled linear forms)^2.
 
     Constructions that sample no linear forms (the socle-degree family
     samples one full form instead) have floor 0.
     """
-    if kind == KIND_SOCLE_DEGREE:
-        return 0
-    if kind in (KIND_CODIM5_ODD, KIND_CODIM5_EVEN):
-        parity = "odd" if kind == KIND_CODIM5_ODD else "even"
-        n_general, n_line = _codim5_counts(parameter, parity)
-        return 2 * (n_general + n_line) ** 2
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in KIND_PARITIES:
+        raise ValueError(f"unknown kind {kind!r}")
+    parity = KIND_PARITIES[kind]
+    return 0 if parity is None else _codim5_floor(parameter, parity)
 
 
 def codim5_generators(
@@ -318,10 +312,9 @@ def codim5_generators(
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    if d < 10:
-        raise ValueError(f"d must be >= 10, got {d}")
-    kind = KIND_CODIM5_ODD if parity == "odd" else KIND_CODIM5_EVEN
-    floor = required_field_size(kind, d)
+    if d < MIN_HALF_DEGREE:
+        raise ValueError(f"d must be >= {MIN_HALF_DEGREE}, got {d}")
+    floor = _codim5_floor(d, parity)
     if field.is_modular and field.characteristic < floor:
         raise FieldTooSmallError(field.characteristic, floor)
     n_general, n_line = _codim5_counts(d, parity)
@@ -380,27 +373,18 @@ class VerificationReport:
 
 def family_target(kind: str, parameter: int) -> HVector:
     """Level h-vector the verification must reproduce."""
-    if kind == KIND_SOCLE_DEGREE:
-        result = socle_degree_family(parameter)
-        if isinstance(result, NoSuchFamily):
-            raise ValueError(result.reason)
-        return result.level
-    if kind == KIND_CODIM5_ODD:
-        return codim5_family(parameter, "odd").level
-    if kind == KIND_CODIM5_EVEN:
-        return codim5_family(parameter, "even").level
-    raise ValueError(f"unknown kind {kind!r}")
+    return family(kind, parameter).level
 
 
 def _trial_generators(kind: str, parameter: int, field: FieldSpec,
                       trial_seed: int) -> list[Form]:
-    if kind == KIND_SOCLE_DEGREE:
-        e = parameter
-        coeffs = sample_scalars(field, comb(e + 1, 2), trial_seed)
-        random_form = Form.from_coefficients(3, e - 1, field, coeffs)
-        return truncation_generators(3, 2, e - 1, field) + [random_form]
-    parity = "odd" if kind == KIND_CODIM5_ODD else "even"
-    return list(codim5_generators(parameter, parity, field, trial_seed))
+    parity = KIND_PARITIES[kind]
+    if parity is not None:
+        return list(codim5_generators(parameter, parity, field, trial_seed))
+    e = parameter
+    coeffs = sample_scalars(field, comb(e + 1, 2), trial_seed)
+    random_form = Form.from_coefficients(3, e - 1, field, coeffs)
+    return truncation_generators(3, 2, e - 1, field) + [random_form]
 
 
 def verify_construction(kind: str, parameter: int, field: FieldSpec,

@@ -84,6 +84,12 @@ def test_construct_thm_r_csv_rows(capsys) -> None:
         "thm-r-even,10,gorenstein,1,5,12,22,35,51,70,92,113,122,132,"
         "122,113,92,70,51,35,22,12,5,1",
     ]
+    json_tail = ("--d", "10", "--parity", "even", "--format", "json")
+    _, built, _ = run_cli(capsys, "construct", "thm-r", *json_tail)
+    _, verified, _ = run_cli(capsys, "verify", "thm-r", "--trials", "1",
+                             *json_tail)
+    assert json.loads(built)["kind"] == json.loads(verified)["reports"][0][
+        "kind"] == "thm-r-even"
 
 
 def test_construct_lift(capsys) -> None:

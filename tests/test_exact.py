@@ -52,8 +52,17 @@ def test_field_normalize() -> None:
     assert gf7.normalize(-1) == 6
     assert gf7.normalize(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
     assert QQ.normalize(3) == Fraction(3)
+    assert type(QQ.normalize(Fraction(6, 2))) is int
+    assert QQ.normalize(Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         gf7.normalize(Fraction(1, 7))
+    # Inexact input is refused, never rounded or parsed.
+    for field, value in ((gf7, 0.5), (gf7, 2.9), (gf7, "3"), (QQ, 0.1),
+                         (QQ, "3"), (GF, np.float64(1.0))):
+        with pytest.raises(TypeError):
+            field.normalize(value)
+    with pytest.raises(TypeError):
+        rank(DenseMatrix.from_rows(gf7, [[0.5, 0.5], [1, 1]]))
 
 
 @pytest.mark.parametrize("field", [FieldSpec(7), GF, QQ,
@@ -73,8 +82,9 @@ def test_field_axioms_on_samples(field: FieldSpec) -> None:
     assert np.array_equal(add(add(a, b), c), add(a, add(b, c)))
     assert np.array_equal(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))
     p = field.characteristic
-    inverse = field.array([pow(v, -1, p) if p else 1 / v for v in a.tolist()])
-    assert np.array_equal(mul(a, inverse), field.array([field.one()] * 3))
+    inverse = field.array([pow(v, -1, p) if p else Fraction(1, v)
+                           for v in a.tolist()])
+    assert np.array_equal(mul(a, inverse), field.array([1] * 3))
     assert np.array_equal(field.reduce(a - a), field.zeros(3))
     assert a.dtype == field.dtype
 

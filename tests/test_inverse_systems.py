@@ -38,6 +38,7 @@ from hvectors import (
 )
 from hvectors import inverse_systems
 from hvectors.exact import _NUMPY_SAFE_MODULUS
+from hvectors.families import family
 from oracles import contract, descending_monomials, modular_rank
 
 GF = FieldSpec(32003)
@@ -341,19 +342,25 @@ def test_verify_inconclusive_below_genericity_floor() -> None:
 
 
 def test_verify_validates_parameters() -> None:
-    with pytest.raises(ValueError):
-        verify_construction(KIND_SOCLE_DEGREE, 5, GF)
-    with pytest.raises(ValueError):
-        verify_construction(KIND_CODIM5_ODD, 9, GF)
+    for kind, below in ((KIND_SOCLE_DEGREE, 5), (KIND_CODIM5_ODD, 9),
+                        (KIND_CODIM5_EVEN, 9)):
+        with pytest.raises(ValueError):
+            verify_construction(kind, below, GF)
     with pytest.raises(ValueError):
         verify_construction(KIND_SOCLE_DEGREE, 6, GF, trials=0)
-    with pytest.raises(ValueError):
-        family_target("unknown", 6)
+    for query in (family, family_target, required_field_size):
+        with pytest.raises(ValueError, match="unknown kind"):
+            query("unknown", 6)
 
 
 def test_verify_codim5_targets() -> None:
     assert family_target(KIND_CODIM5_ODD, 10) == codim5_family(10, "odd").level
     assert family_target(KIND_CODIM5_EVEN, 12) == codim5_family(12, "even").level
+    for kind, parameter in ((KIND_SOCLE_DEGREE, 6), (KIND_CODIM5_ODD, 10),
+                            (KIND_CODIM5_EVEN, 12)):
+        member = family(kind, parameter)
+        assert member.kind == kind
+        assert member.level == family_target(kind, parameter)
 
 
 def test_rational_rank_on_codim5_plateau_within_budget() -> None:
