@@ -264,15 +264,18 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank of a 2-D array of residues mod p, by Gaussian elimination in place.
 
     Each pivot row, scaled once by -1/pivot, is added times their entry in
-    the pivot column to the rows below that are nonzero there, right of that
-    column only: left of it those rows are zero already, and the pivot column
-    is not read again.  Reduction mod p is delayed: while updates are
-    pending, each step reduces only the column that yields the next pivot
-    and multipliers and the lead row, so every product added is of two
-    residues.  The trailing block is reduced once `_reduction_budget(p)`
-    updates are pending, before an int64 entry could overflow; Python
-    integers (the object dtype of big primes) cannot overflow, so there it
-    is never reduced.
+    the pivot column to every row below it, right of that column only: left
+    of it those rows are zero already, the pivot column is not read again,
+    and a row with a zero multiplier gets zero added, so one update of the
+    trailing block as a view serves every pivot.  Only when the top entry
+    of a column is zero does the elimination search the column for a row to
+    swap up.  Reduction mod p is delayed: while updates are pending, each
+    step reduces only the column that yields the next pivot and multipliers
+    and the lead row, so every product added is of two residues.  The
+    trailing block is reduced once `_reduction_budget(p)` updates are
+    pending, before an int64 entry could overflow; Python integers (the
+    object dtype of big primes) cannot overflow, so there it is never
+    reduced.
     """
     budget = _reduction_budget(p) if a.dtype == np.int64 else None
     pending = 0
@@ -283,19 +286,14 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
             break
         if pending:
             a[r:, c] %= p
-        support = np.flatnonzero(a[r:, c])
-        if support.size == 0:
-            continue
-        if support[0]:
-            a[[r, r + support[0]]] = a[[r + support[0], r]]
+        if not a[r, c]:
+            support = np.flatnonzero(a[r + 1:, c])
+            if support.size == 0:
+                continue
+            a[[r, r + 1 + support[0]]] = a[[r + 1 + support[0], r]]
         lead = a[r, c + 1:] % p if pending else a[r, c + 1:]
         lead = lead * (p - pow(int(a[r, c]), -1, p)) % p
-        dense = support.size == m - r
-        below = slice(r + 1, None) if dense else r + support[1:]
-        block = a[below, c + 1:]  # a view when dense, else a copy
-        block += np.multiply.outer(a[below, c], lead)
-        if not dense:
-            a[below, c + 1:] = block
+        a[r + 1:, c + 1:] += np.multiply.outer(a[r + 1:, c], lead)
         r += 1
         pending += 1
         if pending == budget:

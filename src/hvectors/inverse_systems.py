@@ -7,10 +7,12 @@ The variables of the dual ring act by contraction (exponent subtraction,
 killing terms that would go negative), never term by term: the Hilbert
 function of the module generated by a list of forms is read off as the rank
 of the contraction coefficient matrix in each degree, one gather from the
-stacked arrays.  On top of that sit the randomized drivers that check the
-constructed level h-vectors against actual rank computations, including a
-characteristic sweep.  Kinds and targets live in :mod:`families`; the
-witness facts (point counts, powers) stay here, never derived from them.
+stacked arrays of only the rows that can be nonzero: an operator above a
+generator's exponent envelope divides none of its terms.  On top of that
+sit the randomized drivers that check the constructed level h-vectors
+against actual rank computations, including a characteristic sweep.
+Kinds and targets live in :mod:`families`; the witness facts (point
+counts, powers) stay here, never derived from them.
 """
 from __future__ import annotations
 
@@ -162,12 +164,17 @@ def _contraction_layout(num_vars: int, form_degree: int,
 
 
 def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
-    """Coefficient matrix of all degree-lowering contractions.
+    """Coefficient matrix of the degree-lowering contractions that can be
+    nonzero.
 
     Rows are indexed by (generator, operator monomial of complementary
-    degree), columns by the monomials of the target degree; the entry is
-    the coefficient of the column monomial in the contracted generator.
-    Its rank is the dimension of the generated module in that degree.
+    degree), generator-major, columns by the monomials of the target
+    degree; the entry is the coefficient of the column monomial in the
+    contracted generator.  Its rank is the dimension of the generated
+    module in that degree.  Provably zero rows are omitted: a row is kept
+    only when its operator is at most the generator's exponent envelope
+    (the largest exponent each variable has over the generator's terms) in
+    every variable, since any other operator divides none of its terms.
     """
     num_vars, form_degree, field = _check_generators(generators)
     if not 0 <= degree <= form_degree:
@@ -176,7 +183,16 @@ def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
         )
     layout = _contraction_layout(num_vars, form_degree, degree)
     coeffs = np.stack([g.coeffs for g in generators])
-    return DenseMatrix(field, coeffs[:, layout].reshape(-1, layout.shape[1]))
+    support = coeffs != 0
+    exps = _exponents(num_vars, form_degree)
+    ops = _exponents(num_vars, form_degree - degree)
+    keep = np.ones((len(generators), len(ops)), dtype=bool)
+    for var in range(num_vars):
+        envelope = np.where(support, exps[:, var], -1).max(axis=1)
+        keep &= ops[:, var] <= envelope[:, None]
+    kept_generators, kept_ops = np.nonzero(keep)
+    flat = (kept_generators * coeffs.shape[1])[:, None] + layout[kept_ops]
+    return DenseMatrix(field, coeffs.take(flat))
 
 
 def hilbert_function(generators: Sequence[Form]) -> HVector:
@@ -252,16 +268,30 @@ def contraction_power(linear: Form, power: int) -> Form:
         raise ValueError(f"need a linear form, got degree {linear.degree}")
     if power < 1:
         raise ValueError(f"power must be positive, got {power}")
-    field = linear.field
-    exponents = _exponents(linear.num_vars, power)
-    dense = np.ones(len(exponents), dtype=field.dtype)
-    for var, c in enumerate(linear.coeffs.tolist()):
-        pows = [1]
-        for _ in range(power):
-            pows.append(field.reduce(pows[-1] * c))
-        table = np.array(pows, dtype=field.dtype)
-        dense = field.reduce(dense * table[exponents[:, var]])
-    return Form(linear.num_vars, power, field, dense)
+    dense = _power_tables(linear.coeffs[None], power, linear.field)[0]
+    return Form(linear.num_vars, power, linear.field, dense)
+
+
+def _power_tables(linears: np.ndarray, power: int,
+                  field: FieldSpec) -> np.ndarray:
+    """Coefficients of :func:`contraction_power` for every row of linear
+    coefficients at once, one row per form.
+
+    Step k of the loop raises every coefficient of every form to the k-th
+    power with one array product; each variable then gathers its column of
+    powers by exponent and multiplies it in.
+    """
+    tables = np.ones((len(linears), power + 1, linears.shape[1]),
+                     dtype=field.dtype)
+    for k in range(1, power + 1):
+        tables[:, k] = field.reduce(tables[:, k - 1] * linears)
+    exponents = _exponents(linears.shape[1], power)
+    dense = tables[:, exponents[:, 0], 0]
+    for var in range(1, linears.shape[1]):
+        dense *= tables[:, exponents[:, var], var]
+        if field.is_modular:
+            dense %= field.characteristic
+    return dense
 
 
 class FieldTooSmallError(ValueError):
@@ -319,23 +349,17 @@ def codim5_generators(
         raise FieldTooSmallError(field.characteristic, floor)
     n_general, n_line = _codim5_counts(d, parity)
     power = 2 * d if parity == "odd" else 2 * d - 1
-    total = 3 * n_general + 2 * n_line + 2 * (n_general + n_line)
-    stream = iter(sample_scalars(field, total, seed))
-    general = tuple(
-        Form.from_coefficients(
-            3, 1, field, [next(stream), next(stream), next(stream)]
-        )
-        for _ in range(n_general)
-    )
-    line = tuple(
-        Form.from_coefficients(3, 1, field, [0, next(stream), next(stream)])
-        for _ in range(n_line)
-    )
-    powers = [contraction_power(f, power) for f in general + line]
-    weights_1 = [next(stream) for _ in range(n_general + n_line)]
-    weights_2 = [next(stream) for _ in range(n_general + n_line)]
-    return linear_combination(weights_1, powers), \
-        linear_combination(weights_2, powers)
+    count = n_general + n_line
+    cut = 3 * n_general + 2 * n_line
+    samples = sample_scalars(field, cut + 2 * count, seed)
+    values = field.array(samples[:cut])
+    linears = np.zeros((count, 3), dtype=field.dtype)
+    linears[:n_general] = values[:3 * n_general].reshape(-1, 3)
+    linears[n_general:, 1:] = values[3 * n_general:].reshape(-1, 2)
+    powers = [Form(3, power, field, row)
+              for row in _power_tables(linears, power, field)]
+    return linear_combination(samples[cut:cut + count], powers), \
+        linear_combination(samples[cut + count:], powers)
 
 
 @dataclass

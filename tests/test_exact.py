@@ -243,8 +243,8 @@ def test_reduction_budget_keeps_int64_path_reducing() -> None:
 def test_delayed_reduction_matches_modular_oracle(p: int) -> None:
     """Entries at or near p - 1 make every update add a product close to
     (p - 1)**2, so a block left unreduced one update past the budget
-    overflows int64; the low-rank products with zero entries take the
-    non-dense path, where only some rows below a pivot are updated."""
+    overflows int64; the low-rank products with zero entries put zero
+    multipliers below pivots and zero top entries in columns."""
     rng = random.Random(p)
     cases = [[[p - 1] * 9 for _ in range(9)]]
     for size in (2, 5, 9, 12):
@@ -265,6 +265,51 @@ def test_delayed_reduction_matches_modular_oracle(p: int) -> None:
         expected = modular_rank(rows, p)
         assert _rank_mod_p(np.array(rows, dtype=np.int64), p) == expected
         assert rank(DenseMatrix.from_rows(FieldSpec(p), rows)) == expected
+
+
+# Each pivot updates every row below it, zero multipliers included, and
+# searches its column only when the top entry is zero.
+_UPDATE_PATH_CASES = (
+    # Zero on top of column 0: row 2 is swapped up.
+    [[0, 1, 2], [0, 0, 3], [4, 5, 6]],
+    # Zero on top of column 1 only after the first update, while that
+    # update is pending: row 2 is swapped up.
+    [[1, 1, 1], [1, 1, 2], [0, 1, 0]],
+    # Zero multipliers below the pivot in columns 0 and 1.
+    [[1, 2, 3, 4], [0, 5, 6, 7], [2, 4, 6, 9], [0, 0, 0, 1]],
+    # All-zero columns first, between and last.
+    [[0, 1, 0, 2, 0], [0, 3, 0, 1, 0], [0, 4, 0, 3, 0]],
+    # A column that becomes zero below the pivot (dependent rows).
+    [[1, 2, 3], [2, 4, 7], [3, 6, 10], [0, 0, 0]],
+    [[0, 0], [0, 0]],
+)
+
+
+@pytest.mark.parametrize("p", [32003, 3_037_000_493, 2**61 - 1])
+def test_rank_mod_p_single_update_path(p: int) -> None:
+    """Entries of 0, 1 and p - 1 in low-rank products make zero top
+    entries, zero multipliers and columns that vanish once reduced; at
+    3 037 000 493 every step reduces the block (budget 1), at 2**61 - 1 the
+    array holds Python integers."""
+    rng = random.Random(p)
+    cases = [[[v % p for v in row] for row in rows]
+             for rows in _UPDATE_PATH_CASES]
+    for _ in range(30):
+        inner = rng.randint(1, 4)
+        cols = rng.randint(1, 7)
+        left = [[rng.choice((0, 0, 1, p - 1, rng.randrange(p)))
+                 for _ in range(inner)] for _ in range(rng.randint(1, 8))]
+        right = [[rng.choice((0, 0, 1, p - 1)) for _ in range(cols)]
+                 for _ in range(inner)]
+        cases.append([
+            [sum(row[k] * right[k][j] for k in range(inner)) % p
+             for j in range(cols)]
+            for row in left
+        ])
+    dtype = FieldSpec(p).dtype
+    for rows in cases:
+        assert _rank_mod_p(np.array(rows, dtype=dtype), p) == modular_rank(
+            rows, p)
 
 
 _unit_row_fields = (QQ, FieldSpec(101), FieldSpec(2**61 - 1))

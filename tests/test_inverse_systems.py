@@ -39,7 +39,7 @@ from hvectors import (
 from hvectors import inverse_systems
 from hvectors.exact import _NUMPY_SAFE_MODULUS
 from hvectors.families import family
-from oracles import contract, descending_monomials, modular_rank
+from oracles import contract, descending_monomials, fraction_rank, modular_rank
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -121,9 +121,12 @@ def test_contract_is_bilinear() -> None:
 
 
 def test_contraction_matrix_shapes() -> None:
+    # Only x^2 lies under the envelope (3, 0, 0) of x^3; the five other
+    # operators of degree 2 contract it to zero and get no row.
     cubed = Form.from_terms(3, 3, GF, {(3, 0, 0): 1})
     m = contraction_matrix([cubed], 1)
-    assert (m.rows, m.cols) == (6, 3)
+    assert (m.rows, m.cols) == (1, 3)
+    assert m.entries.tolist() == [[1, 0, 0]]
     assert rank(m) == 1
     f = _random_form(3, 4, GF, seed=5)
     top = contraction_matrix([f], 4)
@@ -168,15 +171,42 @@ def _generators_and_degree(draw):
 @given(_generators_and_degree())
 @settings(max_examples=120, deadline=None)
 def test_contraction_matrix_agrees_with_contract(case) -> None:
+    """The matrix is the oracle's full matrix less the rows whose operator
+    exceeds the generator's largest exponent of some variable; each such
+    row is zero, so the rank is the full matrix's."""
     generators, degree = case
+    field = generators[0].field
     num_vars, form_degree = generators[0].num_vars, generators[0].degree
-    expected = [
-        [contract(op, dict(g.terms())).get(c, 0)
-         for c in descending_monomials(num_vars, degree)]
-        for g in generators
-        for op in descending_monomials(num_vars, form_degree - degree)
-    ]
-    assert contraction_matrix(generators, degree).entries.tolist() == expected
+    kept, dropped = [], []
+    for g in generators:
+        terms = dict(g.terms())
+        envelope = [max((m[v] for m in terms), default=-1)
+                    for v in range(num_vars)]
+        for op in descending_monomials(num_vars, form_degree - degree):
+            row = [contract(op, terms).get(c, 0)
+                   for c in descending_monomials(num_vars, degree)]
+            fits = all(o <= e for o, e in zip(op, envelope))
+            (kept if fits else dropped).append(row)
+    matrix = contraction_matrix(generators, degree)
+    assert matrix.entries.tolist() == kept
+    assert all(v == 0 for row in dropped for v in row)
+    full = kept + dropped
+    expected_rank = (modular_rank(full, field.characteristic)
+                     if field.is_modular else fraction_rank(full))
+    assert rank(matrix) == expected_rank
+    assert matrix.cols == len(monomials(num_vars, degree))
+
+
+def test_contraction_matrix_omits_zero_rows_of_thm_e() -> None:
+    """thm-e at e=22 has 46 552 (generator, operator) pairs over degrees
+    0..21; the binary truncation monomials keep only their own divisors,
+    4 048 rows, every one of them nonzero."""
+    generators = inverse_systems._trial_generators(
+        KIND_SOCLE_DEGREE, 22, GF, mix(0, 0))
+    matrices = [contraction_matrix(generators, i) for i in range(22)]
+    assert sum(len(generators) * comb(23 - i, 2) for i in range(22)) == 46_552
+    assert sum(m.rows for m in matrices) == 4_048
+    assert all((m.entries != 0).any(axis=1).all() for m in matrices)
 
 
 def test_word_prime_overflow_boundary() -> None:
