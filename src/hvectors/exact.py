@@ -4,13 +4,17 @@ Scalars are arbitrary-precision rationals (characteristic 0) or residues
 modulo a prime p, held in numpy arrays: int64 over word primes, objects
 otherwise.  Every rank comes from one in-place modular Gaussian elimination:
 over GF(p) directly, and over the rationals modulo word primes until a
-Hadamard bound proves the largest rank seen exact.  The elimination reduces
-its trailing block mod p only when one more int64 update could overflow
-(delayed reduction, as in Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008), and
-rows with a single nonzero entry never reach it: each pins its column, which
-adds one to the rank.  No floating point is used anywhere.  Random sampling
-is driven by splitmix64, a fixed, portable 64-bit generator, so every result
-is reproducible from its seed.
+Hadamard bound proves the largest rank seen exact.  Its array holds int64
+for word primes, uint64 for larger primes below 2**63 and Python integers
+only above that, and only the update of the trailing block depends on which:
+in int64 it is reduced mod p only when one more update could overflow
+(delayed reduction, as in Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008), in
+uint64 every product is reduced at once with a precomputed quotient (Shoup),
+and Python integers are never reduced.  Rows with a single nonzero entry
+never reach the elimination: each pins its column, which adds one to the
+rank.  No floating point is used anywhere.  Random sampling is driven by
+splitmix64, a fixed, portable 64-bit generator, so every result is
+reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -33,15 +37,23 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _NUMPY_SAFE_MODULUS = 3_037_000_499
 # Limb width for reducing big integers mod word primes in int64.
 _LIMB_BITS = 30
+# Half-word mask and shift for 64x64 -> 128-bit products in uint64.
+_LOW32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: Miller-Rabin to the first 12 of them is exact only
+# below psi_12 = 318 665 857 834 031 151 167 461, a strong pseudoprime to
+# all 12; to all 13, below psi_13 = 3 317 044 064 679 887 385 961 981
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
+    """Miller-Rabin to the bases in `_MR_BASES`: exact for every
+    n < psi_13 (about 3.3e24), a strong probable-prime test above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -260,8 +272,57 @@ def _reduction_budget(p: int) -> int:
     return (2**63 - 1 - p) // (p - 1) ** 2
 
 
+def _rank_dtype(p: int):
+    """Array dtype the elimination over GF(p) runs in: int64 with delayed
+    reduction for word primes, uint64 with precomputed-quotient products
+    below 2**63, Python integers above."""
+    if p <= _NUMPY_SAFE_MODULUS:
+        return np.int64
+    return np.uint64 if p < 2**63 else object
+
+
+def _high_words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products x * y of uint64 arrays, from
+    four 32x32-bit partial products.  Each partial product is at most
+    (2**32 - 1)**2, so adding a 32-bit word to one cannot wrap: the low
+    cross product takes the carry of the low product, the high cross
+    product takes the low half of that sum, and the high word takes the
+    carries of both."""
+    xl, xh = x & _LOW32, x >> _HALF
+    yl, yh = y & _LOW32, y >> _HALF
+    low = xh * yl
+    low += xl * yl >> _HALF
+    mid = xl * yh
+    mid += low & _LOW32
+    high = xh * yh
+    high += low >> _HALF
+    high += mid >> _HALF
+    return high
+
+
+def _add_shoup_products(block: np.ndarray, column: np.ndarray,
+                        lead: np.ndarray, scale: int, p: int) -> None:
+    """block += column (outer) (scale * lead mod p), reduced mod p, on
+    uint64 residues; see `_rank_mod_p` for why no entry leaves [0, p)."""
+    if not block.size:
+        return
+    w = [v * scale % p for v in lead.tolist()]
+    w, w_quotient = np.array([w, [(v << 64) // p for v in w]],
+                             dtype=np.uint64)
+    x = column[:, None]
+    modulus = np.uint64(p)
+    t = x * w
+    high = _high_words(x, w_quotient)
+    high *= modulus
+    t -= high
+    np.minimum(t, t - modulus, out=t)
+    block += t
+    np.minimum(block, block - modulus, out=block)
+
+
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank of a 2-D array of residues mod p, by Gaussian elimination in place.
+    """Rank of a 2-D array of residues mod p, by Gaussian elimination in
+    place on the array cast to `_rank_dtype(p)`.
 
     Each pivot row, scaled once by -1/pivot, is added times their entry in
     the pivot column to every row below it, right of that column only: left
@@ -269,14 +330,34 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     and a row with a zero multiplier gets zero added, so one update of the
     trailing block as a view serves every pivot.  Only when the top entry
     of a column is zero does the elimination search the column for a row to
-    swap up.  Reduction mod p is delayed: while updates are pending, each
-    step reduces only the column that yields the next pivot and multipliers
-    and the lead row, so every product added is of two residues.  The
-    trailing block is reduced once `_reduction_budget(p)` updates are
-    pending, before an int64 entry could overflow; Python integers (the
-    object dtype of big primes) cannot overflow, so there it is never
-    reduced.
+    swap up.  The pivot search, the swap and this column walk are shared by
+    every dtype; only the update of the trailing block differs.
+
+    int64 (p at most `_NUMPY_SAFE_MODULUS`) and object (p above 2**63):
+    reduction mod p is delayed.  While updates are pending, each step
+    reduces only the column that yields the next pivot and multipliers and
+    the lead row, so every product added is of two residues.  The trailing
+    block is reduced once `_reduction_budget(p)` updates are pending,
+    before an int64 entry could overflow; Python integers cannot overflow,
+    so there it is never reduced.
+
+    uint64 (`_NUMPY_SAFE_MODULUS` < p < 2**63): every update is reduced at
+    once with Shoup's precomputed-quotient product (NTL's MulModPrecon;
+    Harvey, J. Symb. Comp. 60 (2014)).  Per pivot, the scaled lead row
+    w_j in [0, p) and w'_j = floor(w_j * 2**64 / p) are computed in Python
+    integers.  Write w'_j = (w_j * 2**64 - rho) / p with 0 <= rho < p.  For
+    a multiplier x < p and q = floor(x * w'_j / 2**64), the high word of
+    x * w'_j (`_high_words`),
+
+        (x * w_j - q * p) / p = x * rho / (p * 2**64) + frac(x * w'_j / 2**64),
+
+    which lies in [0, 2) since x < 2**64.  So t = x * w_j - q * p is in
+    [0, 2p), and as 2p <= 2**64 it is exact when both products wrap
+    modulo 2**64.  min(t, t - p) is t mod p, since t - p wraps to above t
+    when t < p; the entry plus that residue is below 2p <= 2**64, and one
+    more such min leaves it in [0, p).
     """
+    a = a.astype(_rank_dtype(p), copy=False)
     budget = _reduction_budget(p) if a.dtype == np.int64 else None
     pending = 0
     m, n = a.shape
@@ -291,11 +372,16 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
             if support.size == 0:
                 continue
             a[[r, r + 1 + support[0]]] = a[[r + 1 + support[0], r]]
-        lead = a[r, c + 1:] % p if pending else a[r, c + 1:]
-        lead = lead * (p - pow(int(a[r, c]), -1, p)) % p
-        a[r + 1:, c + 1:] += np.multiply.outer(a[r + 1:, c], lead)
+        scale = p - pow(int(a[r, c]), -1, p)
+        if a.dtype == np.uint64:
+            _add_shoup_products(a[r + 1:, c + 1:], a[r + 1:, c],
+                                a[r, c + 1:], scale, p)
+        else:
+            lead = a[r, c + 1:] % p if pending else a[r, c + 1:]
+            a[r + 1:, c + 1:] += np.multiply.outer(a[r + 1:, c],
+                                                   lead * scale % p)
+            pending += 1
         r += 1
-        pending += 1
         if pending == budget:
             a[r:, c + 1:] %= p
             pending = 0
@@ -306,8 +392,10 @@ def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
     """Deterministic stream of ``count`` scalars from ``seed``.
 
     Over GF(p): uniform nonzero residues (rejection sampling, no modulo
-    bias).  Over the rationals: uniform nonzero integers of magnitude at
-    most 2**20, so downstream rank computations stay tractable.
+    bias), each drawn from as many 64-bit words, first most significant,
+    as p - 1 has 64-bit digits (one for every p - 1 < 2**64).  Over the
+    rationals: uniform nonzero integers of magnitude at most 2**20, so
+    downstream rank computations stay tractable.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -315,9 +403,13 @@ def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
     out: list[Scalar] = []
     if field.is_modular:
         span = field.characteristic - 1
-        limit = (1 << 64) - ((1 << 64) % span)
+        words = -(-span.bit_length() // 64)
+        limit = (1 << 64 * words) - ((1 << 64 * words) % span)
+        extra_words = range(words - 1)
         while len(out) < count:
             draw = rng.next_u64()
+            for _ in extra_words:
+                draw = draw << 64 | rng.next_u64()
             if draw < limit:
                 out.append(1 + draw % span)
     else:

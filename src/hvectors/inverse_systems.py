@@ -61,8 +61,9 @@ def monomials(num_vars: int, degree: int) -> tuple[Monomial, ...]:
 
 @lru_cache(maxsize=None)
 def _exponents(num_vars: int, degree: int) -> np.ndarray:
-    """Read-only array of :func:`monomials`, one row per monomial."""
-    out = np.array(monomials(num_vars, degree))
+    """Read-only array of :func:`monomials`, one row per monomial, stored
+    column-major so that each variable's exponents are contiguous."""
+    out = np.array(monomials(num_vars, degree), order="F")
     out.flags.writeable = False
     return out
 
@@ -84,9 +85,12 @@ class Form:
 
     Coefficients live in a single :class:`FieldSpec`, in a read-only array
     of its dtype, and are kept reduced; a zero means the monomial is absent.
+    ``envelope`` is the exponent envelope, a tuple of each variable's
+    largest exponent over the form's terms (-1 throughout for the zero
+    form).
     """
 
-    __slots__ = ("num_vars", "degree", "field", "coeffs")
+    __slots__ = ("num_vars", "degree", "field", "coeffs", "envelope")
 
     def __init__(self, num_vars: int, degree: int, field: FieldSpec,
                  coeffs: Sequence[Scalar]):
@@ -101,6 +105,14 @@ class Form:
         self.field = field
         self.coeffs = np.array(coeffs, dtype=field.dtype)
         self.coeffs.flags.writeable = False
+        support = self.coeffs != 0
+        if support.all():
+            # Every pure power x_v^degree is a term.
+            self.envelope = (degree,) * num_vars
+        else:
+            exps = _exponents(num_vars, degree)
+            self.envelope = tuple(
+                np.where(support[:, None], exps, -1).max(axis=0).tolist())
 
     @classmethod
     def from_coefficients(cls, num_vars: int, degree: int, field: FieldSpec,
@@ -183,13 +195,11 @@ def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
         )
     layout = _contraction_layout(num_vars, form_degree, degree)
     coeffs = np.stack([g.coeffs for g in generators])
-    support = coeffs != 0
-    exps = _exponents(num_vars, form_degree)
     ops = _exponents(num_vars, form_degree - degree)
+    envelopes = np.array([g.envelope for g in generators])
     keep = np.ones((len(generators), len(ops)), dtype=bool)
     for var in range(num_vars):
-        envelope = np.where(support, exps[:, var], -1).max(axis=1)
-        keep &= ops[:, var] <= envelope[:, None]
+        keep &= ops[:, var] <= envelopes[:, var, None]
     kept_generators, kept_ops = np.nonzero(keep)
     flat = (kept_generators * coeffs.shape[1])[:, None] + layout[kept_ops]
     return DenseMatrix(field, coeffs.take(flat))

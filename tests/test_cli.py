@@ -207,6 +207,9 @@ INVALID_RUNS = [
     (("thm-r", "--d", "12..10"), "empty range"),
     (("thm-e", "--e", "6", "--trials", "0"), "--trials must be at least 1"),
     (("thm-e", "--e", "6", "{field}", "15"), "0 or a prime, got 15"),
+    # A strong pseudoprime to the first 12 prime bases.
+    (("thm-e", "--e", "6", "{field}", "318665857834031151167461"),
+     "0 or a prime, got 318665857834031151167461"),
     (("thm-e", "--e", "6", "{field}", "x"), "cannot parse characteristics"),
     (("thm-e", "--e", "6", "--seed", "-1"), "seed must be nonnegative"),
     (("thm-e", "--e", "6", "--seed", "x"), "cannot parse seed"),
@@ -226,6 +229,16 @@ def test_verify_and_sweep_reject_invalid_input(capsys, command, field, args,
     assert code == 2
     assert out == ""
     assert reason in err
+
+
+def test_verify_over_a_prime_beyond_one_word(capsys) -> None:
+    """GF(2**89 - 1) samples each scalar from two splitmix64 words."""
+    code, out, _ = run_cli(capsys, "verify", "thm-e", "--e", "6", "--field",
+                           str(2**89 - 1), "--trials", "1", "--format", "json")
+    assert code == 0
+    [report] = json.loads(out)["reports"]
+    assert report["verdict"] == "match"
+    assert report["characteristic"] == 2**89 - 1
 
 
 def test_sweep_accepts_parameter_range(capsys) -> None:

@@ -19,7 +19,14 @@ from hvectors import (
     rank,
     sample_scalars,
 )
-from hvectors.exact import _NUMPY_SAFE_MODULUS, _rank_mod_p, _reduction_budget
+from hvectors.exact import (
+    _NUMPY_SAFE_MODULUS,
+    _add_shoup_products,
+    _high_words,
+    _rank_dtype,
+    _rank_mod_p,
+    _reduction_budget,
+)
 from oracles import fraction_rank, modular_rank
 
 GF = FieldSpec(32003)
@@ -32,6 +39,20 @@ def test_is_prime() -> None:
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
     assert not is_prime(561)  # Carmichael number
     assert not is_prime(32001)
+
+
+# The smallest strong pseudoprime to the first 12 prime bases, and its
+# two prime factors.
+PSI_12 = 318_665_857_834_031_151_167_461
+
+
+def test_is_prime_rejects_psi_12() -> None:
+    assert PSI_12 == 399_165_290_221 * 798_330_580_441
+    assert is_prime(399_165_290_221) and is_prime(798_330_580_441)
+    assert not is_prime(PSI_12)
+    with pytest.raises(ValueError):
+        FieldSpec(PSI_12)
+    assert is_prime(2**89 - 1) and is_prime(2**64 + 13)
 
 
 def test_field_spec_validation() -> None:
@@ -290,7 +311,7 @@ def test_rank_mod_p_single_update_path(p: int) -> None:
     """Entries of 0, 1 and p - 1 in low-rank products make zero top
     entries, zero multipliers and columns that vanish once reduced; at
     3 037 000 493 every step reduces the block (budget 1), at 2**61 - 1 the
-    array holds Python integers."""
+    elimination runs in uint64."""
     rng = random.Random(p)
     cases = [[[v % p for v in row] for row in rows]
              for rows in _UPDATE_PATH_CASES]
@@ -310,6 +331,80 @@ def test_rank_mod_p_single_update_path(p: int) -> None:
     for rows in cases:
         assert _rank_mod_p(np.array(rows, dtype=dtype), p) == modular_rank(
             rows, p)
+
+
+# The uint64 range of the elimination: its first prime, two inside, its
+# last prime, and the first prime above it, which stays on Python integers.
+_WIDE_PRIMES = (3_037_000_507, 2**61 - 1, 2**62 - 57,
+                9_223_372_036_854_775_783, 9_223_372_036_854_775_837)
+
+
+def test_rank_dtype_by_prime() -> None:
+    assert _rank_dtype(_NUMPY_SAFE_MODULUS) is np.int64
+    assert [_rank_dtype(p) for p in _WIDE_PRIMES] == [np.uint64] * 4 + [object]
+
+
+def test_high_words_of_extreme_products() -> None:
+    """Products whose middle 64-bit word carries into the high word, and
+    products of the largest words."""
+    rng = random.Random(64)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63,
+             2**64 - 2**32, 2**64 - 1]
+    xs = edges + [rng.getrandbits(64) for _ in range(40)]
+    ys = edges + [rng.getrandbits(64) for _ in range(40)]
+    high = _high_words(np.array(xs, dtype=np.uint64)[:, None],
+                       np.array(ys, dtype=np.uint64))
+    assert high.tolist() == [[x * y >> 64 for y in ys] for x in xs]
+
+
+@pytest.mark.parametrize("p", _WIDE_PRIMES[:4])
+def test_shoup_update_is_exact_and_reduced(p: int) -> None:
+    """Residues at 0, 1, p/2 and p - 1 make the precomputed-quotient
+    product land on either side of p and the sum reach 2p - 2."""
+    rng = random.Random(p)
+    edges = [0, 1, 2, p // 2, p // 2 + 1, p - 2, p - 1]
+    column = edges + [rng.randrange(p) for _ in range(20)]
+    lead = edges + [rng.randrange(p) for _ in range(20)]
+    block = [[rng.choice(edges + [rng.randrange(p)]) for _ in lead]
+             for _ in column]
+    for scale in (1, p - 1, rng.randrange(p)):
+        a = np.array(block, dtype=np.uint64)
+        _add_shoup_products(a, np.array(column, dtype=np.uint64),
+                            np.array(lead, dtype=np.uint64), scale, p)
+        assert a.tolist() == [
+            [(b + x * (scale * v % p)) % p for b, v in zip(row, lead)]
+            for row, x in zip(block, column)
+        ]
+
+
+@pytest.mark.parametrize("p", _WIDE_PRIMES)
+def test_wide_prime_rank_matches_modular_oracle(p: int) -> None:
+    """All-(p - 1) blocks make every product and sum as large as it can
+    be; the update-path cases force swaps and zero multipliers; low-rank
+    products of 0, 1, p - 1 and p - 2 have columns that vanish only if
+    every update is reduced exactly."""
+    rng = random.Random(p)
+    cases = [[[p - 1] * 9 for _ in range(9)],
+             [[p - 1 - rng.randrange(4) for _ in range(12)]
+              for _ in range(12)]]
+    cases += [[[v % p for v in row] for row in rows]
+              for rows in _UPDATE_PATH_CASES]
+    for _ in range(40):
+        inner = rng.randint(1, 5)
+        left = [[rng.choice((0, 0, 1, p - 1, rng.randrange(p)))
+                 for _ in range(inner)] for _ in range(rng.randint(1, 10))]
+        right = [[rng.choice((0, 1, p - 1, p - 2, rng.randrange(p)))
+                  for _ in range(8)] for _ in range(inner)]
+        cases.append([
+            [sum(row[k] * right[k][j] for k in range(inner)) % p
+             for j in range(8)]
+            for row in left
+        ])
+    field = FieldSpec(p)
+    for rows in cases:
+        expected = modular_rank(rows, p)
+        assert _rank_mod_p(np.array(rows, dtype=field.dtype), p) == expected
+        assert rank(DenseMatrix.from_rows(field, rows)) == expected
 
 
 _unit_row_fields = (QQ, FieldSpec(101), FieldSpec(2**61 - 1))
@@ -378,6 +473,29 @@ def test_sample_scalars_modular_nonzero() -> None:
     assert all(1 <= v <= 6 for v in values)
     assert set(values) == {1, 2, 3, 4, 5, 6}
     assert all(v == 1 for v in sample_scalars(FieldSpec(2), 20, seed=9))
+
+
+def test_sample_scalars_single_word_stream() -> None:
+    """Below 2**64 + 1 each scalar is one accepted splitmix64 word."""
+    for p in (2**61 - 1, 2**64 - 59):
+        span = p - 1
+        limit = 2**64 - 2**64 % span
+        stream = SplitMix64(7)
+        expected = []
+        while len(expected) < 50:
+            draw = stream.next_u64()
+            if draw < limit:
+                expected.append(1 + draw % span)
+        assert sample_scalars(FieldSpec(p), 50, seed=7) == expected
+
+
+@pytest.mark.parametrize("p", [2**64 + 13, 2**89 - 1])
+def test_sample_scalars_beyond_one_word(p: int) -> None:
+    values = sample_scalars(FieldSpec(p), 200, seed=5)
+    assert values == sample_scalars(FieldSpec(p), 200, seed=5)
+    assert values != sample_scalars(FieldSpec(p), 200, seed=6)
+    assert all(1 <= v <= p - 1 for v in values)
+    assert max(values) > p // 2
 
 
 def test_sample_scalars_rational_height() -> None:

@@ -75,8 +75,10 @@ def test_form_construction_and_lookup() -> None:
     f = Form.from_terms(3, 2, GF, {(1, 1, 0): 5, (0, 0, 2): 1})
     assert f.coeffs.tolist() == [0, 5, 0, 0, 0, 1]
     assert f.terms() == [((1, 1, 0), 5), ((0, 0, 2), 1)]
+    assert f.envelope == (1, 1, 2)
     assert not f.is_zero()
     assert Form.from_coefficients(3, 2, GF, [0] * 6).is_zero()
+    assert Form.from_coefficients(3, 2, GF, [0] * 6).envelope == (-1, -1, -1)
     assert Form.from_terms(3, 2, GF, {}).is_zero()
     for bad in ({(1, 0, 0): 1}, {(3, -1, 0): 1}, {(1, 1): 1},
                 {(1, 1, 0, 0): 1}):
@@ -182,6 +184,7 @@ def test_contraction_matrix_agrees_with_contract(case) -> None:
         terms = dict(g.terms())
         envelope = [max((m[v] for m in terms), default=-1)
                     for v in range(num_vars)]
+        assert g.envelope == tuple(envelope)
         for op in descending_monomials(num_vars, form_degree - degree):
             row = [contract(op, terms).get(c, 0)
                    for c in descending_monomials(num_vars, degree)]
