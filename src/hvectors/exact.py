@@ -3,10 +3,11 @@
 Scalars are arbitrary-precision rationals (characteristic 0) or residues
 modulo a prime p, held in numpy arrays: int64 over word primes, objects
 otherwise.  Every rank comes from one in-place modular Gaussian elimination:
-over GF(p) directly, and over the rationals modulo word primes until a
-Hadamard bound proves the largest rank seen exact.  Its array holds int64
-for word primes, uint64 for larger primes below 2**63 and Python integers
-only above that, and only the update of the trailing block depends on which:
+over GF(p) directly, and over the rationals modulo primes below 2**30, where
+it reduces its block only every 8 updates, until a Hadamard bound proves the
+largest rank seen exact.  Its array holds int64 for word primes, uint64 for
+larger primes below 2**63 and Python integers only above that, and only the
+update of the trailing block depends on which:
 in int64 it is reduced mod p only when one more update could overflow
 (delayed reduction, as in Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008), in
 uint64 every product is reduced at once with a precomputed quotient (Shoup),
@@ -35,8 +36,11 @@ RATIONAL_HEIGHT_BOUND = 1 << 20
 _GOLDEN = 0x9E3779B97F4A7C15
 # Largest modulus whose squared residues still fit in int64.
 _NUMPY_SAFE_MODULUS = 3_037_000_499
-# Limb width for reducing big integers mod word primes in int64.
-_LIMB_BITS = 30
+# Rational ranks take primes downward from here: the int64 elimination
+# then reduces its block every 8 updates, not after each, for 5% more
+# primes.  2**28 and 2**26 (budgets 128 and 2048, for 12% and 21% more
+# primes) ranked thm-r d=10 slower, as each prime costs a % per entry.
+_RATIONAL_PRIME_START = 1 << 30
 # Half-word mask and shift for 64x64 -> 128-bit products in uint64.
 _LOW32 = np.uint64(0xFFFFFFFF)
 _HALF = np.uint64(32)
@@ -219,7 +223,8 @@ def _integer_rows(entries) -> list[list[int]]:
 
 
 def _rank_rational(entries: np.ndarray) -> int:
-    """Rank over QQ of nonzero rows, proved modulo word primes, largest first.
+    """Rank over QQ of nonzero rows, proved modulo primes below 2**30,
+    largest first (`_RATIONAL_PRIME_START` says why there).
 
     A rank mod q is at most the rank over QQ (a minor nonzero mod q is a
     nonzero integer), so the largest rank seen, rho, is a lower bound.  It is
@@ -228,29 +233,16 @@ def _rank_rational(entries: np.ndarray) -> int:
     the smaller of the products of the rho+1 largest row and column norms:
     each prime used gave rank at most rho, so each such minor is a multiple of
     that product, and smaller than it in absolute value, hence zero.
-
-    The integers are split once into signed 30-bit int64 limbs, most
-    significant first, and reduced mod each q by Horner's rule,
-    acc = (acc * 2**30 + limb) mod q: with 0 <= acc < q < 2**31.6 no
-    intermediate leaves (-2**30, 2**62), and numpy's floor mod returns a
-    residue in [0, q) for negative limbs too.
+    Python's % leaves a residue in [0, q) for negative integers too.
     """
     distinct = dict.fromkeys(map(tuple, _integer_rows(entries.tolist())))
     rows = np.array(list(distinct), dtype=object)
     # Squared norms, so the bound is compared exactly: modulus**2 > bound**2.
     row_sq, col_sq = (sorted((rows * rows).sum(axis=k).tolist(), reverse=True)
                       for k in (1, 0))
-    magnitude, sign = np.abs(rows), np.where(rows < 0, -1, 1)
-    top = (int(magnitude.max()).bit_length() - 1) // _LIMB_BITS * _LIMB_BITS
-    mask = (1 << _LIMB_BITS) - 1
-    limbs = [sign * ((magnitude >> s) & mask).astype(np.int64)
-             for s in range(top, -1, -_LIMB_BITS)]
     best, bound_sq, modulus = -1, 0, 1
-    for q in filter(is_prime, range(_NUMPY_SAFE_MODULUS, 2, -2)):
-        residues = np.zeros(rows.shape, dtype=np.int64)
-        for limb in limbs:
-            residues = ((residues << _LIMB_BITS) + limb) % q
-        found = _rank_mod_p(residues, q)
+    for q in filter(is_prime, range(_RATIONAL_PRIME_START - 1, 2, -2)):
+        found = _rank_mod_p((rows % q).astype(np.int64), q)
         if found > best:
             best = found
             if best == min(rows.shape):
@@ -259,7 +251,7 @@ def _rank_rational(entries: np.ndarray) -> int:
         modulus *= q
         if modulus * modulus > bound_sq:
             return best
-    raise ArithmeticError("Hadamard bound beyond the product of all word primes")
+    raise ArithmeticError("Hadamard bound beyond the product of all primes tried")
 
 
 def _reduction_budget(p: int) -> int:

@@ -105,14 +105,9 @@ class Form:
         self.field = field
         self.coeffs = np.array(coeffs, dtype=field.dtype)
         self.coeffs.flags.writeable = False
-        support = self.coeffs != 0
-        if support.all():
-            # Every pure power x_v^degree is a term.
-            self.envelope = (degree,) * num_vars
-        else:
-            exps = _exponents(num_vars, degree)
-            self.envelope = tuple(
-                np.where(support[:, None], exps, -1).max(axis=0).tolist())
+        support = (self.coeffs != 0)[:, None]
+        self.envelope = tuple(np.where(
+            support, _exponents(num_vars, degree), -1).max(axis=0).tolist())
 
     @classmethod
     def from_coefficients(cls, num_vars: int, degree: int, field: FieldSpec,
@@ -256,12 +251,19 @@ def linear_combination(weights: Sequence[Scalar], forms: Sequence[Form]) -> Form
     if len(weights) != len(forms):
         raise ValueError("one weight per form required")
     num_vars, degree, field = _check_generators(forms)
-    dense = field.zeros(len(forms[0].coeffs))
-    for w, f in zip(weights, forms):
-        w = field.normalize(w)
-        if w != 0:
-            dense = field.reduce(dense + w * f.coeffs)
+    dense = _weighted_sums(field.array(weights)[None],
+                           np.stack([f.coeffs for f in forms]), field)[0]
     return Form(num_vars, degree, field, dense)
+
+
+def _weighted_sums(weights: np.ndarray, rows: np.ndarray,
+                   field: FieldSpec) -> np.ndarray:
+    """``weights @ rows`` over the field, reduced term by term, so over a
+    word prime no entry exceeds p + (p - 1)**2, which int64 holds."""
+    acc = np.zeros((len(weights), rows.shape[1]), dtype=field.dtype)
+    for k, row in enumerate(rows):
+        acc = field.reduce(acc + weights[:, k, None] * row)
+    return acc
 
 
 def contraction_power(linear: Form, power: int) -> Form:
@@ -366,10 +368,10 @@ def codim5_generators(
     linears = np.zeros((count, 3), dtype=field.dtype)
     linears[:n_general] = values[:3 * n_general].reshape(-1, 3)
     linears[n_general:, 1:] = values[3 * n_general:].reshape(-1, 2)
-    powers = [Form(3, power, field, row)
-              for row in _power_tables(linears, power, field)]
-    return linear_combination(samples[cut:cut + count], powers), \
-        linear_combination(samples[cut + count:], powers)
+    weights = field.array(samples[cut:]).reshape(2, count)
+    first, second = _weighted_sums(
+        weights, _power_tables(linears, power, field), field)
+    return Form(3, power, field, first), Form(3, power, field, second)
 
 
 @dataclass
@@ -474,8 +476,9 @@ def sweep_characteristics(kind: str, parameter: int,
     """One verification report per characteristic, in the given order.
 
     Each characteristic is processed independently with the same base
-    seed; a failure for one of them is recorded in that report's status
-    and never aborts the rest of the sweep.
+    seed.  A characteristic that is neither 0 nor a prime gets a report
+    with status ``error`` and does not abort the rest of the sweep; an
+    error raised inside a verification propagates.
     """
     chars = list(characteristics)
     if not chars:
@@ -484,21 +487,13 @@ def sweep_characteristics(kind: str, parameter: int,
     reports = []
     for ch in chars:
         try:
+            field = FieldSpec(ch)
+        except ValueError as exc:
+            reports.append(VerificationReport(
+                kind=kind, parameter=parameter, characteristic=ch, seed=seed,
+                trials=trials, target=target.entries, status="error",
+                detail=f"{type(exc).__name__}: {exc}"))
+        else:
             reports.append(
-                verify_construction(kind, parameter, FieldSpec(ch), seed, trials)
-            )
-        except (ValueError, ZeroDivisionError) as exc:
-            reports.append(
-                VerificationReport(
-                    kind=kind,
-                    parameter=parameter,
-                    characteristic=ch,
-                    seed=seed,
-                    trials=trials,
-                    target=target.entries,
-                    verdict="inconclusive",
-                    status="error",
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
+                verify_construction(kind, parameter, field, seed, trials))
     return reports

@@ -19,8 +19,10 @@ from hvectors import (
     rank,
     sample_scalars,
 )
+from hvectors import exact
 from hvectors.exact import (
     _NUMPY_SAFE_MODULUS,
+    _RATIONAL_PRIME_START,
     _add_shoup_products,
     _high_words,
     _rank_dtype,
@@ -191,8 +193,22 @@ def test_rational_rank_hadamard_stop_on_singular_matrices() -> None:
         assert expected <= inner
 
 
-def test_rational_rank_survives_unlucky_prime() -> None:
-    first = next(q for q in range(_NUMPY_SAFE_MODULUS, 2, -1) if is_prime(q))
+def test_rational_rank_survives_unlucky_prime(monkeypatch) -> None:
+    """The first prime tried divides an entry, so the rank comes from the
+    next one; the first prime leaves the int64 elimination a budget of at
+    least 8 updates between reductions."""
+    first = next(q for q in range(_RATIONAL_PRIME_START, 2, -1) if is_prime(q))
+    assert _reduction_budget(first) >= 8
+    primes = []
+
+    def recording(a, p):
+        primes.append(p)
+        return _rank_mod_p(a, p)
+
+    monkeypatch.setattr(exact, "_rank_mod_p", recording)
+    # Determinant `first`: rank 1 modulo the first prime, 2 modulo the next.
+    assert rank(DenseMatrix.from_rows(QQ, [[first + 1, 1], [1, 1]])) == 2
+    assert primes[0] == first and len(primes) == 2
     assert rank(DenseMatrix.from_rows(QQ, [[first, 0], [0, 1]])) == 2
     assert rank(DenseMatrix.from_rows(QQ, [[first, 0], [0, 0]])) == 1
     assert rank(DenseMatrix.from_rows(QQ, [[first * first, 1], [0, 1]])) == 2

@@ -325,6 +325,29 @@ def test_contraction_power_acts_coefficientwise() -> None:
         contraction_power(_random_form(3, 2, GF, seed=1), 3)
 
 
+@pytest.mark.parametrize("field", [FieldSpec(1_000_003),
+                                   FieldSpec(2**61 - 1), QQ], ids=str)
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_codim5_generators_combine_their_powers(field, parity) -> None:
+    """Each generator is the linear combination, with its sampled weights,
+    of the contraction powers of its own sampled linear forms."""
+    d, seed = 10, mix(0, 0)
+    n_general, n_line = inverse_systems._codim5_counts(d, parity)
+    power = 2 * d if parity == "odd" else 2 * d - 1
+    count = n_general + n_line
+    samples = sample_scalars(field, 3 * n_general + 2 * n_line + 2 * count,
+                             seed)
+    coefficients = [samples[3 * k:3 * k + 3] for k in range(n_general)] + [
+        [0, *samples[3 * n_general + 2 * k:3 * n_general + 2 * k + 2]]
+        for k in range(n_line)]
+    powers = [contraction_power(Form.from_coefficients(3, 1, field, c), power)
+              for c in coefficients]
+    weights = samples[-2 * count:]
+    expected = (linear_combination(weights[:count], powers),
+                linear_combination(weights[count:], powers))
+    assert codim5_generators(d, parity, field, seed) == expected
+
+
 def test_required_field_size() -> None:
     assert required_field_size(KIND_SOCLE_DEGREE, 6) == 0
     assert required_field_size(KIND_CODIM5_ODD, 10) == 2 * (55 + 14) ** 2
@@ -429,6 +452,17 @@ def test_sweep_duplicates_and_error_isolation() -> None:
     assert mixed[0].status == "error"
     assert "characteristic" in (mixed[0].detail or "")
     assert mixed[1].verdict == "match"
+
+
+def test_sweep_propagates_errors_from_verification(monkeypatch) -> None:
+    """Only a characteristic that is not 0 or a prime becomes an error
+    report; a ValueError from inside a verification is not swallowed."""
+    def broken(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(inverse_systems, "_hilbert_ranks", broken)
+    with pytest.raises(ValueError, match="injected"):
+        sweep_characteristics(KIND_SOCLE_DEGREE, 6, [101], seed=9, trials=1)
 
 
 def test_sweep_propagates_programming_errors(monkeypatch) -> None:
