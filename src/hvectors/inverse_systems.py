@@ -8,11 +8,16 @@ killing terms that would go negative), never term by term: the Hilbert
 function of the module generated by a list of forms is read off as the rank
 of the contraction coefficient matrix in each degree, one gather from the
 stacked arrays of only the rows that can be nonzero: an operator above a
-generator's exponent envelope divides none of its terms.  On top of that
-sit the randomized drivers that check the constructed level h-vectors
-against actual rank computations, including a characteristic sweep.
-Kinds and targets live in :mod:`families`; the witness facts (point
-counts, powers) stay here, never derived from them.
+generator's exponent envelope divides none of its terms.  Only a band of
+degrees is ranked and the rest are proved: below it every degree is full,
+because the module is closed under contraction, and above it every degree
+is free, because the generators' operator syzygies form a submodule of a
+free module, which has no torsion (:func:`_hilbert_ranks`).  On top of
+that sit the randomized drivers that check the constructed level
+h-vectors against actual rank computations, including a characteristic
+sweep.  Kinds and targets live in :mod:`families`; the witness facts
+(point counts, powers, the truncation's Hilbert function) stay here,
+never derived from them.
 """
 from __future__ import annotations
 
@@ -204,22 +209,73 @@ def hilbert_function(generators: Sequence[Form]) -> HVector:
     """Hilbert function of the module generated by the forms.
 
     Entry i is the rank of the degree-i contraction matrix; entry 0 is 1
-    and the top entry counts linearly independent generators.
+    and the top entry counts linearly independent generators.  Only a
+    band around the generic crossover is ranked: down to the first full
+    degree and up to the first degree where the generators' operators are
+    independent.  Every degree beyond either end is proved from its
+    neighbour (:func:`_hilbert_ranks`).
     """
     ranks, _ = _hilbert_ranks(generators)
     return HVector(ranks)
 
 
-def _hilbert_ranks(generators: Sequence[Form]) -> tuple[tuple[int, ...], list[float]]:
-    _, form_degree, _ = _check_generators(generators)
-    if all(g.is_zero() for g in generators):
+def _hilbert_ranks(generators: Sequence[Form], known: Sequence[Form] = (),
+                   known_ranks: Sequence[int] = ()
+                   ) -> tuple[tuple[int, ...], list[float]]:
+    """Hilbert function of the module generated by ``known`` and
+    ``generators``, with the seconds spent ranking each degree (0.0 for a
+    degree proved without a rank).
+
+    ``known_ranks`` is the Hilbert function of the module T that ``known``
+    generates (T is zero when ``known`` is empty).  Let F_1..F_g be
+    ``generators``, of degree s in n variables, R the ring of operators,
+    ``full_i = C(i+n-1, n-1)`` and ``free_i = known_ranks[i] +
+    g*C(s-i+n-1, n-1)``.  The rank in degree i is at most both, and two
+    facts, exact over every field, settle a degree from its neighbour:
+
+    * Downward: a degree of rank ``full_i`` holds every monomial of
+      degree i.  The module is closed under contraction and every monomial
+      of degree i-1 is a contraction of one of degree i, so every lower
+      degree is full too.
+    * Upward: the operator tuples (o_1..o_g) with ``sum o_j∘F_j`` in T
+      form a submodule K of the free module R^g, because T is closed under
+      contraction and ``x∘sum o_j∘F_j = sum (x o_j)∘F_j``.  The rank in
+      degree i is ``free_i - dim K_{s-i}``.  A free module has no torsion,
+      so if K is zero in operator degree s-i it is zero in every lower
+      operator degree: a degree of rank ``free_i`` makes every higher
+      degree free too.
+
+    The walk ranks the generic crossover, the first degree where ``full_i
+    >= free_i``, then walks down while a degree is not full and up while a
+    degree is not free; every degree in between is ranked, every lower one
+    gets ``full_i`` and every higher one ``free_i``.  Both walks stop at
+    degree 0 and s, so the start only changes the cost, never the result.
+    """
+    forms = [*known, *generators]
+    num_vars, form_degree, _ = _check_generators(forms)
+    if all(f.is_zero() for f in forms):
         raise ValueError("all generators are zero")
-    ranks = []
-    seconds = []
-    for i in range(form_degree + 1):
+    degrees = range(form_degree + 1)
+    base = known_ranks or (0,) * len(degrees)
+    full = [comb(i + num_vars - 1, num_vars - 1) for i in degrees]
+    free = [base[i] + len(generators) * full[form_degree - i] for i in degrees]
+    ranks = list(free)
+    seconds = [0.0] * len(degrees)
+
+    def rank_degree(i: int) -> None:
         start = time.perf_counter()
-        ranks.append(rank(contraction_matrix(generators, i)))
-        seconds.append(time.perf_counter() - start)
+        ranks[i] = rank(contraction_matrix(forms, i))
+        seconds[i] = time.perf_counter() - start
+
+    low = high = next((i for i in degrees if full[i] >= free[i]), form_degree)
+    rank_degree(low)
+    while low > 0 and ranks[low] < full[low]:
+        low -= 1
+        rank_degree(low)
+    while high < form_degree and ranks[high] < free[high]:
+        high += 1
+        rank_degree(high)
+    ranks[:low] = full[:low]
     return tuple(ranks), seconds
 
 
@@ -325,6 +381,12 @@ def _codim5_counts(d: int, parity: str) -> tuple[int, int]:
     return n_general, n_line
 
 
+def _truncation_counts(degree: int) -> tuple[int, ...]:
+    # The binary truncation's module holds every monomial of degree i in
+    # the first two variables, i+1 of them, up to its generators' degree.
+    return tuple(range(1, degree + 2))
+
+
 def _codim5_floor(d: int, parity: str) -> int:
     return 2 * sum(_codim5_counts(d, parity)) ** 2
 
@@ -380,9 +442,10 @@ class VerificationReport:
 
     ``best`` is the entrywise maximum over trials: reaching the target
     dimension is an open condition, so any witness certifies a degree.
-    ``degree_seconds`` holds wall time per degree summed over trials; it is
-    deliberately left out of the JSON view so that reruns with one seed
-    are byte-identical.
+    ``degree_seconds`` holds wall time per degree summed over trials, 0.0
+    for a degree every trial proved from its neighbour without a rank
+    (:func:`_hilbert_ranks`); it is deliberately left out of the JSON view
+    so that reruns with one seed are byte-identical.
     """
 
     kind: str
@@ -412,15 +475,27 @@ def family_target(kind: str, parameter: int) -> HVector:
     return family(kind, parameter).level
 
 
+def _shared_generators(kind: str, parameter: int, field: FieldSpec
+                       ) -> tuple[list[Form], tuple[int, ...]]:
+    """Generators every trial of the kind shares, with the Hilbert function
+    of their module: none in codimension 5, the binary truncation for
+    thm-e."""
+    if KIND_PARITIES[kind] is not None:
+        return [], ()
+    degree = parameter - 1
+    return (truncation_generators(3, 2, degree, field),
+            _truncation_counts(degree))
+
+
 def _trial_generators(kind: str, parameter: int, field: FieldSpec,
                       trial_seed: int) -> list[Form]:
+    """The generators one trial samples, besides the shared ones."""
     parity = KIND_PARITIES[kind]
     if parity is not None:
         return list(codim5_generators(parameter, parity, field, trial_seed))
     e = parameter
     coeffs = sample_scalars(field, comb(e + 1, 2), trial_seed)
-    random_form = Form.from_coefficients(3, e - 1, field, coeffs)
-    return truncation_generators(3, 2, e - 1, field) + [random_form]
+    return [Form.from_coefficients(3, e - 1, field, coeffs)]
 
 
 def verify_construction(kind: str, parameter: int, field: FieldSpec,
@@ -448,16 +523,17 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     trial_seeds = tuple(mix(seed, t) for t in range(trials))
     per_trial = []
     degree_seconds = [0.0] * len(target)
+    known, known_ranks = _shared_generators(kind, parameter, field)
     for trial_seed in trial_seeds:
         try:
             generators = _trial_generators(kind, parameter, field, trial_seed)
         except FieldTooSmallError as exc:
             report.detail = str(exc)
             return report
-        if all(g.is_zero() for g in generators):
+        if all(g.is_zero() for g in [*known, *generators]):
             per_trial.append((0,) * len(target))
             continue
-        ranks, seconds = _hilbert_ranks(generators)
+        ranks, seconds = _hilbert_ranks(generators, known, known_ranks)
         per_trial.append(ranks)
         for i, s in enumerate(seconds):
             degree_seconds[i] += s

@@ -6,7 +6,7 @@ from math import comb, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hvectors import (
@@ -204,8 +204,8 @@ def test_contraction_matrix_omits_zero_rows_of_thm_e() -> None:
     """thm-e at e=22 has 46 552 (generator, operator) pairs over degrees
     0..21; the binary truncation monomials keep only their own divisors,
     4 048 rows, every one of them nonzero."""
-    generators = inverse_systems._trial_generators(
-        KIND_SOCLE_DEGREE, 22, GF, mix(0, 0))
+    generators = truncation_generators(3, 2, 21, GF) + (
+        inverse_systems._trial_generators(KIND_SOCLE_DEGREE, 22, GF, mix(0, 0)))
     matrices = [contraction_matrix(generators, i) for i in range(22)]
     assert sum(len(generators) * comb(23 - i, 2) for i in range(22)) == 46_552
     assert sum(m.rows for m in matrices) == 4_048
@@ -274,6 +274,102 @@ def test_hilbert_function_rejects_zero_module() -> None:
         hilbert_function([Form.from_coefficients(3, 2, GF, [0] * 6)])
     with pytest.raises(ValueError):
         hilbert_function([])
+
+
+def _per_degree_ranks(generators) -> tuple[int, ...]:
+    return tuple(rank(contraction_matrix(generators, i))
+                 for i in range(generators[0].degree + 1))
+
+
+@st.composite
+def _walk_generators(draw):
+    """1-4 forms in 2-4 variables, mixing kinds on which one end of the
+    walk fails: monomials, a repeated or a zero form next to nonzero ones,
+    and low-rank sums of a few powers of linear forms."""
+    field = draw(st.sampled_from([FieldSpec(2), FieldSpec(101), GF, QQ]))
+    num_vars = draw(st.integers(2, 4))
+    degree = draw(st.integers(1, 5))
+    size = len(monomials(num_vars, degree))
+    small = st.integers(-3, 3)
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(
+            ["dense", "monomial", "powers", "zero", "repeat"]))
+        if kind == "dense":
+            coeffs = draw(st.lists(small, min_size=size, max_size=size))
+            forms.append(Form.from_coefficients(num_vars, degree, field, coeffs))
+        elif kind == "monomial":
+            mono = draw(st.sampled_from(monomials(num_vars, degree)))
+            forms.append(Form.from_terms(num_vars, degree, field, {mono: 1}))
+        elif kind == "powers":
+            linears = [Form.from_coefficients(num_vars, 1, field, draw(
+                st.lists(small, min_size=num_vars, max_size=num_vars)))
+                for _ in range(draw(st.integers(1, 3)))]
+            weights = draw(st.lists(small, min_size=len(linears),
+                                    max_size=len(linears)))
+            forms.append(linear_combination(
+                weights, [contraction_power(f, degree) for f in linears]))
+        elif kind == "zero":
+            forms.append(Form.from_coefficients(num_vars, degree, field,
+                                                [0] * size))
+        else:
+            forms.append(forms[-1] if forms else Form.from_terms(
+                num_vars, degree, field, {monomials(num_vars, degree)[0]: 1}))
+    assume(not all(f.is_zero() for f in forms))
+    return forms
+
+
+@given(_walk_generators())
+@settings(max_examples=150, deadline=None)
+def test_walk_ranks_equal_every_degree_rank(generators) -> None:
+    """The ranks the walk proves from a neighbour are the ranks of the
+    contraction matrices, degree by degree."""
+    assert hilbert_function(generators).entries == _per_degree_ranks(
+        generators)
+
+
+@pytest.mark.parametrize("field", [FieldSpec(2), FieldSpec(3), FieldSpec(101),
+                                   GF, QQ])
+def test_walk_modulo_truncation_equals_every_degree_rank(field) -> None:
+    """Relative walk: thm-e trials rank modulo the binary truncation, whose
+    Hilbert function is known; small characteristics make the ends fail."""
+    for e in range(6, 13):
+        known = truncation_generators(3, 2, e - 1, field)
+        assert inverse_systems._shared_generators(
+            KIND_SOCLE_DEGREE, e, field) == (known, _per_degree_ranks(known))
+        for seed in (0, 7):
+            report = verify_construction(KIND_SOCLE_DEGREE, e, field,
+                                         seed=seed, trials=2)
+            assert report.per_trial == tuple(
+                _per_degree_ranks(known + inverse_systems._trial_generators(
+                    KIND_SOCLE_DEGREE, e, field, trial_seed))
+                for trial_seed in report.trial_seeds)
+
+
+def test_walk_ranks_only_the_band(monkeypatch) -> None:
+    """A generic thm-e trial ranks its crossover degree alone (even e) or
+    with the one below it (odd e); a codim-5 trial ranks the band from d
+    to the first degree where its two generators have no syzygy."""
+    ranked = []
+    build = inverse_systems.contraction_matrix
+
+    def record(generators, degree):
+        ranked.append(degree)
+        return build(generators, degree)
+
+    monkeypatch.setattr(inverse_systems, "contraction_matrix", record)
+    for e in range(6, 13):
+        ranked.clear()
+        report = verify_construction(KIND_SOCLE_DEGREE, e, GF, trials=1)
+        assert report.verdict == "match"
+        assert ranked == ([e // 2] if e % 2 == 0 else [e // 2 + 1, e // 2])
+        assert [i for i, s in enumerate(report.degree_seconds) if s] == sorted(
+            ranked)
+    ranked.clear()
+    report = verify_construction(KIND_CODIM5_ODD, 10, FieldSpec(1_000_003),
+                                 trials=1)
+    assert report.verdict == "match"
+    assert ranked == [12, 11, 10, 13, 14]
 
 
 def test_truncation_generators() -> None:
