@@ -380,6 +380,18 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     return r
 
 
+def _stream_words(seed: int, start: int, count: int) -> np.ndarray:
+    """Words ``start`` to ``start + count - 1`` of ``SplitMix64(seed)`` as
+    uint64.  The stream is counter-based: word k is the output function
+    of seed + (k + 1) * gamma, so every word is mixed at once, and uint64
+    sums and products wrap modulo 2**64 as the generator's do."""
+    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed & MASK64) + k * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
     """Deterministic stream of ``count`` scalars from ``seed``.
 
@@ -387,27 +399,30 @@ def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
     bias), each drawn from as many 64-bit words, first most significant,
     as p - 1 has 64-bit digits (one for every p - 1 < 2**64).  Over the
     rationals: uniform nonzero integers of magnitude at most 2**20, so
-    downstream rank computations stay tractable.
+    downstream rank computations stay tractable.  Words are drawn in
+    batches of one per missing scalar; a draw of several words is joined
+    in Python integers.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    rng = SplitMix64(seed)
+    if not field.is_modular:
+        words = _stream_words(seed, 0, count)
+        magnitude = (words & np.uint64(RATIONAL_HEIGHT_BOUND - 1)).astype(
+            np.int64) + 1
+        return np.where(words >> np.uint64(63), -magnitude, magnitude).tolist()
+    span = field.characteristic - 1
+    width = -(-span.bit_length() // 64)
+    # The largest accepted draw: below it every residue is equally likely.
+    top = (1 << 64 * width) - (1 << 64 * width) % span - 1
     out: list[Scalar] = []
-    if field.is_modular:
-        span = field.characteristic - 1
-        words = -(-span.bit_length() // 64)
-        limit = (1 << 64 * words) - ((1 << 64 * words) % span)
-        extra_words = range(words - 1)
-        while len(out) < count:
-            draw = rng.next_u64()
-            for _ in extra_words:
-                draw = draw << 64 | rng.next_u64()
-            if draw < limit:
-                out.append(1 + draw % span)
-    else:
-        while len(out) < count:
-            draw = rng.next_u64()
-            magnitude = (draw & (RATIONAL_HEIGHT_BOUND - 1)) + 1
-            sign = -1 if draw >> 63 else 1
-            out.append(sign * magnitude)
+    used = 0
+    while len(out) < count:
+        batch = count - len(out)
+        words = _stream_words(seed, used, batch * width).reshape(batch, width)
+        used += batch * width
+        draws = words[:, 0]
+        for column in words[:, 1:].T:
+            draws = draws.astype(object) << 64 | column.astype(object)
+        draws = draws[draws <= top]
+        out.extend((draws % span + 1).tolist())
     return out

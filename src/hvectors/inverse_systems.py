@@ -425,12 +425,12 @@ def codim5_generators(
     power = 2 * d if parity == "odd" else 2 * d - 1
     count = n_general + n_line
     cut = 3 * n_general + 2 * n_line
-    samples = sample_scalars(field, cut + 2 * count, seed)
-    values = field.array(samples[:cut])
+    samples = np.array(sample_scalars(field, cut + 2 * count, seed),
+                       dtype=field.dtype)
     linears = np.zeros((count, 3), dtype=field.dtype)
-    linears[:n_general] = values[:3 * n_general].reshape(-1, 3)
-    linears[n_general:, 1:] = values[3 * n_general:].reshape(-1, 2)
-    weights = field.array(samples[cut:]).reshape(2, count)
+    linears[:n_general] = samples[:3 * n_general].reshape(-1, 3)
+    linears[n_general:, 1:] = samples[3 * n_general:cut].reshape(-1, 2)
+    weights = samples[cut:].reshape(2, count)
     first, second = _weighted_sums(
         weights, _power_tables(linears, power, field), field)
     return Form(3, power, field, first), Form(3, power, field, second)
@@ -495,7 +495,7 @@ def _trial_generators(kind: str, parameter: int, field: FieldSpec,
         return list(codim5_generators(parameter, parity, field, trial_seed))
     e = parameter
     coeffs = sample_scalars(field, comb(e + 1, 2), trial_seed)
-    return [Form.from_coefficients(3, e - 1, field, coeffs)]
+    return [Form(3, e - 1, field, coeffs)]
 
 
 def verify_construction(kind: str, parameter: int, field: FieldSpec,

@@ -114,3 +114,35 @@ def modular_rank(rows, p: int) -> int:
                 matrix[k] = [(v - f * w) % p for v, w in zip(matrix[k], matrix[r])]
         r += 1
     return r
+
+
+def splitmix_scalars(p: int, count: int, seed: int) -> list[int]:
+    """The sampling stream one splitmix64 word at a time: over GF(p)
+    (p > 0) nonzero residues by rejection, a draw being as many words as
+    p - 1 has 64-bit digits, first most significant; over the rationals
+    (p = 0) signed integers of magnitude 1..2**20."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+
+    def word() -> int:
+        nonlocal state
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return z ^ (z >> 31)
+
+    out = []
+    while len(out) < count:
+        if p == 0:
+            draw = word()
+            sign = -1 if draw >> 63 else 1
+            out.append(sign * ((draw & ((1 << 20) - 1)) + 1))
+            continue
+        span = p - 1
+        words = -(-span.bit_length() // 64)
+        draw = 0
+        for _ in range(words):
+            draw = draw << 64 | word()
+        if draw < (1 << 64 * words) - (1 << 64 * words) % span:
+            out.append(1 + draw % span)
+    return out

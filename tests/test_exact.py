@@ -29,7 +29,7 @@ from hvectors.exact import (
     _rank_mod_p,
     _reduction_budget,
 )
-from oracles import fraction_rank, modular_rank
+from oracles import fraction_rank, modular_rank, splitmix_scalars
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -503,6 +503,19 @@ def test_sample_scalars_single_word_stream() -> None:
             if draw < limit:
                 expected.append(1 + draw % span)
         assert sample_scalars(FieldSpec(p), 50, seed=7) == expected
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 17, 65537, 32003, 2**61 - 1,
+                               9223372036854775837, 2**64 + 13, 2**89 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_sample_scalars_match_word_by_word_stream(p: int, seed: int) -> None:
+    """The batched draw equals the stream drawn one splitmix64 word at a
+    time: rationals, Fermat primes (every 64-bit draw accepted), word and
+    big primes, a prime just above 2**63 (half of all draws rejected) and
+    draws of two words."""
+    for count in (0, 1, 5, 300):
+        assert sample_scalars(FieldSpec(p), count, seed) == splitmix_scalars(
+            p, count, seed)
 
 
 @pytest.mark.parametrize("p", [2**64 + 13, 2**89 - 1])
