@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from numbers import Rational
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -188,7 +188,7 @@ class DenseMatrix:
         return self.entries.shape[1]
 
 
-def rank(matrix: DenseMatrix) -> int:
+def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
     """Rank of the matrix over its field; exact and deterministic.
 
     A row with exactly one nonzero entry puts that unit vector in the row
@@ -196,6 +196,12 @@ def rank(matrix: DenseMatrix) -> int:
     plus the rank of the other nonzero rows restricted to the unpinned
     columns (the row space modulo the pinned unit vectors).  Only that
     remainder is eliminated.
+
+    ``cap`` is an upper bound on the rank that the caller has proved, for
+    instance from the span of the forms the rows come from.  Over the
+    rationals a prime whose rank reaches it ends the proof at once
+    (`_rank_rational`).  A rank above it means the proof was wrong, so it
+    raises `ArithmeticError` instead of returning.
     """
     support = matrix.entries != 0
     counts = support.sum(axis=1)
@@ -207,10 +213,14 @@ def rank(matrix: DenseMatrix) -> int:
         pinned = int(columns.sum())
         rest = rest[:, ~columns]
         rest = rest[(rest != 0).any(axis=1)]
-    if rest.size == 0:
-        return pinned
-    p = matrix.field.characteristic
-    return pinned + (_rank_mod_p(rest, p) if p else _rank_rational(rest))
+    found = pinned
+    if rest.size:
+        p = matrix.field.characteristic
+        found += (_rank_mod_p(rest, p) if p else _rank_rational(
+            rest, None if cap is None else cap - pinned))
+    if cap is not None and found > cap:
+        raise ArithmeticError(f"rank {found} exceeds its proved cap {cap}")
+    return found
 
 
 def _integer_rows(entries) -> list[list[int]]:
@@ -222,21 +232,26 @@ def _integer_rows(entries) -> list[list[int]]:
     return rows
 
 
-def _rank_rational(entries: np.ndarray) -> int:
+def _rank_rational(entries: np.ndarray, cap: Optional[int] = None) -> int:
     """Rank over QQ of nonzero rows, proved modulo primes below 2**30,
     largest first (`_RATIONAL_PRIME_START` says why there).
 
     A rank mod q is at most the rank over QQ (a minor nonzero mod q is a
     nonzero integer), so the largest rank seen, rho, is a lower bound.  It is
-    exact once rho = min(rows, cols) of the distinct integer rows, or once the
-    product of the primes used exceeds a Hadamard bound on every (rho+1)-minor,
-    the smaller of the products of the rho+1 largest row and column norms:
-    each prime used gave rank at most rho, so each such minor is a multiple of
-    that product, and smaller than it in absolute value, hence zero.
-    Python's % leaves a residue in [0, q) for negative integers too.
+    exact once rho reaches an upper bound: min(rows, cols) of the distinct
+    integer rows, or ``cap``, a bound the caller proved from where the rows
+    come from (for a witness's contraction matrix, the span of the powers
+    it was built from; see `inverse_systems._rank_caps`).  Then one prime is
+    enough.  Otherwise rho is exact once the product of the primes used
+    exceeds a Hadamard bound on every (rho+1)-minor, the smaller of the
+    products of the rho+1 largest row and column norms: each prime used
+    gave rank at most rho, so each such minor is a multiple of that
+    product, and smaller than it in absolute value, hence zero.  Python's %
+    leaves a residue in [0, q) for negative integers too.
     """
     distinct = dict.fromkeys(map(tuple, _integer_rows(entries.tolist())))
     rows = np.array(list(distinct), dtype=object)
+    ceiling = min(rows.shape) if cap is None else min(cap, *rows.shape)
     # Squared norms, so the bound is compared exactly: modulus**2 > bound**2.
     row_sq, col_sq = (sorted((rows * rows).sum(axis=k).tolist(), reverse=True)
                       for k in (1, 0))
@@ -245,7 +260,7 @@ def _rank_rational(entries: np.ndarray) -> int:
         found = _rank_mod_p((rows % q).astype(np.int64), q)
         if found > best:
             best = found
-            if best == min(rows.shape):
+            if best >= ceiling:
                 return best
             bound_sq = min(prod(row_sq[:best + 1]), prod(col_sq[:best + 1]))
         modulus *= q

@@ -220,11 +220,12 @@ def hilbert_function(generators: Sequence[Form]) -> HVector:
 
 
 def _hilbert_ranks(generators: Sequence[Form], known: Sequence[Form] = (),
-                   known_ranks: Sequence[int] = ()
+                   known_ranks: Sequence[int] = (), caps: Sequence[int] = ()
                    ) -> tuple[tuple[int, ...], list[float]]:
     """Hilbert function of the module generated by ``known`` and
     ``generators``, with the seconds spent ranking each degree (0.0 for a
-    degree proved without a rank).
+    degree proved without a rank).  ``caps``, when given, holds a proved
+    upper bound on each degree's rank, passed to :func:`rank`.
 
     ``known_ranks`` is the Hilbert function of the module T that ``known``
     generates (T is zero when ``known`` is empty).  Let F_1..F_g be
@@ -264,7 +265,8 @@ def _hilbert_ranks(generators: Sequence[Form], known: Sequence[Form] = (),
 
     def rank_degree(i: int) -> None:
         start = time.perf_counter()
-        ranks[i] = rank(contraction_matrix(forms, i))
+        ranks[i] = rank(contraction_matrix(forms, i),
+                        caps[i] if caps else None)
         seconds[i] = time.perf_counter() - start
 
     low = high = next((i for i in degrees if full[i] >= free[i]), form_degree)
@@ -387,6 +389,10 @@ def _truncation_counts(degree: int) -> tuple[int, ...]:
     return tuple(range(1, degree + 2))
 
 
+def _codim5_power(d: int, parity: str) -> int:
+    return 2 * d if parity == "odd" else 2 * d - 1
+
+
 def _codim5_floor(d: int, parity: str) -> int:
     return 2 * sum(_codim5_counts(d, parity)) ** 2
 
@@ -422,7 +428,7 @@ def codim5_generators(
     if field.is_modular and field.characteristic < floor:
         raise FieldTooSmallError(field.characteristic, floor)
     n_general, n_line = _codim5_counts(d, parity)
-    power = 2 * d if parity == "odd" else 2 * d - 1
+    power = _codim5_power(d, parity)
     count = n_general + n_line
     cut = 3 * n_general + 2 * n_line
     samples = np.array(sample_scalars(field, cut + 2 * count, seed),
@@ -487,6 +493,44 @@ def _shared_generators(kind: str, parameter: int, field: FieldSpec
             _truncation_counts(degree))
 
 
+def _rank_caps(kind: str, parameter: int) -> tuple[int, ...]:
+    """Upper bound on the rank in each degree i of every trial of the
+    kind, whatever scalars it samples, from the witness facts alone.
+
+    Every degree is at most ``C(i+2, 2)``, its number of monomials, and at
+    most its number of operator rows.  Beyond that:
+
+    * Codimension 5: each generator is ``sum_k w_k L_k^[P]``, contraction
+      powers of the sampled linear forms L_k, and contracting it by x^g
+      gives ``sum_k w_k c_k^g L_k^[i]`` (:func:`contraction_power`).  So
+      degree i lies in the span of the n_general powers of general forms
+      and the n_line powers of forms in the last two variables, and the
+      latter lie in the ``i+1`` binary forms of degree i.  With two
+      generators of ``C(P-i+2, 2)`` operators each, the cap is
+      ``min(C(i+2,2), 2*C(P-i+2,2), min(n_general, C(i+2,2)) + min(n_line,
+      i+1))``.
+    * thm-e: the truncation spans the ``i+1`` binary monomials of degree i
+      (`_truncation_counts`), and the sampled form of degree e-1 adds at
+      most its ``C(e+1-i, 2)`` operators.
+
+    A cap bounds the rank over every field, so a field in which a trial
+    reaches it proves that degree: over QQ a prime whose rank reaches the
+    cap proves it (:func:`rank`), and a trial that reaches every cap
+    proves the whole vector, as no other trial can exceed it.
+    """
+    parity = KIND_PARITIES[kind]
+    if parity is None:
+        e = parameter
+        base = _truncation_counts(e - 1)
+        return tuple(min(comb(i + 2, 2), base[i] + comb(e + 1 - i, 2))
+                     for i in range(e))
+    n_general, n_line = _codim5_counts(parameter, parity)
+    power = _codim5_power(parameter, parity)
+    return tuple(min(comb(i + 2, 2), 2 * comb(power - i + 2, 2),
+                     min(n_general, comb(i + 2, 2)) + min(n_line, i + 1))
+                 for i in range(power + 1))
+
+
 def _trial_generators(kind: str, parameter: int, field: FieldSpec,
                       trial_seed: int) -> list[Form]:
     """The generators one trial samples, besides the shared ones."""
@@ -524,6 +568,7 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     per_trial = []
     degree_seconds = [0.0] * len(target)
     known, known_ranks = _shared_generators(kind, parameter, field)
+    caps = _rank_caps(kind, parameter)
     for trial_seed in trial_seeds:
         try:
             generators = _trial_generators(kind, parameter, field, trial_seed)
@@ -533,7 +578,7 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
         if all(g.is_zero() for g in [*known, *generators]):
             per_trial.append((0,) * len(target))
             continue
-        ranks, seconds = _hilbert_ranks(generators, known, known_ranks)
+        ranks, seconds = _hilbert_ranks(generators, known, known_ranks, caps)
         per_trial.append(ranks)
         for i, s in enumerate(seconds):
             degree_seconds[i] += s

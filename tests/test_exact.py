@@ -214,6 +214,52 @@ def test_rational_rank_survives_unlucky_prime(monkeypatch) -> None:
     assert rank(DenseMatrix.from_rows(QQ, [[first * first, 1], [0, 1]])) == 2
 
 
+def test_rank_cap_proves_rational_rank_from_one_prime(monkeypatch) -> None:
+    """A rank-3 product of 6x3 and 3x7 integer matrices with 100-bit
+    entries: the Hadamard bound needs many primes, a cap of 3 one."""
+    rng = random.Random(5)
+    left = [[rng.getrandbits(100) - 2**99 for _ in range(3)] for _ in range(6)]
+    right = [[rng.getrandbits(100) - 2**99 for _ in range(7)] for _ in range(3)]
+    product = [[sum(left[i][k] * right[k][j] for k in range(3))
+                for j in range(7)] for i in range(6)]
+    matrix = DenseMatrix.from_rows(QQ, product)
+    primes = []
+
+    def recording(a, p):
+        primes.append(p)
+        return _rank_mod_p(a, p)
+
+    monkeypatch.setattr(exact, "_rank_mod_p", recording)
+    assert rank(matrix) == 3
+    assert len(primes) > 10
+    primes.clear()
+    assert rank(matrix, cap=3) == 3
+    assert len(primes) == 1
+    primes.clear()
+    assert rank(matrix, cap=5) == 3
+    assert len(primes) > 10
+
+
+@pytest.mark.parametrize("field", [FieldSpec(2), GF, FieldSpec(2**61 - 1),
+                                   FieldSpec(2**89 - 1), QQ])
+def test_rank_above_its_cap_raises(field: FieldSpec) -> None:
+    """A cap below the rank is a wrong proof, never a smaller rank: also
+    when pinned unit rows alone exceed it, or leave no rows to eliminate."""
+    rows = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
+    expected = fraction_rank(rows) if field == QQ else modular_rank(
+        rows, field.characteristic)
+    matrix = DenseMatrix.from_rows(field, rows)
+    for cap in (expected, expected + 1, None):
+        assert rank(matrix, cap=cap) == expected
+    for cap in (expected - 1, 0):
+        with pytest.raises(ArithmeticError, match="exceeds its proved cap"):
+            rank(matrix, cap=cap)
+    units = DenseMatrix.from_rows(field, [[1, 0, 0], [0, 0, 1]])
+    assert rank(units, cap=2) == 2
+    with pytest.raises(ArithmeticError):
+        rank(units, cap=1)
+
+
 def test_rank_ignores_zero_and_duplicate_rows() -> None:
     rows = [[3, Fraction(1, 2), 0], [1, 1, 1]]
     padded = [[0, 0, 0], rows[0], rows[0], [0, 0, 0], rows[1], rows[0]]

@@ -6,7 +6,7 @@ from math import comb, prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hvectors import (
@@ -38,7 +38,7 @@ from hvectors import (
 )
 from hvectors import inverse_systems
 from hvectors.exact import _NUMPY_SAFE_MODULUS
-from hvectors.families import family
+from hvectors.families import KIND_PARITIES, family
 from oracles import contract, descending_monomials, fraction_rank, modular_rank
 
 GF = FieldSpec(32003)
@@ -344,6 +344,73 @@ def test_walk_modulo_truncation_equals_every_degree_rank(field) -> None:
                 _per_degree_ranks(known + inverse_systems._trial_generators(
                     KIND_SOCLE_DEGREE, e, field, trial_seed))
                 for trial_seed in report.trial_seeds)
+
+
+def test_rank_caps_equal_the_family_targets() -> None:
+    """The caps come from the witnesses' spans, the targets from the
+    families' tables: two derivations that agree in every degree."""
+    for d in range(10, 21):
+        for kind in (KIND_CODIM5_ODD, KIND_CODIM5_EVEN):
+            assert inverse_systems._rank_caps(kind, d) == family_target(
+                kind, d).entries
+    for e in range(6, 41):
+        assert inverse_systems._rank_caps(KIND_SOCLE_DEGREE, e) == \
+            family_target(KIND_SOCLE_DEGREE, e).entries
+
+
+def _witness_scalars(field: FieldSpec, count: int, mode: str,
+                     seed: int) -> list[int]:
+    if mode == "ones":
+        return [1] * count
+    if mode == "sampled":
+        return sample_scalars(field, count, seed)
+    # Zeros and few distinct values make degenerate witnesses.
+    rng = random.Random(seed)
+    return [rng.choice((0, 1, 2, field.characteristic - 1))
+            for _ in range(count)]
+
+
+@given(st.sampled_from([KIND_CODIM5_ODD, KIND_CODIM5_EVEN, KIND_SOCLE_DEGREE]),
+       st.integers(3, 12), st.sampled_from([2, 3, 101]),
+       st.sampled_from(["ones", "sampled", "degenerate"]),
+       st.integers(0, 2**32))
+@example(KIND_CODIM5_ODD, 10, 2, "ones", 0)
+@example(KIND_CODIM5_EVEN, 10, 2, "ones", 0)
+@example(KIND_SOCLE_DEGREE, 12, 2, "ones", 0)
+@settings(max_examples=80, deadline=None)
+def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
+                                          seed) -> None:
+    """Witnesses built as the trials build them, but from any scalars and
+    in fields below the genericity floor (GF(2) with every scalar 1
+    among them): no degree's rank exceeds its cap."""
+    field = FieldSpec(p)
+    parity = KIND_PARITIES[kind]
+    if parity is None:
+        e = max(parameter, 6)
+        form = Form.from_coefficients(3, e - 1, field, _witness_scalars(
+            field, comb(e + 1, 2), mode, seed))
+        forms = truncation_generators(3, 2, e - 1, field) + [form]
+        caps = inverse_systems._rank_caps(kind, e)
+    else:
+        d = min(parameter, 10)
+        n_general, n_line = inverse_systems._codim5_counts(d, parity)
+        power = inverse_systems._codim5_power(d, parity)
+        count = n_general + n_line
+        values = _witness_scalars(field, 3 * n_general + 2 * n_line
+                                  + 2 * count, mode, seed)
+        coords = [values[3 * k:3 * k + 3] for k in range(n_general)] + [
+            [0, *values[3 * n_general + 2 * k:3 * n_general + 2 * k + 2]]
+            for k in range(n_line)]
+        powers = [contraction_power(Form.from_coefficients(3, 1, field, c),
+                                    power) for c in coords]
+        weights = values[len(values) - 2 * count:]
+        forms = [linear_combination(weights[:count], powers),
+                 linear_combination(weights[count:], powers)]
+        caps = inverse_systems._rank_caps(kind, d)
+    ranks = _per_degree_ranks(forms)
+    assert all(r <= c for r, c in zip(ranks, caps)), (ranks, caps)
+    assert tuple(rank(contraction_matrix(forms, i), caps[i])
+                 for i in range(len(caps))) == ranks
 
 
 def test_walk_ranks_only_the_band(monkeypatch) -> None:
