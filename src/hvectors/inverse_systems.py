@@ -547,8 +547,10 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     """Recompute the Hilbert function from random witnesses and compare.
 
     Each trial draws fresh generators from a seed derived as
-    ``mix(seed, trial)``, so the report is a pure function of its inputs
-    and trials may run in any order.  The verdict is ``match`` exactly
+    ``mix(seed, trial)``, so the report is a pure function of its inputs.
+    Trials run in order until one reaches the cap in every degree
+    (:func:`_rank_caps`): no later trial can raise ``best`` above the
+    caps, so that trial ends the run.  The verdict is ``match`` exactly
     when the entrywise-best computed vector equals the target,
     ``inconclusive`` when the generators refuse a field below the
     genericity floor (:class:`FieldTooSmallError`).
@@ -582,8 +584,10 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
         per_trial.append(ranks)
         for i, s in enumerate(seconds):
             degree_seconds[i] += s
+        if ranks == caps:
+            break
     best = tuple(max(col) for col in zip(*per_trial))
-    report.trial_seeds = trial_seeds
+    report.trial_seeds = trial_seeds[:len(per_trial)]
     report.per_trial = tuple(per_trial)
     report.best = best
     report.verdict = "match" if best == target.entries else "mismatch"

@@ -144,6 +144,20 @@ def test_verify_mismatch_exits_one(capsys) -> None:
     assert "verdict mismatch" in out
 
 
+def test_sweep_below_the_caps_runs_every_trial(capsys) -> None:
+    """Over GF(2) every sample is 1, so no trial reaches the caps and all
+    five requested trials run and are reported."""
+    code, out, _ = run_cli(
+        capsys, "sweep", "thm-e", "--e", "6", "--chars", "2",
+        "--trials", "5", "--format", "json",
+    )
+    assert code == 1
+    (report,) = json.loads(out)["reports"]
+    assert report["verdict"] == "mismatch"
+    assert report["trials"] == 5
+    assert len(report["per_trial"]) == len(report["trial_seeds"]) == 5
+
+
 def test_verify_validates_input(capsys) -> None:
     assert run_cli(capsys, "verify", "thm-e", "--e", "5")[0] == 2
     assert run_cli(capsys, "verify", "thm-e", "--e", "6",

@@ -537,9 +537,37 @@ def test_verify_socle_degree_family() -> None:
     assert report.verdict == "match"
     assert report.target == socle_degree_family(6).level.entries
     assert report.best == report.target
-    assert len(report.per_trial) == 3
-    assert len(report.trial_seeds) == 3
+    assert report.trials == 3
+    assert len(report.per_trial) == 1
+    assert len(report.trial_seeds) == 1
     assert report.generator == "splitmix64"
+
+
+def test_verify_stops_at_the_first_trial_that_reaches_every_cap() -> None:
+    """A trial whose ranks reach every cap proves the vector, so no later
+    trial runs; a trial short of a cap in any degree lets the next one
+    run, and a field in which none reaches them runs every trial."""
+    for kind, parameter, field in ((KIND_SOCLE_DEGREE, 9, GF),
+                                   (KIND_CODIM5_ODD, 10, FieldSpec(1_000_003)),
+                                   (KIND_CODIM5_EVEN, 11, FieldSpec(1_000_003)),
+                                   (KIND_SOCLE_DEGREE, 7, QQ)):
+        report = verify_construction(kind, parameter, field, seed=2, trials=4)
+        assert report.verdict == "match"
+        assert report.trials == 4
+        assert report.trial_seeds == (mix(2, 0),)
+        assert report.per_trial == (inverse_systems._rank_caps(kind,
+                                                                parameter),)
+    caps = inverse_systems._rank_caps(KIND_SOCLE_DEGREE, 6)
+    report = verify_construction(KIND_SOCLE_DEGREE, 6, FieldSpec(3), seed=0,
+                                 trials=5)
+    assert report.verdict == "match"
+    assert report.trial_seeds == tuple(mix(0, t) for t in range(3))
+    assert [ranks == caps for ranks in report.per_trial] == [False, False,
+                                                             True]
+    report = verify_construction(KIND_SOCLE_DEGREE, 6, FieldSpec(2), seed=0,
+                                 trials=5)
+    assert report.verdict == "mismatch"
+    assert len(report.per_trial) == len(report.trial_seeds) == 5
 
 
 def test_verify_is_deterministic() -> None:
