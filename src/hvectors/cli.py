@@ -5,7 +5,9 @@ run verifications and characteristic sweeps, write reports.
 names: both commands share one grammar, one validation table and one
 handler, which runs every job through ``sweep_characteristics``.
 
-Exit codes: 0 success (or match), 1 verification mismatch, 2 invalid input.
+Exit codes: 0 success (or match), 1 verification mismatch or a report
+with status error, 2 invalid input, 3 inconclusive verification (a field
+below the genericity floor) with no mismatch or error.
 JSON output is canonical (sorted keys, no floats) so that reruns with the
 same seed are byte-identical.
 """
@@ -28,6 +30,7 @@ from .version import VERSION
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INCONCLUSIVE = 3
 
 DEFAULT_FIELD = 32003
 DEFAULT_SEED = 0
@@ -412,10 +415,11 @@ def _cmd_verify(config: RunConfig) -> int:
         for report in reports:
             lines.extend(_report_plain(report))
         _emit("\n".join(lines) + "\n", config)
-    failed = any(
-        r.verdict == "mismatch" or r.status == "error" for r in reports
-    )
-    return EXIT_MISMATCH if failed else EXIT_OK
+    if any(r.verdict == "mismatch" or r.status == "error" for r in reports):
+        return EXIT_MISMATCH
+    if any(r.verdict == "inconclusive" for r in reports):
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 def run(config: RunConfig) -> int:

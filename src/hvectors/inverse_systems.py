@@ -15,7 +15,9 @@ is free, because the generators' operator syzygies form a submodule of a
 free module, which has no torsion (:func:`_hilbert_ranks`).  On top of
 that sit the randomized drivers that check the constructed level
 h-vectors against actual rank computations, including a characteristic
-sweep.  Kinds and targets live in :mod:`families`; the witness facts
+sweep.  Each witness bounds its own rank in every degree
+(:func:`_rank_caps`): a rank at its cap is proved, over QQ from one
+prime, and a trial at every cap ends the verification.  Kinds and targets live in :mod:`families`; the witness facts
 (point counts, powers, the truncation's Hilbert function) stay here,
 never derived from them.
 """
@@ -446,8 +448,12 @@ def codim5_generators(
 class VerificationReport:
     """Outcome of checking a constructed h-vector by actual rank counts.
 
-    ``best`` is the entrywise maximum over trials: reaching the target
-    dimension is an open condition, so any witness certifies a degree.
+    ``trials`` is the number of trials requested; ``trial_seeds`` and
+    ``per_trial`` list the trials that ran, which stop at the first one
+    that reaches the rank cap in every degree (:func:`_rank_caps`), as no
+    later trial can exceed it.  ``best`` is the entrywise maximum over the
+    trials run: reaching the target dimension is an open condition, so any
+    witness certifies a degree, and a degree at its cap is proved.
     ``degree_seconds`` holds wall time per degree summed over trials, 0.0
     for a degree every trial proved from its neighbour without a rank
     (:func:`_hilbert_ranks`); it is deliberately left out of the JSON view

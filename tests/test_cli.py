@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from hvectors import cli
 from hvectors.cli import main
+from hvectors.inverse_systems import VerificationReport
 
 # JSON reports of fixed commands, pinned byte for byte: the samples, the
 # matrices and their ranks must not drift between versions of the code.
@@ -170,14 +173,26 @@ def test_verify_validates_input(capsys) -> None:
     assert run_cli(capsys, "verify", "thm-e", "--e", "oops")[0] == 2
 
 
-def test_verify_inconclusive_policy_exit_zero(capsys) -> None:
+def test_verify_inconclusive_exits_three(capsys) -> None:
     code, out, _ = run_cli(
         capsys, "verify", "thm-r", "--d", "10", "--parity", "odd",
         "--field", "101", "--trials", "1",
     )
-    assert code == 0
+    assert code == 3
     assert "verdict inconclusive" in out
     assert "genericity floor" in out
+
+
+def test_mismatch_and_error_outrank_inconclusive(capsys, monkeypatch) -> None:
+    inconclusive = VerificationReport("thm-r-odd", 10, 101, 0, 1, (1,))
+    for other, expected in ((dict(verdict="match"), 3),
+                            (dict(verdict="mismatch"), 1),
+                            (dict(status="error"), 1)):
+        reports = [inconclusive, replace(inconclusive, **other)]
+        monkeypatch.setattr(cli, "sweep_characteristics",
+                            lambda *args, reports=reports: reports)
+        assert run_cli(capsys, "verify", "thm-r", "--d", "10", "--parity",
+                       "odd", "--trials", "1")[0] == expected
 
 
 def test_verify_csv(capsys) -> None:
