@@ -4,18 +4,18 @@ Scalars are arbitrary-precision rationals (characteristic 0) or residues
 modulo a prime p, held in numpy arrays: int64 over word primes, objects
 otherwise.  Every rank comes from one in-place modular Gaussian elimination:
 over GF(p) directly, and over the rationals modulo primes below 2**30, where
-it reduces its block only every 8 updates, until a Hadamard bound proves the
-largest rank seen exact.  Its array holds int64 for word primes, uint64 for
-larger primes below 2**63 and Python integers only above that, and only the
-update of the trailing block depends on which:
+it reduces its block only every 8 updates, until a Hadamard bound or a cap
+the caller proved shows the largest rank seen exact.  Its array holds int64
+for word primes, uint64 for larger primes below 2**63 and Python integers
+only above that, and only the update of the trailing block depends on which:
 in int64 it is reduced mod p only when one more update could overflow
 (delayed reduction, as in Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008), in
 uint64 every product is reduced at once with a precomputed quotient (Shoup),
 and Python integers are never reduced.  Rows with a single nonzero entry
 never reach the elimination: each pins its column, which adds one to the
 rank.  No floating point is used anywhere.  Random sampling is driven by
-splitmix64, a fixed, portable 64-bit generator, so every result is
-reproducible from its seed.
+splitmix64, a fixed, portable, counter-based 64-bit generator, so every
+result is reproducible from its seed.
 """
 from __future__ import annotations
 

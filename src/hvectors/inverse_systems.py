@@ -17,9 +17,10 @@ that sit the randomized drivers that check the constructed level
 h-vectors against actual rank computations, including a characteristic
 sweep.  Each witness bounds its own rank in every degree
 (:func:`_rank_caps`): a rank at its cap is proved, over QQ from one
-prime, and a trial at every cap ends the verification.  Kinds and targets live in :mod:`families`; the witness facts
-(point counts, powers, the truncation's Hilbert function) stay here,
-never derived from them.
+prime, and a trial at every cap ends the verification.  Kinds and
+targets live in :mod:`families`; the witness facts (point counts,
+powers, the truncation's Hilbert function) stay here, never derived from
+them.
 """
 from __future__ import annotations
 
