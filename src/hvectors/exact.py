@@ -399,12 +399,17 @@ def _stream_words(seed: int, start: int, count: int) -> np.ndarray:
     """Words ``start`` to ``start + count - 1`` of ``SplitMix64(seed)`` as
     uint64.  The stream is counter-based: word k is the output function
     of seed + (k + 1) * gamma, so every word is mixed at once, and uint64
-    sums and products wrap modulo 2**64 as the generator's do."""
-    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + k * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    sums and products wrap modulo 2**64 as the generator's do.  The steps
+    run in place, so the batch allocates one array besides the shifts."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
