@@ -25,7 +25,7 @@ them.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
@@ -478,9 +478,12 @@ class VerificationReport:
     degree_seconds: list[float] = dc_field(default_factory=list)
 
     def to_json_dict(self, command: str = "") -> dict:
-        out = asdict(self)
-        del out["degree_seconds"]
-        return {**out, "command": command}
+        """The fields but ``degree_seconds``, then ``command``: a shallow
+        view, as every value is a scalar or a tuple."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "degree_seconds"}
+        out["command"] = command
+        return out
 
 
 def family_target(kind: str, parameter: int) -> HVector:
