@@ -1,21 +1,27 @@
 """Exact scalar arithmetic, seeded sampling, and matrix rank.
 
 Scalars are arbitrary-precision rationals (characteristic 0) or residues
-modulo a prime p, held in numpy arrays: int64 over word primes, objects
-otherwise.  Every rank comes from one in-place modular Gaussian elimination:
-over GF(p) directly, and over the rationals modulo primes below 2**30, where
-it reduces its block only every 8 updates, until a Hadamard bound or a cap
-the caller proved shows the largest rank seen exact.  Its array holds int64
-for word primes, uint64 for larger primes below 2**63 and Python integers
-only above that, and only the update of the trailing block depends on which:
-in int64 it is reduced mod p only when one more update could overflow
-(delayed reduction, as in Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008), in
-uint64 every product is reduced at once with a precomputed quotient (Shoup),
-and Python integers are never reduced.  Rows with a single nonzero entry
-never reach the elimination: each pins its column, which adds one to the
-rank.  No floating point is used anywhere.  Random sampling is driven by
-splitmix64, a fixed, portable, counter-based 64-bit generator, so every
-result is reproducible from its seed.
+modulo a prime p, held in numpy arrays of one dtype per field
+(`FieldSpec.dtype`), from the sampled scalars through the forms to the
+matrices ranked: int64 for word primes (p at most 3 037 000 499, where a
+residue plus a product of two fits), uint64 for larger primes below
+2**63, and Python integers over the rationals and above 2**63.  Products
+of residues are reduced by one % per term in int64 and on Python
+integers, and in uint64 at once with a precomputed quotient (Shoup),
+so that no value wraps (`FieldSpec.multiply_add`).  Every rank comes
+from one in-place modular Gaussian elimination: over GF(p) directly, and
+over the rationals modulo primes below 2**30, where it reduces its block
+only every 8 updates, until a Hadamard bound or a cap the caller proved
+shows the largest rank seen exact.  Only the update of its trailing block
+depends on the dtype: in int64 it is reduced mod p only when one more
+update could overflow (delayed reduction, as in Dumas-Giorgi-Pernet, ACM
+TOMS 35(3), 2008), in uint64 every product is reduced with the same
+Shoup product as the field's, and Python integers are never reduced.
+Rows with a single nonzero entry never reach the elimination: each pins
+its column, which adds one to the rank.  No floating point is used
+anywhere.  Random sampling is driven by splitmix64, a fixed, portable,
+counter-based 64-bit generator, so every result is reproducible from its
+seed.
 """
 from __future__ import annotations
 
@@ -85,17 +91,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """splitmix64 stream: state += golden gamma, output = mix(state)."""
-
-    def __init__(self, seed: int):
-        self.state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & MASK64
-        return _mix64(self.state)
-
-
 def mix(seed: int, index: int) -> int:
     """Derived stream seed for parallel trial ``index``; fixed so that
     serial and concurrent execution sample identically."""
@@ -134,9 +129,17 @@ class FieldSpec:
 
     @property
     def dtype(self):
-        """int64 where a residue plus a product of two still fits, else object."""
+        """Array dtype of the field's scalars, the one table of how a
+        residue is held: int64 where a residue plus a product of two
+        residues fits (p at most `_NUMPY_SAFE_MODULUS`), uint64 for larger
+        primes below 2**63, where a sum of two residues stays below 2**64
+        and products are reduced with precomputed quotients
+        (`_shoup_product`), and Python integers over the rationals and
+        above 2**63."""
         p = self.characteristic
-        return np.int64 if 0 < p <= _NUMPY_SAFE_MODULUS else object
+        if 0 < p <= _NUMPY_SAFE_MODULUS:
+            return np.int64
+        return np.uint64 if 0 < p < 2**63 else object
 
     def array(self, values: Sequence) -> np.ndarray:
         """Normalized 1-D array of the given values."""
@@ -145,9 +148,49 @@ class FieldSpec:
     def zeros(self, length: int) -> np.ndarray:
         return np.zeros(length, dtype=self.dtype)
 
-    def reduce(self, values: np.ndarray) -> np.ndarray:
-        """Residues of an array of integers (identity over the rationals)."""
-        return values % self.characteristic if self.is_modular else values
+    def multiplier(self, y) -> np.ndarray:
+        """Scalars ``y`` ready to multiply by in :meth:`multiply_add`: in a
+        uint64 field y stacked on a last axis with its Shoup quotients
+        (`_shoup_quotients`), in the others y with a last axis of length
+        one.  Index it as ``y``, leaving that axis, so the quotients are
+        computed once for every product taken from them."""
+        y = np.asarray(y, dtype=self.dtype)
+        if self.dtype is np.uint64:
+            return np.stack([y, _shoup_quotients(y, self.characteristic)],
+                            axis=-1)
+        return y[..., None]
+
+    def multiply_add(self, acc: Optional[np.ndarray], x: np.ndarray,
+                     multiplier: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``acc + x * y`` over the field, elementwise and broadcast to the
+        shape of ``x * y``, where ``multiplier`` is :meth:`multiplier` of y
+        and acc (None for zero), x and y hold the field's scalars.  The
+        result goes to ``out``, which may be x, or to a new array.
+
+        int64 and Python integers take one % per term, as a residue plus a
+        product of two fits int64 for word primes; over the rationals
+        nothing is reduced.  uint64 takes Shoup's product, which stays
+        below 2**64 where ``x * y`` would wrap (`_shoup_product`), and the
+        sum of two residues below 2p <= 2**64 needs one conditional
+        subtraction.
+        """
+        p = self.characteristic
+        if self.dtype is not np.uint64:
+            out = np.multiply(x, multiplier[..., 0], out=out)
+            if acc is not None:
+                out += acc
+            if p:
+                out %= p
+            return out
+        t = _shoup_product(x, multiplier[..., 0], multiplier[..., 1], p)
+        if acc is not None:
+            t += acc
+            np.minimum(t, t - np.uint64(p), out=t)
+        if out is None:
+            return t
+        out[...] = t
+        return out
 
     def __str__(self) -> str:
         return f"GF({self.characteristic})" if self.is_modular else "QQ"
@@ -279,57 +322,98 @@ def _reduction_budget(p: int) -> int:
     return (2**63 - 1 - p) // (p - 1) ** 2
 
 
-def _rank_dtype(p: int):
-    """Array dtype the elimination over GF(p) runs in: int64 with delayed
-    reduction for word primes, uint64 with precomputed-quotient products
-    below 2**63, Python integers above."""
-    if p <= _NUMPY_SAFE_MODULUS:
-        return np.int64
-    return np.uint64 if p < 2**63 else object
-
-
 def _high_words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit products x * y of uint64 arrays, from
     four 32x32-bit partial products.  Each partial product is at most
     (2**32 - 1)**2, so adding a 32-bit word to one cannot wrap: the low
     cross product takes the carry of the low product, the high cross
     product takes the low half of that sum, and the high word takes the
-    carries of both."""
+    carries of both.  Each half is dropped once used, so that products
+    of two full arrays keep few of them alive."""
     xl, xh = x & _LOW32, x >> _HALF
     yl, yh = y & _LOW32, y >> _HALF
-    low = xh * yl
-    low += xl * yl >> _HALF
+    low = xl * yl
+    low >>= _HALF
+    low += xh * yl
     mid = xl * yh
+    del xl, yl
     mid += low & _LOW32
     high = xh * yh
-    high += low >> _HALF
-    high += mid >> _HALF
+    del xh, yh
+    low >>= _HALF
+    high += low
+    mid >>= _HALF
+    high += mid
     return high
+
+
+def _shoup_product(x: np.ndarray, w: np.ndarray, w_quotient: np.ndarray,
+                   p: int) -> np.ndarray:
+    """x * w mod p in [0, p), broadcast, for uint64 arrays of any x, of
+    residues w mod p (`_NUMPY_SAFE_MODULUS` < p < 2**63) and of their
+    quotients w' = floor(w * 2**64 / p) (`_shoup_quotients`): Shoup's
+    precomputed-quotient product (NTL's MulModPrecon; Harvey, J. Symb.
+    Comp. 60 (2014)).
+
+    Write w' = (w * 2**64 - rho) / p with 0 <= rho < p.  For q =
+    floor(x * w' / 2**64), the high word of x * w' (`_high_words`),
+
+        (x * w - q * p) / p = x * rho / (p * 2**64) + frac(x * w' / 2**64),
+
+    which lies in [0, 2) since x < 2**64.  So t = x * w - q * p is in
+    [0, 2p), and as 2p <= 2**64 it is exact when both products wrap
+    modulo 2**64.  min(t, t - p) is t mod p, since t - p wraps to above t
+    when t < p.
+    """
+    modulus = np.uint64(p)
+    high = _high_words(x, w_quotient)
+    high *= modulus
+    t = x * w
+    t -= high
+    np.minimum(t, t - modulus, out=t)
+    return t
+
+
+def _shoup_quotients(w: np.ndarray, p: int) -> np.ndarray:
+    """floor(w * 2**64 / p) for a uint64 array of residues w mod p
+    (`_NUMPY_SAFE_MODULUS` < p < 2**63), in uint64 throughout.
+
+    With 2**64 = c * p + r and 0 < r < p, the quotient is w * c +
+    floor(w * r / p), and w * c < 2**64.  Shoup's product of x = w by
+    the residue r, with r' = floor(r * 2**64 / p), gives q = floor(w * r'
+    / 2**64) with t = w * r - q * p in [0, 2p) (`_shoup_product`), so
+    floor(w * r / p) is q, plus one exactly when t >= p.
+    """
+    c, r = divmod(1 << 64, p)
+    modulus = np.uint64(p)
+    q = _high_words(w, np.uint64((r << 64) // p))
+    t = w * np.uint64(r)
+    t -= q * modulus
+    q += t >= modulus
+    q += w * np.uint64(c)
+    return q
 
 
 def _add_shoup_products(block: np.ndarray, column: np.ndarray,
                         lead: np.ndarray, scale: int, p: int) -> None:
     """block += column (outer) (scale * lead mod p), reduced mod p, on
-    uint64 residues; see `_rank_mod_p` for why no entry leaves [0, p)."""
+    uint64 residues.  The scaled lead row and its quotients, one row per
+    pivot, are computed in Python integers; each product is Shoup's
+    (`_shoup_product`), and the sum of two residues, below 2p <= 2**64,
+    is reduced by min(s, s - p)."""
     if not block.size:
         return
     w = [v * scale % p for v in lead.tolist()]
     w, w_quotient = np.array([w, [(v << 64) // p for v in w]],
                              dtype=np.uint64)
-    x = column[:, None]
+    block += _shoup_product(column[:, None], w, w_quotient, p)
     modulus = np.uint64(p)
-    t = x * w
-    high = _high_words(x, w_quotient)
-    high *= modulus
-    t -= high
-    np.minimum(t, t - modulus, out=t)
-    block += t
     np.minimum(block, block - modulus, out=block)
 
 
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank of a 2-D array of residues mod p, by Gaussian elimination in
-    place on the array cast to `_rank_dtype(p)`.
+    """Rank of a 2-D array of residues mod p held in the dtype of
+    ``FieldSpec(p)`` (`FieldSpec.dtype`), by Gaussian elimination in place.
 
     Each pivot row, scaled once by -1/pivot, is added times their entry in
     the pivot column to every row below it, right of that column only: left
@@ -349,22 +433,10 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     so there it is never reduced.
 
     uint64 (`_NUMPY_SAFE_MODULUS` < p < 2**63): every update is reduced at
-    once with Shoup's precomputed-quotient product (NTL's MulModPrecon;
-    Harvey, J. Symb. Comp. 60 (2014)).  Per pivot, the scaled lead row
-    w_j in [0, p) and w'_j = floor(w_j * 2**64 / p) are computed in Python
-    integers.  Write w'_j = (w_j * 2**64 - rho) / p with 0 <= rho < p.  For
-    a multiplier x < p and q = floor(x * w'_j / 2**64), the high word of
-    x * w'_j (`_high_words`),
-
-        (x * w_j - q * p) / p = x * rho / (p * 2**64) + frac(x * w'_j / 2**64),
-
-    which lies in [0, 2) since x < 2**64.  So t = x * w_j - q * p is in
-    [0, 2p), and as 2p <= 2**64 it is exact when both products wrap
-    modulo 2**64.  min(t, t - p) is t mod p, since t - p wraps to above t
-    when t < p; the entry plus that residue is below 2p <= 2**64, and one
-    more such min leaves it in [0, p).
+    once (`_add_shoup_products`), with the scaled lead row's quotients
+    computed once per pivot for the Shoup products of every multiplier
+    below it.
     """
-    a = a.astype(_rank_dtype(p), copy=False)
     budget = _reduction_budget(p) if a.dtype == np.int64 else None
     pending = 0
     m, n = a.shape
@@ -396,11 +468,14 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
 
 
 def _stream_words(seed: int, start: int, count: int) -> np.ndarray:
-    """Words ``start`` to ``start + count - 1`` of ``SplitMix64(seed)`` as
-    uint64.  The stream is counter-based: word k is the output function
-    of seed + (k + 1) * gamma, so every word is mixed at once, and uint64
-    sums and products wrap modulo 2**64 as the generator's do.  The steps
-    run in place, so the batch allocates one array besides the shifts."""
+    """Words ``start`` to ``start + count - 1`` of the splitmix64 stream
+    of ``seed``, as uint64.  The generator adds the golden gamma
+    0x9E3779B97F4A7C15 to a 64-bit state that starts at the seed and
+    outputs the mix of the new state (`_mix64`), so word k is the mix of
+    seed + (k + 1) * gamma mod 2**64: every word is mixed at once, and
+    uint64 sums and products wrap modulo 2**64 as the generator's do.  The
+    steps run in place, so the batch allocates one array besides the
+    shifts."""
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(seed & MASK64)

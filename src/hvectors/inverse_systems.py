@@ -319,11 +319,13 @@ def linear_combination(weights: Sequence[Scalar], forms: Sequence[Form]) -> Form
 
 def _weighted_sums(weights: np.ndarray, rows: np.ndarray,
                    field: FieldSpec) -> np.ndarray:
-    """``weights @ rows`` over the field, reduced term by term, so over a
-    word prime no entry exceeds p + (p - 1)**2, which int64 holds."""
+    """``weights @ rows`` over the field, one term at a time
+    (`FieldSpec.multiply_add`), with the weights' quotients computed
+    once."""
+    multipliers = field.multiplier(weights)
     acc = np.zeros((len(weights), rows.shape[1]), dtype=field.dtype)
     for k, row in enumerate(rows):
-        acc = field.reduce(acc + weights[:, k, None] * row)
+        acc = field.multiply_add(acc, row, multipliers[:, k, None])
     return acc
 
 
@@ -351,19 +353,22 @@ def _power_tables(linears: np.ndarray, power: int,
     coefficients at once, one row per form.
 
     Step k of the loop raises every coefficient of every form to the k-th
-    power with one array product; each variable then gathers its column of
-    powers by exponent and multiplies it in.
+    power with one array product into the contiguous slice of power k;
+    each variable then gathers its column of powers by exponent and
+    multiplies it in.  The quotients of the linear coefficients and of the
+    power tables are computed once each (`FieldSpec.multiplier`).
     """
-    tables = np.ones((len(linears), power + 1, linears.shape[1]),
-                     dtype=field.dtype)
+    powers = np.ones((power + 1, *linears.shape), dtype=field.dtype)
+    step = field.multiplier(linears)
     for k in range(1, power + 1):
-        tables[:, k] = field.reduce(tables[:, k - 1] * linears)
+        field.multiply_add(None, powers[k - 1], step, out=powers[k])
+    tables = powers.transpose(1, 0, 2)
+    multipliers = field.multiplier(tables)
     exponents = _exponents(linears.shape[1], power)
     dense = tables[:, exponents[:, 0], 0]
     for var in range(1, linears.shape[1]):
-        dense *= tables[:, exponents[:, var], var]
-        if field.is_modular:
-            dense %= field.characteristic
+        field.multiply_add(None, dense, multipliers[:, exponents[:, var], var],
+                           out=dense)
     return dense
 
 

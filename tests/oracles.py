@@ -5,12 +5,19 @@ enumeration is reimplemented here, contraction acts term by term on
 ``{monomial: coefficient}`` dicts instead of gathering from coefficient
 arrays, and ranks are computed by plain Gaussian elimination on Python
 lists, over the rationals or modulo p, instead of the library's
-multi-modular numpy elimination.
+multi-modular numpy elimination.  ``WIDE_PRIMES`` are the primes at the
+ends of the uint64 range of the library's arrays.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import Iterator
+
+# The uint64 range of `FieldSpec.dtype`: its first prime, two inside, its
+# last prime, and the first prime above it, which stays on Python integers.
+WIDE_PRIMES = (3_037_000_507, 2**61 - 1, 2**62 - 57,
+               9_223_372_036_854_775_783, 9_223_372_036_854_775_837)
 
 
 def descending_monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -116,25 +123,28 @@ def modular_rank(rows, p: int) -> int:
     return r
 
 
+def splitmix_stream(seed: int) -> Iterator[int]:
+    """The splitmix64 words of ``seed``, one state step at a time: add the
+    golden gamma to the state, output its mix."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        yield z ^ (z >> 31)
+
+
 def splitmix_scalars(p: int, count: int, seed: int) -> list[int]:
     """The sampling stream one splitmix64 word at a time: over GF(p)
     (p > 0) nonzero residues by rejection, a draw being as many words as
     p - 1 has 64-bit digits, first most significant; over the rationals
     (p = 0) signed integers of magnitude 1..2**20."""
-    mask = (1 << 64) - 1
-    state = seed & mask
-
-    def word() -> int:
-        nonlocal state
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & mask
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-        return z ^ (z >> 31)
-
+    stream = splitmix_stream(seed)
     out = []
     while len(out) < count:
         if p == 0:
-            draw = word()
+            draw = next(stream)
             sign = -1 if draw >> 63 else 1
             out.append(sign * ((draw & ((1 << 20) - 1)) + 1))
             continue
@@ -142,7 +152,7 @@ def splitmix_scalars(p: int, count: int, seed: int) -> list[int]:
         words = -(-span.bit_length() // 64)
         draw = 0
         for _ in range(words):
-            draw = draw << 64 | word()
+            draw = draw << 64 | next(stream)
         if draw < (1 << 64 * words) - (1 << 64 * words) % span:
             out.append(1 + draw % span)
     return out

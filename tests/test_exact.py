@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hvectors import (
     RATIONAL_HEIGHT_BOUND,
     DenseMatrix,
     FieldSpec,
-    SplitMix64,
     is_prime,
     mix,
     rank,
@@ -25,11 +25,12 @@ from hvectors.exact import (
     _RATIONAL_PRIME_START,
     _add_shoup_products,
     _high_words,
-    _rank_dtype,
     _rank_mod_p,
     _reduction_budget,
+    _shoup_quotients,
 )
-from oracles import fraction_rank, modular_rank, splitmix_scalars
+from oracles import (WIDE_PRIMES, fraction_rank, modular_rank,
+                     splitmix_scalars, splitmix_stream)
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -94,12 +95,13 @@ def test_field_normalize() -> None:
 def test_field_axioms_on_samples(field: FieldSpec) -> None:
     a = field.array(sample_scalars(field, 3, seed=99))
     b, c = np.roll(a, 1), np.roll(a, 2)
+    one, minus_one = (field.multiplier(field.array([v] * 3)) for v in (1, -1))
 
     def add(x, y):
-        return field.reduce(x + y)
+        return field.multiply_add(x, y, one)
 
     def mul(x, y):
-        return field.reduce(x * y)
+        return field.multiply_add(None, x, field.multiplier(y))
 
     assert np.array_equal(add(a, b), add(b, a))
     assert np.array_equal(add(add(a, b), c), add(a, add(b, c)))
@@ -108,7 +110,7 @@ def test_field_axioms_on_samples(field: FieldSpec) -> None:
     inverse = field.array([pow(v, -1, p) if p else Fraction(1, v)
                            for v in a.tolist()])
     assert np.array_equal(mul(a, inverse), field.array([1] * 3))
-    assert np.array_equal(field.reduce(a - a), field.zeros(3))
+    assert np.array_equal(field.multiply_add(a, a, minus_one), field.zeros(3))
     assert a.dtype == field.dtype
 
 
@@ -395,15 +397,17 @@ def test_rank_mod_p_single_update_path(p: int) -> None:
             rows, p)
 
 
-# The uint64 range of the elimination: its first prime, two inside, its
-# last prime, and the first prime above it, which stays on Python integers.
-_WIDE_PRIMES = (3_037_000_507, 2**61 - 1, 2**62 - 57,
-                9_223_372_036_854_775_783, 9_223_372_036_854_775_837)
-
-
-def test_rank_dtype_by_prime() -> None:
-    assert _rank_dtype(_NUMPY_SAFE_MODULUS) is np.int64
-    assert [_rank_dtype(p) for p in _WIDE_PRIMES] == [np.uint64] * 4 + [object]
+def test_field_dtype_by_prime() -> None:
+    """`FieldSpec.dtype` is the one table of how a scalar is held, from
+    the sampled witness to the eliminated matrix."""
+    last_word_prime = 3_037_000_493
+    assert not any(is_prime(q) for q in
+                   range(last_word_prime + 1, _NUMPY_SAFE_MODULUS + 1))
+    assert FieldSpec(last_word_prime).dtype is np.int64
+    assert [FieldSpec(p).dtype for p in WIDE_PRIMES] == [np.uint64] * 4 + [
+        object]
+    assert FieldSpec(2**89 - 1).dtype is object
+    assert QQ.dtype is object
 
 
 def test_high_words_of_extreme_products() -> None:
@@ -419,7 +423,19 @@ def test_high_words_of_extreme_products() -> None:
     assert high.tolist() == [[x * y >> 64 for y in ys] for x in xs]
 
 
-@pytest.mark.parametrize("p", _WIDE_PRIMES[:4])
+@pytest.mark.parametrize("p", WIDE_PRIMES[:4])
+def test_shoup_quotients_match_python_integers(p: int) -> None:
+    """Residues at 0, 1, p/2 and p - 1 and random ones; at 2**62 - 57 and
+    at the last prime some of them need the quotient's last correction."""
+    rng = random.Random(p)
+    w = [0, 1, 2, p // 2, p // 2 + 1, p - 2, p - 1] + [
+        rng.randrange(p) for _ in range(200)]
+    quotients = _shoup_quotients(np.array(w, dtype=np.uint64), p)
+    assert quotients.dtype == np.uint64
+    assert quotients.tolist() == [(v << 64) // p for v in w]
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES[:4])
 def test_shoup_update_is_exact_and_reduced(p: int) -> None:
     """Residues at 0, 1, p/2 and p - 1 make the precomputed-quotient
     product land on either side of p and the sum reach 2p - 2."""
@@ -439,7 +455,7 @@ def test_shoup_update_is_exact_and_reduced(p: int) -> None:
         ]
 
 
-@pytest.mark.parametrize("p", _WIDE_PRIMES)
+@pytest.mark.parametrize("p", WIDE_PRIMES)
 def test_wide_prime_rank_matches_modular_oracle(p: int) -> None:
     """All-(p - 1) blocks make every product and sum as large as it can
     be; the update-path cases force swaps and zero multipliers; low-rank
@@ -542,10 +558,10 @@ def test_sample_scalars_single_word_stream() -> None:
     for p in (2**61 - 1, 2**64 - 59):
         span = p - 1
         limit = 2**64 - 2**64 % span
-        stream = SplitMix64(7)
+        stream = splitmix_stream(7)
         expected = []
         while len(expected) < 50:
-            draw = stream.next_u64()
+            draw = next(stream)
             if draw < limit:
                 expected.append(1 + draw % span)
         assert sample_scalars(FieldSpec(p), 50, seed=7) == expected
@@ -582,10 +598,9 @@ def test_sample_scalars_rational_height() -> None:
 
 def test_generator_name_and_stream() -> None:
     assert GENERATOR_NAME == "splitmix64"
-    stream = SplitMix64(0)
-    first = [stream.next_u64() for _ in range(3)]
-    stream2 = SplitMix64(0)
-    assert [stream2.next_u64() for _ in range(3)] == first
+    first = exact._stream_words(0, 0, 3).tolist()
+    assert exact._stream_words(0, 0, 3).tolist() == first
+    assert first == list(islice(splitmix_stream(0), 3))
     assert all(0 <= v < 2**64 for v in first)
 
 

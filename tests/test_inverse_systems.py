@@ -39,7 +39,8 @@ from hvectors import (
 from hvectors import inverse_systems
 from hvectors.exact import _NUMPY_SAFE_MODULUS
 from hvectors.families import KIND_PARITIES, family
-from oracles import contract, descending_monomials, fraction_rank, modular_rank
+from oracles import (WIDE_PRIMES, contract, descending_monomials,
+                     fraction_rank, modular_rank)
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -254,6 +255,74 @@ def test_word_prime_overflow_boundary() -> None:
         assert rank(matrix) == modular_rank(reference, p)
     rows = [[top] * 4, [top, 1, top, top - 1], [1, top, top - 1, top]]
     assert rank(DenseMatrix.from_rows(field, rows)) == modular_rank(rows, p) == 3
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_witness_arithmetic_matches_python_integers(data) -> None:
+    """Over the uint64 range, power tables, weighted sums, contraction
+    powers and linear combinations equal plain Python-integer arithmetic;
+    residues 0, 1, p - 2 and p - 1 make products and sums as large as
+    they can be."""
+    p = data.draw(st.sampled_from(WIDE_PRIMES[:4]))
+    field = FieldSpec(p)
+    residue = st.one_of(st.sampled_from((0, 1, p - 2, p - 1)),
+                        st.integers(0, p - 1))
+    count = data.draw(st.integers(1, 4))
+    power = data.draw(st.integers(1, 6))
+    linears = data.draw(st.lists(st.lists(residue, min_size=3, max_size=3),
+                                 min_size=count, max_size=count))
+    weights = data.draw(st.lists(
+        st.lists(residue, min_size=count, max_size=count),
+        min_size=1, max_size=3))
+    powers = [[prod(pow(c, a, p) for c, a in zip(linear, mono)) % p
+               for mono in monomials(3, power)] for linear in linears]
+    sums = [[sum(w * row[j] for w, row in zip(ws, powers)) % p
+             for j in range(len(powers[0]))] for ws in weights]
+    tables = inverse_systems._power_tables(
+        np.array(linears, dtype=np.uint64), power, field)
+    assert tables.tolist() == powers
+    assert inverse_systems._weighted_sums(
+        np.array(weights, dtype=np.uint64), tables, field).tolist() == sums
+    forms = [contraction_power(Form.from_coefficients(3, 1, field, linear),
+                               power) for linear in linears]
+    assert [f.coeffs.tolist() for f in forms] == powers
+    assert [linear_combination(ws, forms).coeffs.tolist()
+            for ws in weights] == sums
+
+
+def test_uint64_fields_keep_uint64_arrays(monkeypatch) -> None:
+    """From the sampled witness to the matrix ranked, a field held in
+    uint64 builds uint64 arrays only; numpy 1.24's value-based casting
+    would turn uint64 mixed with a signed scalar into float64."""
+    uint64 = np.dtype(np.uint64)
+    for p in WIDE_PRIMES[:4]:
+        field = FieldSpec(p)
+        linears = [Form.from_coefficients(3, 1, field, [p - 1, 1, p - 2]),
+                   _random_form(3, 1, field, seed=p)]
+        powers = [contraction_power(f, 4) for f in linears]
+        combo = linear_combination([p - 1, 2], powers)
+        odd = codim5_generators(10, "odd", field, seed=1)
+        truncation = truncation_generators(3, 2, 5, field)
+        terms = Form.from_terms(3, 2, field, {(2, 0, 0): -1, (0, 1, 1): 3})
+        for form in (*linears, *powers, combo, *odd, *truncation, terms):
+            assert form.coeffs.dtype == uint64
+        assert contraction_matrix(list(odd), 12).entries.dtype == uint64
+        samples = np.array([[p - 1, 1, 0], [2, p - 2, 1]], dtype=np.uint64)
+        tables = inverse_systems._power_tables(samples, 5, field)
+        assert tables.dtype == uint64
+        assert inverse_systems._weighted_sums(
+            samples[:, :2], tables, field).dtype == uint64
+    ranked = []
+
+    def spy(matrix, cap=None):
+        ranked.append(matrix.entries.dtype)
+        return rank(matrix, cap)
+
+    monkeypatch.setattr(inverse_systems, "rank", spy)
+    for kind, parameter in ((KIND_CODIM5_EVEN, 10), (KIND_SOCLE_DEGREE, 8)):
+        verify_construction(kind, parameter, FieldSpec(2**61 - 1), trials=1)
+    assert set(ranked) == {uint64}
 
 
 def test_hilbert_function_examples() -> None:
