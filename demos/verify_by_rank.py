@@ -14,15 +14,16 @@ import time
 from hvectors import (
     KIND_CODIM5_EVEN,
     KIND_SOCLE_DEGREE,
+    DenseMatrix,
     FieldSpec,
     Form,
     FieldTooSmallError,
     codim5_generators,
     contraction_matrix,
     hilbert_function,
+    monomials,
     rank,
     sample_scalars,
-    truncation_generators,
     verify_construction,
 )
 
@@ -31,17 +32,26 @@ field = FieldSpec(32003)
 print("=" * 72)
 print("A single inverse system, step by step (socle-degree family, e = 6)")
 print("=" * 72)
-generators = truncation_generators(3, 2, 5, field)
-print(f"  truncation generators: {len(generators)} quintic monomials in y1, y2")
-print(f"  their Hilbert function: {hilbert_function(generators)}")
-random_form = Form.from_coefficients(3, 5, field, sample_scalars(field, 21, seed=1))
-generators.append(random_form)
+truncation = [Form.from_terms(3, 5, field, {(5 - k, k, 0): 1})
+              for k in range(6)]
+print(f"  truncation generators: {len(truncation)} quintic monomials in y1, y2")
+print(f"  their Hilbert function: {hilbert_function(truncation)}")
+quintic = Form.from_coefficients(3, 5, field, sample_scalars(field, 21, seed=1))
+generators = truncation + [quintic]
 for i in (2, 3, 4):
     matrix = contraction_matrix(generators, i)
     print(f"  degree {i}: rank of the {matrix.rows}x{matrix.cols} "
           f"contraction matrix = {rank(matrix)}")
 print(f"  with one random quintic added: {hilbert_function(generators)}")
 print("  target level vector:            1,3,6,10,8,7")
+print("  The truncation holds every monomial in y1, y2, so the verification")
+print("  driver builds no forms for it: it pins those columns and ranks the")
+print("  quintic's rows alone on the others.")
+for i in (2, 3, 4):
+    outside = [k for k, mono in enumerate(monomials(3, i)) if mono[2]]
+    rows = contraction_matrix([quintic], i).entries[:, outside]
+    print(f"  degree {i}: {i + 1} pinned + rank {rank(DenseMatrix(field, rows))} "
+          f"of the quintic's {len(rows)}x{len(outside)} rows")
 print()
 
 print("=" * 72)

@@ -7,20 +7,21 @@ The variables of the dual ring act by contraction (exponent subtraction,
 killing terms that would go negative), never term by term: the Hilbert
 function of the module generated by a list of forms is read off as the rank
 of the contraction coefficient matrix in each degree, one gather from the
-stacked arrays of only the rows that can be nonzero: an operator above a
-generator's exponent envelope divides none of its terms.  Only a band of
-degrees is ranked and the rest are proved: below it every degree is full,
-because the module is closed under contraction, and above it every degree
-is free, because the generators' operator syzygies form a submodule of a
-free module, which has no torsion (:func:`_hilbert_ranks`).  On top of
-that sit the randomized drivers that check the constructed level
-h-vectors against actual rank computations, including a characteristic
-sweep.  Each witness bounds its own rank in every degree
-(:func:`_rank_caps`): a rank at its cap is proved, over QQ from one
-prime, and a trial at every cap ends the verification.  Kinds and
-targets live in :mod:`families`; the witness facts (point counts,
-powers, the truncation's Hilbert function) stay here, never derived from
-them.
+stacked arrays.  A monomial module every trial shares, the thm-e binary
+truncation, is never built as forms: it holds every monomial of its
+variables, so its columns are pinned and only the sampled generators are
+ranked, on the other columns.  Only a band of degrees is ranked and the
+rest are proved: below it every degree is full, because the module is
+closed under contraction, and above it every degree is free, because the
+generators' operator syzygies form a submodule of a free module, which
+has no torsion (:func:`_hilbert_ranks`).  On top of that sit the
+randomized drivers that check the constructed level h-vectors against
+actual rank computations, including a characteristic sweep.  Each witness
+bounds its own rank in every degree (:func:`_rank_caps`): a rank at its
+cap is proved, over QQ from one prime, and a trial at every cap ends the
+verification.  Kinds and targets live in :mod:`families`; the witness
+facts (point counts, powers, the truncation's variables) stay here, never
+derived from them.
 """
 from __future__ import annotations
 
@@ -93,12 +94,9 @@ class Form:
 
     Coefficients live in a single :class:`FieldSpec`, in a read-only array
     of its dtype, and are kept reduced; a zero means the monomial is absent.
-    ``envelope`` is the exponent envelope, a tuple of each variable's
-    largest exponent over the form's terms (-1 throughout for the zero
-    form).
     """
 
-    __slots__ = ("num_vars", "degree", "field", "coeffs", "envelope")
+    __slots__ = ("num_vars", "degree", "field", "coeffs")
 
     def __init__(self, num_vars: int, degree: int, field: FieldSpec,
                  coeffs: Sequence[Scalar]):
@@ -113,9 +111,6 @@ class Form:
         self.field = field
         self.coeffs = np.array(coeffs, dtype=field.dtype)
         self.coeffs.flags.writeable = False
-        support = (self.coeffs != 0)[:, None]
-        self.envelope = tuple(np.where(
-            support, _exponents(num_vars, degree), -1).max(axis=0).tolist())
 
     @classmethod
     def from_coefficients(cls, num_vars: int, degree: int, field: FieldSpec,
@@ -179,17 +174,15 @@ def _contraction_layout(num_vars: int, form_degree: int,
 
 
 def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
-    """Coefficient matrix of the degree-lowering contractions that can be
-    nonzero.
+    """Coefficient matrix of the degree-lowering contractions.
 
     Rows are indexed by (generator, operator monomial of complementary
     degree), generator-major, columns by the monomials of the target
     degree; the entry is the coefficient of the column monomial in the
     contracted generator.  Its rank is the dimension of the generated
-    module in that degree.  Provably zero rows are omitted: a row is kept
-    only when its operator is at most the generator's exponent envelope
-    (the largest exponent each variable has over the generator's terms) in
-    every variable, since any other operator divides none of its terms.
+    module in that degree.  The matrix is one gather from the stacked
+    coefficient arrays; an operator that divides none of a generator's
+    terms gives a zero row, which :func:`rank` drops.
     """
     num_vars, form_degree, field = _check_generators(generators)
     if not 0 <= degree <= form_degree:
@@ -198,14 +191,7 @@ def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
         )
     layout = _contraction_layout(num_vars, form_degree, degree)
     coeffs = np.stack([g.coeffs for g in generators])
-    ops = _exponents(num_vars, form_degree - degree)
-    envelopes = np.array([g.envelope for g in generators])
-    keep = np.ones((len(generators), len(ops)), dtype=bool)
-    for var in range(num_vars):
-        keep &= ops[:, var] <= envelopes[:, var, None]
-    kept_generators, kept_ops = np.nonzero(keep)
-    flat = (kept_generators * coeffs.shape[1])[:, None] + layout[kept_ops]
-    return DenseMatrix(field, coeffs.take(flat))
+    return DenseMatrix(field, coeffs[:, layout].reshape(-1, layout.shape[1]))
 
 
 def hilbert_function(generators: Sequence[Form]) -> HVector:
@@ -218,23 +204,41 @@ def hilbert_function(generators: Sequence[Form]) -> HVector:
     independent.  Every degree beyond either end is proved from its
     neighbour (:func:`_hilbert_ranks`).
     """
-    ranks, _ = _hilbert_ranks(generators)
+    if all(f.is_zero() for f in generators):
+        raise ValueError("no nonzero generator")
+    ranks, _ = _hilbert_ranks(generators, 0)
     return HVector(ranks)
 
 
-def _hilbert_ranks(generators: Sequence[Form], known: Sequence[Form] = (),
-                   known_ranks: Sequence[int] = (), caps: Sequence[int] = ()
+def _monomial_counts(num_vars: int, degree: int) -> list[int]:
+    """Number of monomials of each degree 0..``degree`` in ``num_vars``
+    variables; 0 throughout with no variables."""
+    return [comb(i + num_vars - 1, num_vars - 1) if num_vars else 0
+            for i in range(degree + 1)]
+
+
+def _hilbert_ranks(generators: Sequence[Form], shared: int,
+                   caps: Sequence[int] = ()
                    ) -> tuple[tuple[int, ...], list[float]]:
-    """Hilbert function of the module generated by ``known`` and
-    ``generators``, with the seconds spent ranking each degree (0.0 for a
-    degree proved without a rank).  ``caps``, when given, holds a proved
+    """Hilbert function of the module generated by ``generators`` and a
+    monomial module T, with the seconds spent ranking each degree (0.0 for
+    a degree proved without a rank).  ``caps``, when given, holds a proved
     upper bound on each degree's rank, passed to :func:`rank`.
 
-    ``known_ranks`` is the Hilbert function of the module T that ``known``
-    generates (T is zero when ``known`` is empty).  Let F_1..F_g be
-    ``generators``, of degree s in n variables, R the ring of operators,
-    ``full_i = C(i+n-1, n-1)`` and ``free_i = known_ranks[i] +
-    g*C(s-i+n-1, n-1)``.  The rank in degree i is at most both, and two
+    Let F_1..F_g be ``generators``, of degree s in n variables, and R the
+    ring of operators.  T holds every monomial of degree at most s in the
+    first ``shared`` variables (T is zero when ``shared`` is 0; for thm-e
+    it is the binary truncation), ``base_i = C(i+shared-1, shared-1)`` of
+    them in degree i, and is closed under contraction.  Degree i of the
+    module is T_i plus the row space of ``contraction_matrix(generators,
+    i)``, and T_i is spanned by the unit vectors on its columns.  So its
+    rank is ``base_i`` plus the rank of that matrix with T's columns
+    dropped: the row space modulo pinned unit vectors, as :func:`rank`
+    counts rows with one nonzero entry.  That rank is capped by ``caps[i]
+    - base_i``.
+
+    With ``full_i = C(i+n-1, n-1)`` and ``free_i = base_i +
+    g*C(s-i+n-1, n-1)``, the rank in degree i is at most both, and two
     facts, exact over every field, settle a degree from its neighbour:
 
     * Downward: a degree of rank ``full_i`` holds every monomial of
@@ -255,21 +259,21 @@ def _hilbert_ranks(generators: Sequence[Form], known: Sequence[Form] = (),
     gets ``full_i`` and every higher one ``free_i``.  Both walks stop at
     degree 0 and s, so the start only changes the cost, never the result.
     """
-    forms = [*known, *generators]
-    num_vars, form_degree, _ = _check_generators(forms)
-    if all(f.is_zero() for f in forms):
-        raise ValueError("all generators are zero")
+    num_vars, form_degree, _ = _check_generators(generators)
     degrees = range(form_degree + 1)
-    base = known_ranks or (0,) * len(degrees)
-    full = [comb(i + num_vars - 1, num_vars - 1) for i in degrees]
+    full = _monomial_counts(num_vars, form_degree)
+    base = _monomial_counts(shared, form_degree)
     free = [base[i] + len(generators) * full[form_degree - i] for i in degrees]
     ranks = list(free)
     seconds = [0.0] * len(degrees)
 
     def rank_degree(i: int) -> None:
         start = time.perf_counter()
-        ranks[i] = rank(contraction_matrix(forms, i),
-                        caps[i] if caps else None)
+        matrix = contraction_matrix(generators, i)
+        if shared:
+            outside = _exponents(num_vars, i)[:, shared:].any(axis=1)
+            matrix = DenseMatrix(matrix.field, matrix.entries[:, outside])
+        ranks[i] = base[i] + rank(matrix, caps[i] - base[i] if caps else None)
         seconds[i] = time.perf_counter() - start
 
     low = high = next((i for i in degrees if full[i] >= free[i]), form_degree)
@@ -282,29 +286,6 @@ def _hilbert_ranks(generators: Sequence[Form], known: Sequence[Form] = (),
         rank_degree(high)
     ranks[:low] = full[:low]
     return tuple(ranks), seconds
-
-
-def truncation_generators(ambient_vars: int, used_vars: int, degree: int,
-                          field: FieldSpec) -> list[Form]:
-    """All degree-``degree`` monomials in the first ``used_vars`` variables,
-    embedded as forms in ``ambient_vars`` variables.
-
-    Their module realizes the polynomial ring in ``used_vars`` variables
-    truncated after ``degree``, with Hilbert function (1, 2, ..., degree+1)
-    when ``used_vars`` is 2.
-    """
-    if not 1 <= used_vars <= ambient_vars:
-        raise ValueError(
-            f"need 1 <= used_vars <= ambient_vars, got {used_vars}, {ambient_vars}"
-        )
-    if degree < 1:
-        raise ValueError(f"degree must be positive, got {degree}")
-    used = _exponents(used_vars, degree)
-    exps = np.pad(used, ((0, 0), (0, ambient_vars - used_vars)))
-    dense = np.zeros((len(used), len(monomials(ambient_vars, degree))),
-                     dtype=field.dtype)
-    dense[np.arange(len(used)), _positions(ambient_vars, degree, exps)] = 1
-    return [Form(ambient_vars, degree, field, row) for row in dense]
 
 
 def linear_combination(weights: Sequence[Scalar], forms: Sequence[Form]) -> Form:
@@ -391,10 +372,9 @@ def _codim5_counts(d: int, parity: str) -> tuple[int, int]:
     return n_general, n_line
 
 
-def _truncation_counts(degree: int) -> tuple[int, ...]:
-    # The binary truncation's module holds every monomial of degree i in
-    # the first two variables, i+1 of them, up to its generators' degree.
-    return tuple(range(1, degree + 2))
+# thm-e's level module holds the binary truncation: every monomial of
+# degree at most e-1 in the first two variables.
+_TRUNCATION_VARS = 2
 
 
 def _codim5_power(d: int, parity: str) -> int:
@@ -496,18 +476,6 @@ def family_target(kind: str, parameter: int) -> HVector:
     return family(kind, parameter).level
 
 
-def _shared_generators(kind: str, parameter: int, field: FieldSpec
-                       ) -> tuple[list[Form], tuple[int, ...]]:
-    """Generators every trial of the kind shares, with the Hilbert function
-    of their module: none in codimension 5, the binary truncation for
-    thm-e."""
-    if KIND_PARITIES[kind] is not None:
-        return [], ()
-    degree = parameter - 1
-    return (truncation_generators(3, 2, degree, field),
-            _truncation_counts(degree))
-
-
 def _rank_caps(kind: str, parameter: int) -> tuple[int, ...]:
     """Upper bound on the rank in each degree i of every trial of the
     kind, whatever scalars it samples, from the witness facts alone.
@@ -525,7 +493,7 @@ def _rank_caps(kind: str, parameter: int) -> tuple[int, ...]:
       ``min(C(i+2,2), 2*C(P-i+2,2), min(n_general, C(i+2,2)) + min(n_line,
       i+1))``.
     * thm-e: the truncation spans the ``i+1`` binary monomials of degree i
-      (`_truncation_counts`), and the sampled form of degree e-1 adds at
+      (`_TRUNCATION_VARS`), and the sampled form of degree e-1 adds at
       most its ``C(e+1-i, 2)`` operators.
 
     A cap bounds the rank over every field, so a field in which a trial
@@ -536,7 +504,7 @@ def _rank_caps(kind: str, parameter: int) -> tuple[int, ...]:
     parity = KIND_PARITIES[kind]
     if parity is None:
         e = parameter
-        base = _truncation_counts(e - 1)
+        base = _monomial_counts(_TRUNCATION_VARS, e - 1)
         return tuple(min(comb(i + 2, 2), base[i] + comb(e + 1 - i, 2))
                      for i in range(e))
     n_general, n_line = _codim5_counts(parameter, parity)
@@ -548,7 +516,7 @@ def _rank_caps(kind: str, parameter: int) -> tuple[int, ...]:
 
 def _trial_generators(kind: str, parameter: int, field: FieldSpec,
                       trial_seed: int) -> list[Form]:
-    """The generators one trial samples, besides the shared ones."""
+    """The generators one trial samples, besides the thm-e truncation."""
     parity = KIND_PARITIES[kind]
     if parity is not None:
         return list(codim5_generators(parameter, parity, field, trial_seed))
@@ -581,28 +549,26 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
         trials=trials,
         target=target.entries,
     )
-    trial_seeds = tuple(mix(seed, t) for t in range(trials))
-    per_trial = []
+    trial_seeds, per_trial = [], []
     degree_seconds = [0.0] * len(target)
-    known, known_ranks = _shared_generators(kind, parameter, field)
+    shared = _TRUNCATION_VARS if KIND_PARITIES[kind] is None else 0
     caps = _rank_caps(kind, parameter)
-    for trial_seed in trial_seeds:
+    for t in range(trials):
+        trial_seed = mix(seed, t)
         try:
             generators = _trial_generators(kind, parameter, field, trial_seed)
         except FieldTooSmallError as exc:
             report.detail = str(exc)
             return report
-        if all(g.is_zero() for g in [*known, *generators]):
-            per_trial.append((0,) * len(target))
-            continue
-        ranks, seconds = _hilbert_ranks(generators, known, known_ranks, caps)
+        ranks, seconds = _hilbert_ranks(generators, shared, caps)
+        trial_seeds.append(trial_seed)
         per_trial.append(ranks)
         for i, s in enumerate(seconds):
             degree_seconds[i] += s
         if ranks == caps:
             break
     best = tuple(max(col) for col in zip(*per_trial))
-    report.trial_seeds = trial_seeds[:len(per_trial)]
+    report.trial_seeds = tuple(trial_seeds)
     report.per_trial = tuple(per_trial)
     report.best = best
     report.verdict = "match" if best == target.entries else "mismatch"
@@ -623,7 +589,6 @@ def sweep_characteristics(kind: str, parameter: int,
     chars = list(characteristics)
     if not chars:
         raise ValueError("characteristics list is empty")
-    target = family_target(kind, parameter)
     reports = []
     for ch in chars:
         try:
@@ -631,8 +596,8 @@ def sweep_characteristics(kind: str, parameter: int,
         except ValueError as exc:
             reports.append(VerificationReport(
                 kind=kind, parameter=parameter, characteristic=ch, seed=seed,
-                trials=trials, target=target.entries, status="error",
-                detail=f"{type(exc).__name__}: {exc}"))
+                trials=trials, target=family_target(kind, parameter).entries,
+                status="error", detail=f"{type(exc).__name__}: {exc}"))
         else:
             reports.append(
                 verify_construction(kind, parameter, field, seed, trials))

@@ -6,13 +6,16 @@ enumeration is reimplemented here, contraction acts term by term on
 arrays, and ranks are computed by plain Gaussian elimination on Python
 lists, over the rationals or modulo p, instead of the library's
 multi-modular numpy elimination.  ``WIDE_PRIMES`` are the primes at the
-ends of the uint64 range of the library's arrays.
+ends of the uint64 range of the library's arrays.  ``truncation`` builds the
+monomial module the library only pins, as one library form per monomial.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
 from typing import Iterator
+
+from hvectors import FieldSpec, Form
 
 # The uint64 range of `FieldSpec.dtype`: its first prime, two inside, its
 # last prime, and the first prime above it, which stays on Python integers.
@@ -29,6 +32,16 @@ def descending_monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:
             (head, *tail) for tail in descending_monomials(num_vars - 1, degree - head)
         )
     return out
+
+
+def truncation(num_vars: int, used_vars: int, degree: int,
+               field: FieldSpec) -> list[Form]:
+    """Every monomial of the degree in the first ``used_vars`` variables,
+    as a form in ``num_vars`` variables: the generators of the polynomial
+    ring in those variables truncated after the degree."""
+    pad = (0,) * (num_vars - used_vars)
+    return [Form.from_terms(num_vars, degree, field, {(*mono, *pad): 1})
+            for mono in descending_monomials(used_vars, degree)]
 
 
 def contract(operator: tuple[int, ...], terms: dict) -> dict:

@@ -33,14 +33,13 @@ from hvectors import (
     sample_scalars,
     socle_degree_family,
     sweep_characteristics,
-    truncation_generators,
     verify_construction,
 )
 from hvectors import inverse_systems
 from hvectors.exact import _NUMPY_SAFE_MODULUS
 from hvectors.families import KIND_PARITIES, family
 from oracles import (WIDE_PRIMES, contract, descending_monomials,
-                     fraction_rank, modular_rank)
+                     fraction_rank, modular_rank, truncation)
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -76,10 +75,8 @@ def test_form_construction_and_lookup() -> None:
     f = Form.from_terms(3, 2, GF, {(1, 1, 0): 5, (0, 0, 2): 1})
     assert f.coeffs.tolist() == [0, 5, 0, 0, 0, 1]
     assert f.terms() == [((1, 1, 0), 5), ((0, 0, 2), 1)]
-    assert f.envelope == (1, 1, 2)
     assert not f.is_zero()
     assert Form.from_coefficients(3, 2, GF, [0] * 6).is_zero()
-    assert Form.from_coefficients(3, 2, GF, [0] * 6).envelope == (-1, -1, -1)
     assert Form.from_terms(3, 2, GF, {}).is_zero()
     for bad in ({(1, 0, 0): 1}, {(3, -1, 0): 1}, {(1, 1): 1},
                 {(1, 1, 0, 0): 1}):
@@ -124,12 +121,12 @@ def test_contract_is_bilinear() -> None:
 
 
 def test_contraction_matrix_shapes() -> None:
-    # Only x^2 lies under the envelope (3, 0, 0) of x^3; the five other
-    # operators of degree 2 contract it to zero and get no row.
+    # Every operator of degree 2 gets a row; only x^2 divides x^3, so the
+    # five other rows are zero.
     cubed = Form.from_terms(3, 3, GF, {(3, 0, 0): 1})
     m = contraction_matrix([cubed], 1)
-    assert (m.rows, m.cols) == (1, 3)
-    assert m.entries.tolist() == [[1, 0, 0]]
+    assert (m.rows, m.cols) == (6, 3)
+    assert m.entries.tolist() == [[1, 0, 0]] + [[0, 0, 0]] * 5
     assert rank(m) == 1
     f = _random_form(3, 4, GF, seed=5)
     top = contraction_matrix([f], 4)
@@ -174,43 +171,21 @@ def _generators_and_degree(draw):
 @given(_generators_and_degree())
 @settings(max_examples=120, deadline=None)
 def test_contraction_matrix_agrees_with_contract(case) -> None:
-    """The matrix is the oracle's full matrix less the rows whose operator
-    exceeds the generator's largest exponent of some variable; each such
-    row is zero, so the rank is the full matrix's."""
+    """The matrix is the oracle's full matrix, one row per (generator,
+    operator), generator-major, and its rank is the full matrix's."""
     generators, degree = case
     field = generators[0].field
     num_vars, form_degree = generators[0].num_vars, generators[0].degree
-    kept, dropped = [], []
-    for g in generators:
-        terms = dict(g.terms())
-        envelope = [max((m[v] for m in terms), default=-1)
-                    for v in range(num_vars)]
-        assert g.envelope == tuple(envelope)
-        for op in descending_monomials(num_vars, form_degree - degree):
-            row = [contract(op, terms).get(c, 0)
-                   for c in descending_monomials(num_vars, degree)]
-            fits = all(o <= e for o, e in zip(op, envelope))
-            (kept if fits else dropped).append(row)
+    full = [[contract(op, dict(g.terms())).get(c, 0)
+             for c in descending_monomials(num_vars, degree)]
+            for g in generators
+            for op in descending_monomials(num_vars, form_degree - degree)]
     matrix = contraction_matrix(generators, degree)
-    assert matrix.entries.tolist() == kept
-    assert all(v == 0 for row in dropped for v in row)
-    full = kept + dropped
+    assert matrix.entries.tolist() == full
     expected_rank = (modular_rank(full, field.characteristic)
                      if field.is_modular else fraction_rank(full))
     assert rank(matrix) == expected_rank
     assert matrix.cols == len(monomials(num_vars, degree))
-
-
-def test_contraction_matrix_omits_zero_rows_of_thm_e() -> None:
-    """thm-e at e=22 has 46 552 (generator, operator) pairs over degrees
-    0..21; the binary truncation monomials keep only their own divisors,
-    4 048 rows, every one of them nonzero."""
-    generators = truncation_generators(3, 2, 21, GF) + (
-        inverse_systems._trial_generators(KIND_SOCLE_DEGREE, 22, GF, mix(0, 0)))
-    matrices = [contraction_matrix(generators, i) for i in range(22)]
-    assert sum(len(generators) * comb(23 - i, 2) for i in range(22)) == 46_552
-    assert sum(m.rows for m in matrices) == 4_048
-    assert all((m.entries != 0).any(axis=1).all() for m in matrices)
 
 
 def test_word_prime_overflow_boundary() -> None:
@@ -303,9 +278,9 @@ def test_uint64_fields_keep_uint64_arrays(monkeypatch) -> None:
         powers = [contraction_power(f, 4) for f in linears]
         combo = linear_combination([p - 1, 2], powers)
         odd = codim5_generators(10, "odd", field, seed=1)
-        truncation = truncation_generators(3, 2, 5, field)
+        binary = truncation(3, 2, 5, field)
         terms = Form.from_terms(3, 2, field, {(2, 0, 0): -1, (0, 1, 1): 3})
-        for form in (*linears, *powers, combo, *odd, *truncation, terms):
+        for form in (*linears, *powers, combo, *odd, *binary, terms):
             assert form.coeffs.dtype == uint64
         assert contraction_matrix(list(odd), 12).entries.dtype == uint64
         samples = np.array([[p - 1, 1, 0], [2, p - 2, 1]], dtype=np.uint64)
@@ -351,11 +326,11 @@ def _per_degree_ranks(generators) -> tuple[int, ...]:
 
 
 @st.composite
-def _walk_generators(draw):
+def _walk_generators(draw, fields=(FieldSpec(2), FieldSpec(101), GF, QQ)):
     """1-4 forms in 2-4 variables, mixing kinds on which one end of the
     walk fails: monomials, a repeated or a zero form next to nonzero ones,
     and low-rank sums of a few powers of linear forms."""
-    field = draw(st.sampled_from([FieldSpec(2), FieldSpec(101), GF, QQ]))
+    field = draw(st.sampled_from(fields))
     num_vars = draw(st.integers(2, 4))
     degree = draw(st.integers(1, 5))
     size = len(monomials(num_vars, degree))
@@ -401,11 +376,11 @@ def test_walk_ranks_equal_every_degree_rank(generators) -> None:
                                    GF, QQ])
 def test_walk_modulo_truncation_equals_every_degree_rank(field) -> None:
     """Relative walk: thm-e trials rank modulo the binary truncation, whose
-    Hilbert function is known; small characteristics make the ends fail."""
+    columns are pinned; small characteristics make the ends fail."""
     for e in range(6, 13):
-        known = truncation_generators(3, 2, e - 1, field)
-        assert inverse_systems._shared_generators(
-            KIND_SOCLE_DEGREE, e, field) == (known, _per_degree_ranks(known))
+        known = truncation(3, 2, e - 1, field)
+        assert inverse_systems._monomial_counts(2, e - 1) == list(
+            _per_degree_ranks(known))
         for seed in (0, 7):
             report = verify_construction(KIND_SOCLE_DEGREE, e, field,
                                          seed=seed, trials=2)
@@ -413,6 +388,22 @@ def test_walk_modulo_truncation_equals_every_degree_rank(field) -> None:
                 _per_degree_ranks(known + inverse_systems._trial_generators(
                     KIND_SOCLE_DEGREE, e, field, trial_seed))
                 for trial_seed in report.trial_seeds)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_walk_modulo_pinned_monomials_equals_every_degree_rank(data) -> None:
+    """With the monomials of the first ``shared`` variables pinned, the walk
+    gives the ranks of the oracle's truncation forms plus the generators,
+    degree by degree."""
+    generators = data.draw(_walk_generators(
+        (FieldSpec(2), FieldSpec(3), FieldSpec(101), QQ)))
+    num_vars, degree, field = (generators[0].num_vars, generators[0].degree,
+                               generators[0].field)
+    shared = data.draw(st.integers(1, num_vars))
+    ranks, _ = inverse_systems._hilbert_ranks(generators, shared)
+    assert ranks == _per_degree_ranks(
+        truncation(num_vars, shared, degree, field) + generators)
 
 
 def test_rank_caps_equal_the_family_targets() -> None:
@@ -458,7 +449,7 @@ def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
         e = max(parameter, 6)
         form = Form.from_coefficients(3, e - 1, field, _witness_scalars(
             field, comb(e + 1, 2), mode, seed))
-        forms = truncation_generators(3, 2, e - 1, field) + [form]
+        forms = truncation(3, 2, e - 1, field) + [form]
         caps = inverse_systems._rank_caps(kind, e)
     else:
         d = min(parameter, 10)
@@ -508,15 +499,33 @@ def test_walk_ranks_only_the_band(monkeypatch) -> None:
     assert ranked == [12, 11, 10, 13, 14]
 
 
-def test_truncation_generators() -> None:
-    forms = truncation_generators(3, 2, 2, GF)
-    assert [f.terms()[0][0] for f in forms] == [(2, 0, 0), (1, 1, 0), (0, 2, 0)]
-    assert len(truncation_generators(3, 2, 7, GF)) == 8
-    assert hilbert_function(
-        truncation_generators(3, 2, 5, GF)
-    ).entries == (1, 2, 3, 4, 5, 6)
-    with pytest.raises(ValueError):
-        truncation_generators(2, 3, 2, GF)
+def test_thm_e_ranks_its_form_on_the_columns_outside_the_truncation(
+        monkeypatch) -> None:
+    """In degree i a thm-e trial ranks only its sampled form's C(e+1-i, 2)
+    operator rows, on the C(i+2, 2) - (i+1) columns the truncation does
+    not pin."""
+    degrees, shapes = [], []
+    build = inverse_systems.contraction_matrix
+
+    def record_build(generators, degree):
+        degrees.append(degree)
+        return build(generators, degree)
+
+    def record_rank(matrix, cap=None):
+        shapes.append((matrix.rows, matrix.cols))
+        return rank(matrix, cap)
+
+    monkeypatch.setattr(inverse_systems, "contraction_matrix", record_build)
+    monkeypatch.setattr(inverse_systems, "rank", record_rank)
+    for e in (6, 7, 12, 13):
+        for field in (GF, QQ):
+            degrees.clear()
+            shapes.clear()
+            report = verify_construction(KIND_SOCLE_DEGREE, e, field, trials=1)
+            assert report.verdict == "match"
+            assert degrees
+            assert shapes == [(comb(e + 1 - i, 2), comb(i + 2, 2) - (i + 1))
+                              for i in degrees]
 
 
 def test_single_form_hilbert_is_symmetric_and_compressed() -> None:
@@ -639,6 +648,24 @@ def test_verify_stops_at_the_first_trial_that_reaches_every_cap() -> None:
     assert len(report.per_trial) == len(report.trial_seeds) == 5
 
 
+def test_verify_derives_each_trial_seed_as_it_runs(monkeypatch) -> None:
+    """Only the trials that run derive a seed: a run that stops at its
+    first trial derives one, however many trials it may take."""
+    calls = []
+
+    def spy(seed, index):
+        calls.append(index)
+        return mix(seed, index)
+
+    monkeypatch.setattr(inverse_systems, "mix", spy)
+    for field, trials in ((GF, 10**6), (FieldSpec(3), 5), (FieldSpec(2), 5)):
+        calls.clear()
+        report = verify_construction(KIND_SOCLE_DEGREE, 6, field, trials=trials)
+        assert len(calls) == len(report.trial_seeds)
+        assert report.trial_seeds == tuple(mix(0, t) for t in calls)
+    assert calls == [0, 1, 2, 3, 4]
+
+
 def test_verify_is_deterministic() -> None:
     a = verify_construction(KIND_SOCLE_DEGREE, 7, GF, seed=42, trials=2)
     b = verify_construction(KIND_SOCLE_DEGREE, 7, GF, seed=42, trials=2)
@@ -712,6 +739,22 @@ def test_sweep_duplicates_and_error_isolation() -> None:
     assert mixed[0].status == "error"
     assert "characteristic" in (mixed[0].detail or "")
     assert mixed[1].verdict == "match"
+
+
+def test_sweep_builds_a_target_only_for_an_error_report(monkeypatch) -> None:
+    """A verification builds its own target, so the sweep builds one only
+    for a characteristic that gets an error report."""
+    calls = []
+
+    def spy(kind, parameter):
+        calls.append(parameter)
+        return family(kind, parameter).level
+
+    monkeypatch.setattr(inverse_systems, "family_target", spy)
+    reports = sweep_characteristics(KIND_SOCLE_DEGREE, 6, [15, 101, 32003],
+                                    seed=9, trials=1)
+    assert [r.status for r in reports] == ["error", "ok", "ok"]
+    assert len(calls) == len(reports)
 
 
 def test_sweep_propagates_errors_from_verification(monkeypatch) -> None:
