@@ -6,8 +6,9 @@ names: both commands share one grammar, one validation table and one
 handler, which runs every job through ``sweep_characteristics``.
 
 Exit codes: 0 success (or match), 1 verification mismatch or a report
-with status error, 2 invalid input, 3 inconclusive verification (a field
-below the genericity floor) with no mismatch or error.
+with status error, 2 invalid input, 3 inconclusive verification (trials
+short of a cap in a field too small to bound a miss) with no mismatch or
+error.
 JSON output is canonical (sorted keys, no floats) so that reruns with the
 same seed are byte-identical.
 """

@@ -289,15 +289,15 @@ def _rank_rational(entries: np.ndarray, cap: Optional[int] = None) -> int:
     exceeds a Hadamard bound on every (rho+1)-minor, the smaller of the
     products of the rho+1 largest row and column norms: each prime used
     gave rank at most rho, so each such minor is a multiple of that
-    product, and smaller than it in absolute value, hence zero.  Python's %
-    leaves a residue in [0, q) for negative integers too.
+    product, and smaller than it in absolute value, hence zero.  The norms
+    are computed only once a prime falls short of the ceiling, as a rank
+    proved by the first prime never reads them.  Python's % leaves a
+    residue in [0, q) for negative integers too.
     """
     distinct = dict.fromkeys(map(tuple, _integer_rows(entries.tolist())))
     rows = np.array(list(distinct), dtype=object)
     ceiling = min(rows.shape) if cap is None else min(cap, *rows.shape)
-    # Squared norms, so the bound is compared exactly: modulus**2 > bound**2.
-    row_sq, col_sq = (sorted((rows * rows).sum(axis=k).tolist(), reverse=True)
-                      for k in (1, 0))
+    norms_sq = None
     best, bound_sq, modulus = -1, 0, 1
     for q in filter(is_prime, range(_RATIONAL_PRIME_START - 1, 2, -2)):
         found = _rank_mod_p((rows % q).astype(np.int64), q)
@@ -305,7 +305,10 @@ def _rank_rational(entries: np.ndarray, cap: Optional[int] = None) -> int:
             best = found
             if best >= ceiling:
                 return best
-            bound_sq = min(prod(row_sq[:best + 1]), prod(col_sq[:best + 1]))
+            if norms_sq is None:  # squared: modulus**2 > bound**2 is exact
+                norms_sq = [sorted((rows * rows).sum(axis=k).tolist(),
+                                   reverse=True) for k in (1, 0)]
+            bound_sq = min(prod(sq[:best + 1]) for sq in norms_sq)
         modulus *= q
         if modulus * modulus > bound_sq:
             return best
@@ -490,13 +493,13 @@ def _stream_words(seed: int, start: int, count: int) -> np.ndarray:
 def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
     """Deterministic stream of ``count`` scalars from ``seed``.
 
-    Over GF(p): uniform nonzero residues (rejection sampling, no modulo
+    Over GF(p): uniform over all p residues (rejection sampling, no modulo
     bias), each drawn from as many 64-bit words, first most significant,
     as p - 1 has 64-bit digits (one for every p - 1 < 2**64).  Over the
-    rationals: uniform nonzero integers of magnitude at most 2**20, so
-    downstream rank computations stay tractable.  Words are drawn in
-    batches of one per missing scalar; a draw of several words is joined
-    in Python integers.
+    rationals: uniform over the 2 * `RATIONAL_HEIGHT_BOUND` nonzero
+    integers of magnitude at most 2**20, so downstream rank computations
+    stay tractable.  Words are drawn in batches of one per missing scalar;
+    a draw of several words is joined in Python integers.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -505,10 +508,10 @@ def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
         magnitude = (words & np.uint64(RATIONAL_HEIGHT_BOUND - 1)).astype(
             np.int64) + 1
         return np.where(words >> np.uint64(63), -magnitude, magnitude).tolist()
-    span = field.characteristic - 1
-    width = -(-span.bit_length() // 64)
+    p = field.characteristic
+    width = -(-(p - 1).bit_length() // 64)
     # The largest accepted draw: below it every residue is equally likely.
-    top = (1 << 64 * width) - (1 << 64 * width) % span - 1
+    top = (1 << 64 * width) - (1 << 64 * width) % p - 1
     out: list[Scalar] = []
     used = 0
     while len(out) < count:
@@ -519,5 +522,5 @@ def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
         for column in words[:, 1:].T:
             draws = draws.astype(object) << 64 | column.astype(object)
         draws = draws[draws <= top]
-        out.extend((draws % span + 1).tolist())
+        out.extend((draws % p).tolist())
     return out

@@ -19,14 +19,16 @@ randomized drivers that check the constructed level h-vectors against
 actual rank computations, including a characteristic sweep.  Each witness
 bounds its own rank in every degree (:func:`_rank_caps`): a rank at its
 cap is proved, over QQ from one prime, and a trial at every cap ends the
-verification.  Kinds and targets live in :mod:`families`; the witness
-facts (point counts, powers, the truncation's variables) stay here, never
-derived from them.
+verification; a run whose trials all miss a cap states how likely that
+is for a target that holds (:func:`verify_construction`).  Kinds and
+targets live in :mod:`families`; the witness facts (point counts, powers,
+the truncation's variables) stay here, never derived from them.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field, fields
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
@@ -35,6 +37,7 @@ import numpy as np
 
 from .exact import (
     GENERATOR_NAME,
+    RATIONAL_HEIGHT_BOUND,
     DenseMatrix,
     FieldSpec,
     Scalar,
@@ -353,17 +356,6 @@ def _power_tables(linears: np.ndarray, power: int,
     return dense
 
 
-class FieldTooSmallError(ValueError):
-    """The prime field is below the genericity floor: random points cannot
-    be expected to behave generally, so verification would be meaningless
-    rather than wrong."""
-
-    def __init__(self, characteristic: int, floor: int):
-        super().__init__(
-            f"GF({characteristic}) is below the genericity floor {floor}"
-        )
-
-
 def _codim5_counts(d: int, parity: str) -> tuple[int, int]:
     n_general = comb(d + 1, 2)
     # The level plateau equals the total point count, which forces one
@@ -381,22 +373,6 @@ def _codim5_power(d: int, parity: str) -> int:
     return 2 * d if parity == "odd" else 2 * d - 1
 
 
-def _codim5_floor(d: int, parity: str) -> int:
-    return 2 * sum(_codim5_counts(d, parity)) ** 2
-
-
-def required_field_size(kind: str, parameter: int) -> int:
-    """Genericity floor: 2 * (number of sampled linear forms)^2.
-
-    Constructions that sample no linear forms (the socle-degree family
-    samples one full form instead) have floor 0.
-    """
-    if kind not in KIND_PARITIES:
-        raise ValueError(f"unknown kind {kind!r}")
-    parity = KIND_PARITIES[kind]
-    return 0 if parity is None else _codim5_floor(parameter, parity)
-
-
 def codim5_generators(
     d: int, parity: str, field: FieldSpec, seed: int
 ) -> tuple[Form, Form]:
@@ -412,9 +388,6 @@ def codim5_generators(
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     if d < MIN_HALF_DEGREE:
         raise ValueError(f"d must be >= {MIN_HALF_DEGREE}, got {d}")
-    floor = _codim5_floor(d, parity)
-    if field.is_modular and field.characteristic < floor:
-        raise FieldTooSmallError(field.characteristic, floor)
     n_general, n_line = _codim5_counts(d, parity)
     power = _codim5_power(d, parity)
     count = n_general + n_line
@@ -440,10 +413,12 @@ class VerificationReport:
     later trial can exceed it.  ``best`` is the entrywise maximum over the
     trials run: reaching the target dimension is an open condition, so any
     witness certifies a degree, and a degree at its cap is proved.
-    ``degree_seconds`` holds wall time per degree summed over trials, 0.0
-    for a degree every trial proved from its neighbour without a rank
-    (:func:`_hilbert_ranks`); it is deliberately left out of the JSON view
-    so that reruns with one seed are byte-identical.
+    ``detail`` states a ``mismatch``'s bound, an ``inconclusive``'s reason
+    (:func:`verify_construction`) or an ``error``.  ``degree_seconds``
+    holds wall time per degree summed over trials, 0.0 for a degree every
+    trial proved from its neighbour without a rank (:func:`_hilbert_ranks`);
+    it is deliberately left out of the JSON view so that reruns with one
+    seed are byte-identical.
     """
 
     kind: str
@@ -532,11 +507,24 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     Each trial draws fresh generators from a seed derived as
     ``mix(seed, trial)``, so the report is a pure function of its inputs.
     Trials run in order until one reaches the cap in every degree
-    (:func:`_rank_caps`): no later trial can raise ``best`` above the
-    caps, so that trial ends the run.  The verdict is ``match`` exactly
-    when the entrywise-best computed vector equals the target,
-    ``inconclusive`` when the generators refuse a field below the
-    genericity floor (:class:`FieldTooSmallError`).
+    (:func:`_rank_caps`), as no later trial can raise ``best`` above the
+    caps.  The caps equal the targets, so the verdict is ``match``, a
+    proof in the field the trials ran in, exactly when ``best`` equals the
+    target.
+
+    Otherwise some degree fell short of its cap in every trial, all of
+    which ran.  An entry of a trial's matrices has degree k in its samples
+    (k = P+1 for the codimension-5 power P, a weight times P linear
+    coefficients; k = 1 for thm-e).  If degree i has generic rank cap_i,
+    some cap_i-minor is a nonzero polynomial of degree at most cap_i*k, so
+    by Schwartz-Zippel (Schwartz, JACM 27, 1980; Zippel, EUROSAM 1979)
+    independent trials drawing uniformly from a set S (p residues over
+    GF(p), 2 * `RATIONAL_HEIGHT_BOUND` integers over QQ) all miss degree i
+    with probability at most (cap_i*k/|S|)**trials.  If the least of these
+    over the short degrees is below 1, the verdict is ``mismatch`` with
+    that bound in ``detail``, as (n/d)**trials so that its digits stay few;
+    otherwise the field is too small to bound a miss and the verdict is
+    ``inconclusive``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -551,15 +539,12 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     )
     trial_seeds, per_trial = [], []
     degree_seconds = [0.0] * len(target)
-    shared = _TRUNCATION_VARS if KIND_PARITIES[kind] is None else 0
+    parity = KIND_PARITIES[kind]
+    shared = _TRUNCATION_VARS if parity is None else 0
     caps = _rank_caps(kind, parameter)
     for t in range(trials):
         trial_seed = mix(seed, t)
-        try:
-            generators = _trial_generators(kind, parameter, field, trial_seed)
-        except FieldTooSmallError as exc:
-            report.detail = str(exc)
-            return report
+        generators = _trial_generators(kind, parameter, field, trial_seed)
         ranks, seconds = _hilbert_ranks(generators, shared, caps)
         trial_seeds.append(trial_seed)
         per_trial.append(ranks)
@@ -571,8 +556,22 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     report.trial_seeds = tuple(trial_seeds)
     report.per_trial = tuple(per_trial)
     report.best = best
-    report.verdict = "match" if best == target.entries else "mismatch"
     report.degree_seconds = degree_seconds
+    if best == target.entries:
+        report.verdict = "match"
+        return report
+    short = [i for i, (b, cap) in enumerate(zip(best, caps)) if b < cap]
+    k = 1 if parity is None else _codim5_power(parameter, parity) + 1
+    miss = Fraction(min(caps[i] for i in short) * k,
+                    field.characteristic or 2 * RATIONAL_HEIGHT_BOUND)
+    ran = len(per_trial)
+    report.detail = (f"degrees {', '.join(map(str, short))} short of their "
+                     f"caps in all {ran} trials; ")
+    if miss < 1:
+        report.verdict = "mismatch"
+        report.detail += f"at most ({miss})**{ran} likely if the target holds"
+    else:
+        report.detail += f"{field} is too small to bound a miss"
     return report
 
 

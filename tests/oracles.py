@@ -8,6 +8,7 @@ lists, over the rationals or modulo p, instead of the library's
 multi-modular numpy elimination.  ``WIDE_PRIMES`` are the primes at the
 ends of the uint64 range of the library's arrays.  ``truncation`` builds the
 monomial module the library only pins, as one library form per monomial.
+``ones`` replaces the sampler for witnesses that miss every cap.
 """
 from __future__ import annotations
 
@@ -150,7 +151,7 @@ def splitmix_stream(seed: int) -> Iterator[int]:
 
 def splitmix_scalars(p: int, count: int, seed: int) -> list[int]:
     """The sampling stream one splitmix64 word at a time: over GF(p)
-    (p > 0) nonzero residues by rejection, a draw being as many words as
+    (p > 0) residues 0..p-1 by rejection, a draw being as many words as
     p - 1 has 64-bit digits, first most significant; over the rationals
     (p = 0) signed integers of magnitude 1..2**20."""
     stream = splitmix_stream(seed)
@@ -161,11 +162,18 @@ def splitmix_scalars(p: int, count: int, seed: int) -> list[int]:
             sign = -1 if draw >> 63 else 1
             out.append(sign * ((draw & ((1 << 20) - 1)) + 1))
             continue
-        span = p - 1
-        words = -(-span.bit_length() // 64)
+        words = -(-(p - 1).bit_length() // 64)
         draw = 0
         for _ in range(words):
             draw = draw << 64 | next(stream)
-        if draw < (1 << 64 * words) - (1 << 64 * words) % span:
-            out.append(1 + draw % span)
+        if draw < (1 << 64 * words) - (1 << 64 * words) % p:
+            out.append(draw % p)
     return out
+
+
+def ones(field: FieldSpec, count: int, seed: int) -> list[int]:
+    """A stand-in for `sample_scalars` that samples 1 every time, so that
+    no trial reaches its caps in any field: the thm-e form is the all-ones
+    form (for e = 6 short in degrees 2 to 4), and every codimension-5 power
+    is of (1, 1, 1) or (0, 1, 1) (short from degree 1 on)."""
+    return [1] * count

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from hvectors import cli
+from hvectors import cli, inverse_systems
 from hvectors.cli import main
 from hvectors.inverse_systems import VerificationReport
+from oracles import ones
 
 # JSON reports of fixed commands, pinned byte for byte: the samples, the
 # matrices and their ranks must not drift between versions of the code.
@@ -138,20 +139,23 @@ def test_verify_json_is_deterministic(capsys) -> None:
     assert redumped == out1
 
 
-def test_verify_mismatch_exits_one(capsys) -> None:
+def test_verify_mismatch_exits_one(capsys, monkeypatch) -> None:
+    monkeypatch.setattr(inverse_systems, "sample_scalars", ones)
     code, out, _ = run_cli(
-        capsys, "verify", "thm-e", "--e", "6", "--field", "2",
+        capsys, "verify", "thm-e", "--e", "6", "--field", "32003",
         "--trials", "1", "--seed", "0",
     )
     assert code == 1
     assert "verdict mismatch" in out
+    assert "at most (6/32003)**1 likely if the target holds" in out
 
 
-def test_sweep_below_the_caps_runs_every_trial(capsys) -> None:
-    """Over GF(2) every sample is 1, so no trial reaches the caps and all
-    five requested trials run and are reported."""
+def test_sweep_below_the_caps_runs_every_trial(capsys, monkeypatch) -> None:
+    """With every sample 1 no trial reaches the caps, so all five
+    requested trials run and are reported."""
+    monkeypatch.setattr(inverse_systems, "sample_scalars", ones)
     code, out, _ = run_cli(
-        capsys, "sweep", "thm-e", "--e", "6", "--chars", "2",
+        capsys, "sweep", "thm-e", "--e", "6", "--chars", "32003",
         "--trials", "5", "--format", "json",
     )
     assert code == 1
@@ -174,13 +178,13 @@ def test_verify_validates_input(capsys) -> None:
 
 
 def test_verify_inconclusive_exits_three(capsys) -> None:
-    code, out, _ = run_cli(
-        capsys, "verify", "thm-r", "--d", "10", "--parity", "odd",
-        "--field", "101", "--trials", "1",
-    )
+    """GF(13) is too small for thm-r d=10 to reach its caps, or for a
+    Schwartz-Zippel bound below 1 on missing them."""
+    code, out, _ = run_cli(capsys, "sweep", "thm-r", "--d", "10",
+                           "--chars", "13")
     assert code == 3
-    assert "verdict inconclusive" in out
-    assert "genericity floor" in out
+    assert out.count("verdict inconclusive") == 2
+    assert out.count("GF(13) is too small to bound a miss") == 2
 
 
 def test_mismatch_and_error_outrank_inconclusive(capsys, monkeypatch) -> None:

@@ -93,6 +93,8 @@ def test_field_normalize() -> None:
                                    FieldSpec(3_037_000_493),
                                    FieldSpec(2**61 - 1)])
 def test_field_axioms_on_samples(field: FieldSpec) -> None:
+    """Ring axioms on three samples, and inverses on those that are
+    nonzero: over GF(p) a sample may be zero."""
     a = field.array(sample_scalars(field, 3, seed=99))
     b, c = np.roll(a, 1), np.roll(a, 2)
     one, minus_one = (field.multiplier(field.array([v] * 3)) for v in (1, -1))
@@ -107,9 +109,10 @@ def test_field_axioms_on_samples(field: FieldSpec) -> None:
     assert np.array_equal(add(add(a, b), c), add(a, add(b, c)))
     assert np.array_equal(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))
     p = field.characteristic
+    units = a[a != 0]
     inverse = field.array([pow(v, -1, p) if p else Fraction(1, v)
-                           for v in a.tolist()])
-    assert np.array_equal(mul(a, inverse), field.array([1] * 3))
+                           for v in units.tolist()])
+    assert np.array_equal(mul(units, inverse), field.array([1] * len(units)))
     assert np.array_equal(field.multiply_add(a, a, minus_one), field.zeros(3))
     assert a.dtype == field.dtype
 
@@ -546,24 +549,23 @@ def test_sample_scalars_deterministic() -> None:
         sample_scalars(GF, -1, seed=1)
 
 
-def test_sample_scalars_modular_nonzero() -> None:
+def test_sample_scalars_modular_residues() -> None:
+    """Over GF(p) every residue is drawn, zero included."""
     values = sample_scalars(FieldSpec(7), 500, seed=4)
-    assert all(1 <= v <= 6 for v in values)
-    assert set(values) == {1, 2, 3, 4, 5, 6}
-    assert all(v == 1 for v in sample_scalars(FieldSpec(2), 20, seed=9))
+    assert set(values) == set(range(7))
+    assert set(sample_scalars(FieldSpec(2), 20, seed=9)) == {0, 1}
 
 
 def test_sample_scalars_single_word_stream() -> None:
     """Below 2**64 + 1 each scalar is one accepted splitmix64 word."""
-    for p in (2**61 - 1, 2**64 - 59):
-        span = p - 1
-        limit = 2**64 - 2**64 % span
+    for p in (2, 2**61 - 1, 2**64 - 59):
+        limit = 2**64 - 2**64 % p
         stream = splitmix_stream(7)
         expected = []
         while len(expected) < 50:
             draw = next(stream)
             if draw < limit:
-                expected.append(1 + draw % span)
+                expected.append(draw % p)
         assert sample_scalars(FieldSpec(p), 50, seed=7) == expected
 
 
@@ -572,9 +574,9 @@ def test_sample_scalars_single_word_stream() -> None:
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_sample_scalars_match_word_by_word_stream(p: int, seed: int) -> None:
     """The batched draw equals the stream drawn one splitmix64 word at a
-    time: rationals, Fermat primes (every 64-bit draw accepted), word and
-    big primes, a prime just above 2**63 (half of all draws rejected) and
-    draws of two words."""
+    time: rationals, GF(2) (every 64-bit draw accepted), Fermat primes,
+    word and big primes, a prime just above 2**63 (half of all draws
+    rejected) and draws of two words."""
     for count in (0, 1, 5, 300):
         assert sample_scalars(FieldSpec(p), count, seed) == splitmix_scalars(
             p, count, seed)
@@ -585,7 +587,7 @@ def test_sample_scalars_beyond_one_word(p: int) -> None:
     values = sample_scalars(FieldSpec(p), 200, seed=5)
     assert values == sample_scalars(FieldSpec(p), 200, seed=5)
     assert values != sample_scalars(FieldSpec(p), 200, seed=6)
-    assert all(1 <= v <= p - 1 for v in values)
+    assert all(0 <= v < p for v in values)
     assert max(values) > p // 2
 
 

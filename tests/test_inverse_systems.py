@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 from math import comb, prod
 
 import numpy as np
@@ -15,7 +16,6 @@ from hvectors import (
     KIND_SOCLE_DEGREE,
     DenseMatrix,
     FieldSpec,
-    FieldTooSmallError,
     Form,
     codim5_family,
     codim5_generators,
@@ -29,7 +29,6 @@ from hvectors import (
     mix,
     monomials,
     rank,
-    required_field_size,
     sample_scalars,
     socle_degree_family,
     sweep_characteristics,
@@ -39,7 +38,7 @@ from hvectors import inverse_systems
 from hvectors.exact import _NUMPY_SAFE_MODULUS
 from hvectors.families import KIND_PARITIES, family
 from oracles import (WIDE_PRIMES, contract, descending_monomials,
-                     fraction_rank, modular_rank, truncation)
+                     fraction_rank, modular_rank, ones, truncation)
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -441,8 +440,9 @@ def _witness_scalars(field: FieldSpec, count: int, mode: str,
 def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
                                           seed) -> None:
     """Witnesses built as the trials build them, but from any scalars and
-    in fields below the genericity floor (GF(2) with every scalar 1
-    among them): no degree's rank exceeds its cap."""
+    in fields too small for a Schwartz-Zippel bound to reach below 1
+    (GF(2) with every scalar 1 among them): no degree's rank exceeds its
+    cap."""
     field = FieldSpec(p)
     parity = KIND_PARITIES[kind]
     if parity is None:
@@ -589,14 +589,6 @@ def test_codim5_generators_combine_their_powers(field, parity) -> None:
     assert codim5_generators(d, parity, field, seed) == expected
 
 
-def test_required_field_size() -> None:
-    assert required_field_size(KIND_SOCLE_DEGREE, 6) == 0
-    assert required_field_size(KIND_CODIM5_ODD, 10) == 2 * (55 + 14) ** 2
-    assert required_field_size(KIND_CODIM5_EVEN, 10) == 2 * (55 + 13) ** 2
-    with pytest.raises(ValueError):
-        required_field_size("nope", 6)
-
-
 def test_codim5_generators_contract() -> None:
     f1, f2 = codim5_generators(10, "odd", GF, seed=3)
     assert f1.degree == 2 * 10 and f2.degree == 2 * 10
@@ -604,8 +596,6 @@ def test_codim5_generators_contract() -> None:
     assert g1 == f1 and g2 == f2
     e1, _ = codim5_generators(10, "even", GF, seed=3)
     assert e1.degree == 19
-    with pytest.raises(FieldTooSmallError):
-        codim5_generators(10, "odd", FieldSpec(2), seed=1)
     with pytest.raises(ValueError):
         codim5_generators(9, "odd", GF, seed=1)
 
@@ -621,10 +611,11 @@ def test_verify_socle_degree_family() -> None:
     assert report.generator == "splitmix64"
 
 
-def test_verify_stops_at_the_first_trial_that_reaches_every_cap() -> None:
+def test_verify_stops_at_the_first_trial_that_reaches_every_cap(
+        monkeypatch) -> None:
     """A trial whose ranks reach every cap proves the vector, so no later
     trial runs; a trial short of a cap in any degree lets the next one
-    run, and a field in which none reaches them runs every trial."""
+    run, and witnesses that never reach them run every trial."""
     for kind, parameter, field in ((KIND_SOCLE_DEGREE, 9, GF),
                                    (KIND_CODIM5_ODD, 10, FieldSpec(1_000_003)),
                                    (KIND_CODIM5_EVEN, 11, FieldSpec(1_000_003)),
@@ -639,13 +630,14 @@ def test_verify_stops_at_the_first_trial_that_reaches_every_cap() -> None:
     report = verify_construction(KIND_SOCLE_DEGREE, 6, FieldSpec(3), seed=0,
                                  trials=5)
     assert report.verdict == "match"
-    assert report.trial_seeds == tuple(mix(0, t) for t in range(3))
-    assert [ranks == caps for ranks in report.per_trial] == [False, False,
-                                                             True]
-    report = verify_construction(KIND_SOCLE_DEGREE, 6, FieldSpec(2), seed=0,
-                                 trials=5)
-    assert report.verdict == "mismatch"
-    assert len(report.per_trial) == len(report.trial_seeds) == 5
+    assert report.trial_seeds == tuple(mix(0, t) for t in range(2))
+    assert [ranks == caps for ranks in report.per_trial] == [False, True]
+    monkeypatch.setattr(inverse_systems, "sample_scalars", ones)
+    for field, verdict in ((GF, "mismatch"), (FieldSpec(2), "inconclusive")):
+        report = verify_construction(KIND_SOCLE_DEGREE, 6, field, seed=0,
+                                     trials=5)
+        assert report.verdict == verdict
+        assert len(report.per_trial) == len(report.trial_seeds) == 5
 
 
 def test_verify_derives_each_trial_seed_as_it_runs(monkeypatch) -> None:
@@ -663,6 +655,9 @@ def test_verify_derives_each_trial_seed_as_it_runs(monkeypatch) -> None:
         report = verify_construction(KIND_SOCLE_DEGREE, 6, field, trials=trials)
         assert len(calls) == len(report.trial_seeds)
         assert report.trial_seeds == tuple(mix(0, t) for t in calls)
+    monkeypatch.setattr(inverse_systems, "sample_scalars", ones)
+    calls.clear()
+    verify_construction(KIND_SOCLE_DEGREE, 6, FieldSpec(2), trials=5)
     assert calls == [0, 1, 2, 3, 4]
 
 
@@ -674,14 +669,32 @@ def test_verify_is_deterministic() -> None:
     assert c.trial_seeds != a.trial_seeds
 
 
-def test_verify_inconclusive_below_genericity_floor() -> None:
-    report = verify_construction(KIND_CODIM5_ODD, 10, FieldSpec(2), seed=1,
-                                 trials=2)
+def test_verify_states_the_schwartz_zippel_bound(monkeypatch) -> None:
+    """Trials that miss a cap state the least (cap_i*k/|S|)**trials over
+    the short degrees i, with k the degree of an entry in the samples, as
+    (n/d)**trials: exact, and short at any number of trials.
+    With every sample 1, thm-e e=6 is short in degrees 2-4 (caps 6, 10,
+    8; k = 1), and thm-r d=10 odd in degrees 1-20, the top one of cap 2
+    as its two generators coincide (k = 20+1)."""
+    monkeypatch.setattr(inverse_systems, "sample_scalars", ones)
+    for kind, parameter, field, trials, bound in (
+            (KIND_SOCLE_DEGREE, 6, QQ, 5, Fraction(6, 2**21) ** 5),
+            (KIND_SOCLE_DEGREE, 6, GF, 3, Fraction(6, 32003) ** 3),
+            (KIND_SOCLE_DEGREE, 6, GF, 1000, Fraction(6, 32003) ** 1000),
+            (KIND_CODIM5_ODD, 10, GF, 2, Fraction(2 * 21, 32003) ** 2),
+            (KIND_CODIM5_ODD, 10, FieldSpec(43), 3, Fraction(42, 43) ** 3)):
+        report = verify_construction(kind, parameter, field, trials=trials)
+        assert report.verdict == "mismatch"
+        stated = report.detail.split(" at most (")[1]
+        assert stated.endswith(f"**{trials} likely if the target holds")
+        base = Fraction(stated.split(")")[0])
+        assert base ** trials == bound
+    report = verify_construction(KIND_CODIM5_ODD, 10, FieldSpec(41),
+                                 trials=3)
     assert report.verdict == "inconclusive"
-    assert report.per_trial == ()
-    assert "genericity floor" in (report.detail or "")
-    # 55 general points cannot exist over GF(2)
-    assert required_field_size(KIND_CODIM5_ODD, 10) > 2
+    assert report.detail == (
+        f"degrees {', '.join(map(str, range(1, 21)))} short of their caps "
+        "in all 3 trials; GF(41) is too small to bound a miss")
 
 
 def test_verify_validates_parameters() -> None:
@@ -691,7 +704,7 @@ def test_verify_validates_parameters() -> None:
             verify_construction(kind, below, GF)
     with pytest.raises(ValueError):
         verify_construction(KIND_SOCLE_DEGREE, 6, GF, trials=0)
-    for query in (family, family_target, required_field_size):
+    for query in (family, family_target):
         with pytest.raises(ValueError, match="unknown kind"):
             query("unknown", 6)
 
