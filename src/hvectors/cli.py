@@ -179,7 +179,9 @@ def _parse_seed(text: str) -> int:
         raise UsageError(f"cannot parse seed {text!r}") from None
     if seed < 0:
         raise UsageError("seed must be nonnegative")
-    return seed & MASK64
+    if seed > MASK64:
+        raise UsageError("seed must be below 2**64")
+    return seed
 
 
 # CLI kind -> (its parameter flag, the smallest parameter with a

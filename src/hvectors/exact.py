@@ -17,11 +17,9 @@ depends on the dtype: in int64 it is reduced mod p only when one more
 update could overflow (delayed reduction, as in Dumas-Giorgi-Pernet, ACM
 TOMS 35(3), 2008), in uint64 every product is reduced with the same
 Shoup product as the field's, and Python integers are never reduced.
-Rows with a single nonzero entry never reach the elimination: each pins
-its column, which adds one to the rank.  No floating point is used
-anywhere.  Random sampling is driven by splitmix64, a fixed, portable,
-counter-based 64-bit generator, so every result is reproducible from its
-seed.
+No floating point is used anywhere.  Random sampling is driven by
+splitmix64, a fixed, portable, counter-based 64-bit generator, so every
+result is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -84,19 +82,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 output function."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
-    return z ^ (z >> 31)
-
-
 def mix(seed: int, index: int) -> int:
-    """Derived stream seed for parallel trial ``index``; fixed so that
+    """Derived stream seed for parallel trial ``index``: word ``index`` of
+    the splitmix64 stream of ``seed`` (`_stream_words`), fixed so that
     serial and concurrent execution sample identically."""
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
-    return _mix64((seed + (index + 1) * _GOLDEN) & MASK64)
+    return int(_stream_words(seed, index, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -232,13 +224,8 @@ class DenseMatrix:
 
 
 def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
-    """Rank of the matrix over its field; exact and deterministic.
-
-    A row with exactly one nonzero entry puts that unit vector in the row
-    space, so over any field the rank is the number of such pinned columns
-    plus the rank of the other nonzero rows restricted to the unpinned
-    columns (the row space modulo the pinned unit vectors).  Only that
-    remainder is eliminated.
+    """Rank of the matrix over its field; exact and deterministic.  Its
+    nonzero rows are eliminated on a copy, so the matrix is unchanged.
 
     ``cap`` is an upper bound on the rank that the caller has proved, for
     instance from the span of the forms the rows come from.  Over the
@@ -246,21 +233,11 @@ def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
     (`_rank_rational`).  A rank above it means the proof was wrong, so it
     raises `ArithmeticError` instead of returning.
     """
-    support = matrix.entries != 0
-    counts = support.sum(axis=1)
-    rest = matrix.entries[counts > 1]
-    pinned = 0
-    units = counts == 1
-    if units.any():
-        columns = support[units].any(axis=0)
-        pinned = int(columns.sum())
-        rest = rest[:, ~columns]
-        rest = rest[(rest != 0).any(axis=1)]
-    found = pinned
-    if rest.size:
+    rows = matrix.entries[(matrix.entries != 0).any(axis=1)]
+    found = 0
+    if rows.size:
         p = matrix.field.characteristic
-        found += (_rank_mod_p(rest, p) if p else _rank_rational(
-            rest, None if cap is None else cap - pinned))
+        found = _rank_mod_p(rows, p) if p else _rank_rational(rows, cap)
     if cap is not None and found > cap:
         raise ArithmeticError(f"rank {found} exceeds its proved cap {cap}")
     return found
@@ -281,8 +258,8 @@ def _rank_rational(entries: np.ndarray, cap: Optional[int] = None) -> int:
 
     A rank mod q is at most the rank over QQ (a minor nonzero mod q is a
     nonzero integer), so the largest rank seen, rho, is a lower bound.  It is
-    exact once rho reaches an upper bound: min(rows, cols) of the distinct
-    integer rows, or ``cap``, a bound the caller proved from where the rows
+    exact once rho reaches an upper bound: min(rows, cols) of the integer
+    rows, or ``cap``, a bound the caller proved from where the rows
     come from (for a witness's contraction matrix, the span of the powers
     it was built from; see `inverse_systems._rank_caps`).  Then one prime is
     enough.  Otherwise rho is exact once the product of the primes used
@@ -294,8 +271,7 @@ def _rank_rational(entries: np.ndarray, cap: Optional[int] = None) -> int:
     proved by the first prime never reads them.  Python's % leaves a
     residue in [0, q) for negative integers too.
     """
-    distinct = dict.fromkeys(map(tuple, _integer_rows(entries.tolist())))
-    rows = np.array(list(distinct), dtype=object)
+    rows = np.array(_integer_rows(entries.tolist()), dtype=object)
     ceiling = min(rows.shape) if cap is None else min(cap, *rows.shape)
     norms_sq = None
     best, bound_sq, modulus = -1, 0, 1
@@ -474,7 +450,7 @@ def _stream_words(seed: int, start: int, count: int) -> np.ndarray:
     """Words ``start`` to ``start + count - 1`` of the splitmix64 stream
     of ``seed``, as uint64.  The generator adds the golden gamma
     0x9E3779B97F4A7C15 to a 64-bit state that starts at the seed and
-    outputs the mix of the new state (`_mix64`), so word k is the mix of
+    outputs the mix of the new state, so word k is the mix of
     seed + (k + 1) * gamma mod 2**64: every word is mixed at once, and
     uint64 sums and products wrap modulo 2**64 as the generator's do.  The
     steps run in place, so the batch allocates one array besides the

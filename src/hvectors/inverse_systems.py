@@ -236,9 +236,8 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
     module is T_i plus the row space of ``contraction_matrix(generators,
     i)``, and T_i is spanned by the unit vectors on its columns.  So its
     rank is ``base_i`` plus the rank of that matrix with T's columns
-    dropped: the row space modulo pinned unit vectors, as :func:`rank`
-    counts rows with one nonzero entry.  That rank is capped by ``caps[i]
-    - base_i``.
+    dropped: the row space modulo those unit vectors.  That rank is capped
+    by ``caps[i] - base_i``.
 
     With ``full_i = C(i+n-1, n-1)`` and ``free_i = base_i +
     g*C(s-i+n-1, n-1)``, the rank in degree i is at most both, and two

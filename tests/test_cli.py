@@ -11,8 +11,10 @@ from hvectors.cli import main
 from hvectors.inverse_systems import VerificationReport
 from oracles import ones
 
-# JSON reports of fixed commands, pinned byte for byte: the samples, the
-# matrices and their ranks must not drift between versions of the code.
+# JSON reports of fixed commands, pinned byte for byte: the ranks, verdicts
+# and trial seeds must not drift between versions of the code.  The
+# reports hold no sample or matrix; test_inverse_systems pins the sampled
+# witnesses themselves (WITNESS_DIGESTS).
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_reports.json").read_text(encoding="utf-8")
 )
@@ -246,6 +248,8 @@ INVALID_RUNS = [
     (("thm-e", "--e", "6", "{field}", "x"), "cannot parse characteristics"),
     (("thm-e", "--e", "6", "--seed", "-1"), "seed must be nonnegative"),
     (("thm-e", "--e", "6", "--seed", "x"), "cannot parse seed"),
+    (("thm-e", "--e", "6", "--seed", "18446744073709551616"),
+     "seed must be below 2**64"),
     (("thm-e",), "--e is required"),
 ]
 

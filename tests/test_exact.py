@@ -248,8 +248,9 @@ def test_rank_cap_proves_rational_rank_from_one_prime(monkeypatch) -> None:
 @pytest.mark.parametrize("field", [FieldSpec(2), GF, FieldSpec(2**61 - 1),
                                    FieldSpec(2**89 - 1), QQ])
 def test_rank_above_its_cap_raises(field: FieldSpec) -> None:
-    """A cap below the rank is a wrong proof, never a smaller rank: also
-    when pinned unit rows alone exceed it, or leave no rows to eliminate."""
+    """A cap below the rank is a wrong proof, never a smaller rank, also
+    for a matrix of unit rows only; a cap at or above the rank changes
+    nothing."""
     rows = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
     expected = fraction_rank(rows) if field == QQ else modular_rank(
         rows, field.characteristic)
@@ -263,6 +264,19 @@ def test_rank_above_its_cap_raises(field: FieldSpec) -> None:
     assert rank(units, cap=2) == 2
     with pytest.raises(ArithmeticError):
         rank(units, cap=1)
+
+
+@pytest.mark.parametrize("field", [FieldSpec(101), FieldSpec(2**61 - 1),
+                                   FieldSpec(2**89 - 1), QQ],
+                         ids=["int64", "uint64", "object", "QQ"])
+def test_rank_leaves_its_input_unchanged(field: FieldSpec) -> None:
+    """The elimination runs in place on the nonzero rows, so it must get a
+    copy of them even when no row is zero."""
+    rows = [[2, 3, 5, 7], [1, 4, 1, 5], [9, 2, 6, 5], [3, 1, 4, 1]]
+    matrix = DenseMatrix.from_rows(field, rows)
+    before = matrix.entries.copy()
+    assert rank(matrix) == _oracle_rank(field, rows)
+    assert np.array_equal(matrix.entries, before)
 
 
 def test_rank_ignores_zero_and_duplicate_rows() -> None:
@@ -499,7 +513,9 @@ def _oracle_rank(field: FieldSpec, rows) -> int:
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
-def test_rank_pins_unit_rows(data) -> None:
+def test_rank_of_unit_duplicate_and_zero_rows(data) -> None:
+    """Unit rows, repeated or not, rows on the units' columns only and
+    zero rows, mixed with arbitrary rows, rank as the oracles do."""
     cols = data.draw(st.integers(min_value=1, max_value=6))
     small = st.integers(min_value=-4, max_value=4)
     rows = data.draw(st.lists(st.lists(small, min_size=cols, max_size=cols),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -717,6 +718,34 @@ def test_verify_codim5_targets() -> None:
         member = family(kind, parameter)
         assert member.kind == kind
         assert member.level == family_target(kind, parameter)
+
+
+# First 16 hex digits of the SHA-256 of repr([coefficients of each
+# generator]) for the first trial at seed 0: the golden reports pin only
+# the ranks these witnesses reach, so a change in sampling or in building
+# the generators that keeps every rank would pass them unseen.
+WITNESS_DIGESTS = {
+    (KIND_SOCLE_DEGREE, 6, 32003): "f747631c18a750c2",
+    (KIND_SOCLE_DEGREE, 6, 2**61 - 1): "3b00dd426826795d",
+    (KIND_SOCLE_DEGREE, 6, 0): "1e8e96ffe629e8dc",
+    (KIND_CODIM5_ODD, 10, 32003): "c67dfae1bad7b29b",
+    (KIND_CODIM5_ODD, 10, 2**61 - 1): "cdd218a05f5cbbb4",
+    (KIND_CODIM5_ODD, 10, 0): "e23c2bf749b54780",
+    (KIND_CODIM5_EVEN, 10, 32003): "9a898b4352431b90",
+    (KIND_CODIM5_EVEN, 10, 2**61 - 1): "82e99facb9619ded",
+    (KIND_CODIM5_EVEN, 10, 0): "51c45aa13f38fdcb",
+}
+
+
+@pytest.mark.parametrize("kind, parameter, characteristic",
+                         list(WITNESS_DIGESTS),
+                         ids=[f"{k}-{n}-{p}" for k, n, p in WITNESS_DIGESTS])
+def test_trial_witnesses_are_pinned(kind, parameter, characteristic) -> None:
+    generators = inverse_systems._trial_generators(
+        kind, parameter, FieldSpec(characteristic), mix(0, 0))
+    text = repr([f.coeffs.tolist() for f in generators])
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == WITNESS_DIGESTS[kind, parameter, characteristic]
 
 
 def test_rational_rank_on_codim5_plateau_within_budget() -> None:
