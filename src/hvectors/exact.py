@@ -17,7 +17,12 @@ depends on the dtype: in int64 it is reduced mod p only when one more
 update could overflow (delayed reduction, as in Dumas-Giorgi-Pernet, ACM
 TOMS 35(3), 2008), in uint64 every product is reduced with the same
 Shoup product as the field's, and Python integers are never reduced.
-No floating point is used anywhere.  Random sampling is driven by
+Following the same paper, int64 matrices over primes up to 23 726 561
+are eliminated in panels of 16 columns while more than 72 are left, and
+the rows below each panel are updated by one float64 matrix product.
+Floats hold only integers below 2**53, there and in the witnesses'
+weighted sums (`inverse_systems._weighted_sums`), so no float64
+operation rounds (`_float_exact`).  Random sampling is driven by
 splitmix64, a fixed, portable, counter-based 64-bit generator, so every
 result is reproducible from its seed.
 """
@@ -45,6 +50,14 @@ _NUMPY_SAFE_MODULUS = 3_037_000_499
 # primes.  2**28 and 2**26 (budgets 128 and 2048, for 12% and 21% more
 # primes) ranked thm-r d=10 slower, as each prime costs a % per entry.
 _RATIONAL_PRIME_START = 1 << 30
+# Columns per panel split off an int64 elimination (`_rank_mod_p`), and
+# the columns that must be left for one to be split.  Panels of 16 admit
+# every prime up to 23 726 561 (`_float_exact`); widths 10, 12 and 24
+# were no faster on the matrices of thm-r d=12..16 over GF(1000003).
+# There, matrices of 105 to 253 columns ranked in 0.55-0.8 of the time
+# of a single panel; thm-e's, of at most 66 columns, no faster.
+_PANEL_WIDTH = 16
+_SPLIT_COLUMNS = 72
 # Half-word mask and shift for 64x64 -> 128-bit products in uint64.
 _LOW32 = np.uint64(0xFFFFFFFF)
 _HALF = np.uint64(32)
@@ -301,6 +314,20 @@ def _reduction_budget(p: int) -> int:
     return (2**63 - 1 - p) // (p - 1) ** 2
 
 
+def _float_exact(terms: int, p: int) -> bool:
+    """Whether a product of float64 matrices of residues in [0, p), with
+    ``terms`` as its inner dimension, is exact.
+
+    Each output of the classical product that BLAS computes is a sum of
+    at most ``terms`` products of two residues, each at most (p - 1)**2.
+    The terms are nonnegative, so every partial sum is an integer of at
+    most terms * (p - 1)**2.  Below 2**53 every such integer is a
+    float64, so no addition or fused multiply-add rounds, whatever the
+    order of summation and however many threads BLAS splits it over.
+    """
+    return terms * (p - 1) ** 2 < 2**53
+
+
 def _high_words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit products x * y of uint64 arrays, from
     four 32x32-bit partial products.  Each partial product is at most
@@ -392,7 +419,58 @@ def _add_shoup_products(block: np.ndarray, column: np.ndarray,
 
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank of a 2-D array of residues mod p held in the dtype of
-    ``FieldSpec(p)`` (`FieldSpec.dtype`), by Gaussian elimination in place.
+    ``FieldSpec(p)`` (`FieldSpec.dtype`), by Gaussian elimination in place,
+    one panel of columns at a time, each eliminated pivot by pivot
+    (`_eliminate_panel`); only the rows below a panel's pivots are read
+    again.
+
+    In int64, for primes where a sum of `_PANEL_WIDTH` products of two
+    residues is exact in float64 (`_float_exact`), panels of that width
+    are split off while more than `_SPLIT_COLUMNS` columns remain, in the
+    manner of Dumas-Giorgi-Pernet.  A panel is copied, reduced, next to
+    as many tracking columns, zero but for a 1 each pivot row puts in its
+    own before it is added to the rows below; so every row's tracking
+    columns hold the combination of the panel's pivot rows added to it.
+    Each swap in the panel is made in the trailing block too, which then
+    holds every row as it was before the panel.  So one float64 product,
+    of the tracking columns of the rows below the pivots by the pivot
+    rows' trailing parts, both reduced, updates the trailing block of
+    those rows: it is exact (`_float_exact`), and adds to each entry at
+    most `_PANEL_WIDTH` products of two residues, counted towards
+    `_reduction_budget` as one update per pivot, as in a single panel.
+
+    The rest of the matrix is one panel, and so is all of a matrix in
+    uint64, in Python integers or in int64 above that bound, and of one
+    of at most `_SPLIT_COLUMNS` columns, which panels made no faster.
+    """
+    m, n = a.shape
+    b = _PANEL_WIDTH if a.dtype == np.int64 and _float_exact(
+        _PANEL_WIDTH, p) else 0
+    budget = _reduction_budget(p)
+    r = c = pending = 0
+    while b and r < m and n - c > _SPLIT_COLUMNS:
+        panel = np.zeros((m - r, 2 * b), dtype=np.int64)
+        np.remainder(a[r:, c:c + b], p, out=panel[:, :b])
+        trailing = a[r:, c + b:]
+        k = _eliminate_panel(panel, b, p, trailing)
+        below = trailing[k:]
+        if pending + k > budget:
+            below %= p
+            pending = 0
+        w = (panel[k:, b:b + k] % p).astype(np.float64)
+        below += (w @ (trailing[:k] % p).astype(np.float64)).astype(np.int64)
+        pending += k
+        r += k
+        c += b
+    if pending:
+        a[r:, c:] %= p
+    return r + _eliminate_panel(a[r:, c:], n - c, p)
+
+
+def _eliminate_panel(a: np.ndarray, width: int, p: int,
+                     trailing: Optional[np.ndarray] = None) -> int:
+    """Number of pivots in the first ``width`` columns of ``a``, an array
+    of residues mod p, found by Gaussian elimination in place.
 
     Each pivot row, scaled once by -1/pivot, is added times their entry in
     the pivot column to every row below it, right of that column only: left
@@ -415,12 +493,16 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     once (`_add_shoup_products`), with the scaled lead row's quotients
     computed once per pivot for the Shoup products of every multiplier
     below it.
+
+    With ``trailing``, the rows of the matrix right of a split panel
+    (`_rank_mod_p`), every swap is made there too, and pivot t sets its
+    own tracking column, ``width + t``, to 1 before its row is added.
     """
     budget = _reduction_budget(p) if a.dtype == np.int64 else None
     pending = 0
-    m, n = a.shape
+    m = a.shape[0]
     r = 0
-    for c in range(n):
+    for c in range(width):
         if r == m:
             break
         if pending:
@@ -429,7 +511,12 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
             support = np.flatnonzero(a[r + 1:, c])
             if support.size == 0:
                 continue
-            a[[r, r + 1 + support[0]]] = a[[r + 1 + support[0], r]]
+            swap = [r, r + 1 + support[0]]
+            a[swap] = a[swap[::-1]]
+            if trailing is not None:
+                trailing[swap] = trailing[swap[::-1]]
+        if trailing is not None:
+            a[r, width + r] = 1
         scale = p - pow(int(a[r, c]), -1, p)
         if a.dtype == np.uint64:
             _add_shoup_products(a[r + 1:, c + 1:], a[r + 1:, c],

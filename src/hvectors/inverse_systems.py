@@ -41,6 +41,7 @@ from .exact import (
     DenseMatrix,
     FieldSpec,
     Scalar,
+    _float_exact,
     mix,
     rank,
     sample_scalars,
@@ -302,9 +303,15 @@ def linear_combination(weights: Sequence[Scalar], forms: Sequence[Form]) -> Form
 
 def _weighted_sums(weights: np.ndarray, rows: np.ndarray,
                    field: FieldSpec) -> np.ndarray:
-    """``weights @ rows`` over the field, one term at a time
+    """``weights @ rows`` over the field.  In int64, where the product is
+    exact in float64 (`_float_exact`), it is one float64 product reduced
+    once; otherwise it is summed one term at a time
     (`FieldSpec.multiply_add`), with the weights' quotients computed
     once."""
+    p = field.characteristic
+    if field.dtype is np.int64 and _float_exact(len(rows), p):
+        return (weights.astype(np.float64) @ rows.astype(np.float64)
+                ).astype(np.int64) % p
     multipliers = field.multiplier(weights)
     acc = np.zeros((len(weights), rows.shape[1]), dtype=field.dtype)
     for k, row in enumerate(rows):

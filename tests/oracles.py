@@ -13,6 +13,7 @@ monomial module the library only pins, as one library form per monomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -24,15 +25,16 @@ WIDE_PRIMES = (3_037_000_507, 2**61 - 1, 2**62 - 57,
                9_223_372_036_854_775_783, 9_223_372_036_854_775_837)
 
 
-def descending_monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def descending_monomials(num_vars: int,
+                         degree: int) -> tuple[tuple[int, ...], ...]:
+    """Every monomial of the degree, in descending lex order.  Cached, as
+    `lex_segment_growth` needs the same lists for every n."""
     if num_vars == 1:
-        return [(degree,)]
-    out = []
-    for head in range(degree, -1, -1):
-        out.extend(
-            (head, *tail) for tail in descending_monomials(num_vars - 1, degree - head)
-        )
-    return out
+        return ((degree,),)
+    return tuple(
+        (head, *tail) for head in range(degree, -1, -1)
+        for tail in descending_monomials(num_vars - 1, degree - head))
 
 
 def truncation(num_vars: int, used_vars: int, degree: int,

@@ -23,7 +23,11 @@ from hvectors import exact
 from hvectors.exact import (
     _NUMPY_SAFE_MODULUS,
     _RATIONAL_PRIME_START,
+    _PANEL_WIDTH,
+    _SPLIT_COLUMNS,
     _add_shoup_products,
+    _eliminate_panel,
+    _float_exact,
     _high_words,
     _rank_mod_p,
     _reduction_budget,
@@ -412,6 +416,122 @@ def test_rank_mod_p_single_update_path(p: int) -> None:
     for rows in cases:
         assert _rank_mod_p(np.array(rows, dtype=dtype), p) == modular_rank(
             rows, p)
+
+
+# The largest prime whose int64 panels of `_PANEL_WIDTH` columns are exact
+# in float64, and the next prime, which keeps a single panel.
+_LAST_PANEL_PRIME = 23_726_561
+_NEXT_PRIME = 23_726_569
+
+
+def test_panel_width_is_the_widest_the_float64_bound_admits() -> None:
+    assert _PANEL_WIDTH == 16
+    assert _float_exact(_PANEL_WIDTH, _LAST_PANEL_PRIME)
+    assert not _float_exact(_PANEL_WIDTH + 1, _LAST_PANEL_PRIME)
+    assert not _float_exact(_PANEL_WIDTH, _NEXT_PRIME)
+    assert is_prime(_LAST_PANEL_PRIME) and is_prime(_NEXT_PRIME)
+    assert not any(is_prime(q) for q in
+                   range(_LAST_PANEL_PRIME + 1, _NEXT_PRIME))
+
+
+@pytest.mark.parametrize("p, dtype, cols, widths", [
+    (_LAST_PANEL_PRIME, np.int64, 105, [16, 16, 16, 57]),
+    (2, np.int64, _SPLIT_COLUMNS + 1, [16, _SPLIT_COLUMNS - 15]),
+    (2, np.int64, _SPLIT_COLUMNS, [_SPLIT_COLUMNS]),
+    (_NEXT_PRIME, np.int64, 105, [105]),
+    (2**31 - 1, np.int64, 105, [105]),
+    (2**61 - 1, np.uint64, 105, [105]),
+    (WIDE_PRIMES[-1], object, 105, [105]),
+])
+def test_panels_split_off_below_the_float64_bound(monkeypatch, p, dtype,
+                                                  cols, widths) -> None:
+    """int64 matrices split off panels of 16 columns while more than
+    `_SPLIT_COLUMNS` remain, for primes the bound admits; above it, in
+    uint64 and in Python integers the matrix is one panel."""
+    seen = []
+
+    def spy(a, width, p, trailing=None):
+        seen.append(width)
+        return _eliminate_panel(a, width, p, trailing)
+
+    monkeypatch.setattr(exact, "_eliminate_panel", spy)
+    rng = random.Random(p)
+    rows = [[rng.randrange(p) for _ in range(cols)] for _ in range(60)]
+    assert _rank_mod_p(np.array(rows, dtype=dtype), p) == modular_rank(
+        rows, p)
+    assert seen == widths
+
+
+def test_panel_update_is_exact_at_the_largest_admitted_prime() -> None:
+    """Identity pivots over rows of p - 2, and dependent rows twice their
+    sum: each trailing entry of a dependent row gets 16 products
+    (p - 2)**2 from a panel, odd and summing to just below 2**53.  One
+    more term would round in float64 and leave the dependent rows
+    nonzero."""
+    p, pivots, cols = _LAST_PANEL_PRIME, 32, 100
+    tail = [p - 2] * (cols - pivots)
+    rows = [[int(j == i) for j in range(pivots)] + tail
+            for i in range(pivots)]
+    rows += [[2] * pivots + [2 * pivots * (p - 2) % p] * (cols - pivots)
+             for _ in range(4)]
+    assert modular_rank(rows, p) == pivots
+    assert _rank_mod_p(np.array(rows, dtype=np.int64), p) == pivots
+
+
+def _swapping_rows(rng: random.Random, p: int, pivots: int, rows: int,
+                   cols: int) -> list[list[int]]:
+    """``pivots`` echelon rows with random lead columns, the first leading
+    in column 0, and random combinations of their later half, all but the
+    first shuffled and then added to random multiples of the first.  Past
+    the first pivot, most columns hold a zero at the top and an entry
+    further down, so rows swap after the panel's earlier pivots have
+    recorded their multipliers; the dependent rows vanish only if every
+    swap carries its row's multipliers and trailing part along."""
+    leads = [0, *sorted(rng.sample(range(1, cols), pivots - 1))]
+    echelon = [[0] * lead + [rng.randrange(1, p)]
+               + [rng.choice((0, p - 1, rng.randrange(p)))
+                  for _ in range(cols - lead - 1)] for lead in leads]
+    combos = []
+    for _ in range(rows - pivots):
+        weights = [rng.randrange(p) for _ in echelon[pivots // 2:]]
+        combos.append([sum(w * row[j] for w, row in
+                           zip(weights, echelon[pivots // 2:])) % p
+                       for j in range(cols)])
+    first, rest = echelon[0], echelon[1:] + combos
+    rng.shuffle(rest)
+    out = [first]
+    for row in rest:
+        scale = rng.randrange(p)
+        out.append([(v + scale * f) % p for v, f in zip(row, first)])
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 101, 1_000_003, _LAST_PANEL_PRIME])
+def test_panel_elimination_matches_modular_oracle(p: int) -> None:
+    """Matrices of 90 to 130 columns, so two or more panels are split off
+    before the last: all-(p - 1) blocks, with and without zeros, make
+    every product as large as it can be; low-rank products of 0, 1,
+    p - 1 and p - 2 have ranks below, across and beyond a panel; and
+    `_swapping_rows` swaps rows after earlier pivots of the same panel."""
+    rng = random.Random(p)
+    cases = [[[p - 1] * 100 for _ in range(20)],
+             [[rng.choice((0, p - 1)) for _ in range(110)]
+              for _ in range(40)]]
+    for inner in (3, 20, 35):
+        cols = rng.randint(90, 130)
+        left = [[rng.choice((0, 1, p - 1, rng.randrange(p)))
+                 for _ in range(inner)] for _ in range(40)]
+        right = [[rng.choice((0, 1, p - 1, p - 2, rng.randrange(p)))
+                  for _ in range(cols)] for _ in range(inner)]
+        cases.append([[sum(row[k] * right[k][j] for k in range(inner)) % p
+                       for j in range(cols)] for row in left])
+    for pivots, rows in ((10, 30), (25, 45)):
+        cases.append(_swapping_rows(rng, p, pivots, rows,
+                                    rng.randint(90, 130)))
+    for rows in cases:
+        expected = modular_rank(rows, p)
+        assert _rank_mod_p(np.array(rows, dtype=np.int64), p) == expected
+        assert rank(DenseMatrix.from_rows(FieldSpec(p), rows)) == expected
 
 
 def test_field_dtype_by_prime() -> None:

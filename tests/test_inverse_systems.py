@@ -266,6 +266,32 @@ def test_witness_arithmetic_matches_python_integers(data) -> None:
             for ws in weights] == sums
 
 
+@pytest.mark.parametrize("p", [2, 1_000_003, 7_598_543, 7_598_593,
+                               2**31 - 1])
+def test_int64_weighted_sums_match_python_integers(p: int) -> None:
+    """156 rows, as many as thm-r d=16 combines: one float64 product up to
+    7 598 543, the largest prime where 156 products of residues sum
+    exactly below 2**53, and the loop of reduced terms from the next
+    prime on.  Columns and weights of p - 1 and p - 2 make every product
+    and sum as large as it can be; the weights p - 2 give odd sums in the
+    first two columns (155 odd products and an even one), which round in
+    float64 above 2**53."""
+    rng = random.Random(p)
+    count, cols = 156, 12
+    rows = [[p - 2, p - 1] + [rng.choice((0, 1, p - 2, p - 1,
+                                          rng.randrange(p)))
+                              for _ in range(cols - 2)]
+            for _ in range(count)]
+    rows[0][:2] = [p - 1, p - 2]
+    weights = [[p - 1] * count, [p - 2] * count,
+               [rng.randrange(p) for _ in range(count)]]
+    sums = [[sum(w * row[j] for w, row in zip(ws, rows)) % p
+             for j in range(cols)] for ws in weights]
+    assert inverse_systems._weighted_sums(
+        np.array(weights, dtype=np.int64), np.array(rows, dtype=np.int64),
+        FieldSpec(p)).tolist() == sums
+
+
 def test_uint64_fields_keep_uint64_arrays(monkeypatch) -> None:
     """From the sampled witness to the matrix ranked, a field held in
     uint64 builds uint64 arrays only; numpy 1.24's value-based casting
