@@ -19,7 +19,9 @@ TOMS 35(3), 2008), in uint64 every product is reduced with the same
 Shoup product as the field's, and Python integers are never reduced.
 Following the same paper, int64 matrices over primes up to 23 726 561
 are eliminated in panels of 16 columns while more than 72 are left, and
-the rows below each panel are updated by one float64 matrix product.
+the rows below each panel are updated by one float64 matrix product;
+such a matrix with more rows than columns is eliminated transposed, and
+a pivot in a panel updates only the tracking columns already set.
 Floats hold only integers below 2**53, there and in the witnesses'
 weighted sums (`inverse_systems._weighted_sums`), so no float64
 operation rounds (`_float_exact`).  Random sampling is driven by
@@ -246,11 +248,14 @@ def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
     (`_rank_rational`).  A rank above it means the proof was wrong, so it
     raises `ArithmeticError` instead of returning.
     """
-    rows = matrix.entries[(matrix.entries != 0).any(axis=1)]
+    nonzero = (matrix.entries != 0).any(axis=1)
     found = 0
-    if rows.size:
+    if nonzero.any():
         p = matrix.field.characteristic
-        found = _rank_mod_p(rows, p) if p else _rank_rational(rows, cap)
+        # The copy is handed over, not named here, so a transposing
+        # `_rank_mod_p` frees it once it has its own.
+        found = _rank_mod_p(matrix.entries[nonzero], p) if p else \
+            _rank_rational(matrix.entries[nonzero], cap)
     if cap is not None and found > cap:
         raise ArithmeticError(f"rank {found} exceeds its proved cap {cap}")
     return found
@@ -442,10 +447,19 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     The rest of the matrix is one panel, and so is all of a matrix in
     uint64, in Python integers or in int64 above that bound, and of one
     of at most `_SPLIT_COLUMNS` columns, which panels made no faster.
+
+    Where panels are split, a matrix with more rows than columns is
+    eliminated transposed, on a copy, leaving ``a`` as it is: the rank is
+    the same, and every pivot is then found in a panel rather than in a
+    last panel over all the remaining rows.  Other matrices are not
+    transposed: a single panel does about as much work either way, and
+    the copy would cost time.
     """
-    m, n = a.shape
     b = _PANEL_WIDTH if a.dtype == np.int64 and _float_exact(
         _PANEL_WIDTH, p) else 0
+    if b and a.shape[0] > a.shape[1]:
+        a = a.T.copy()
+    m, n = a.shape
     budget = _reduction_budget(p)
     r = c = pending = 0
     while b and r < m and n - c > _SPLIT_COLUMNS:
@@ -472,14 +486,15 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int,
     """Number of pivots in the first ``width`` columns of ``a``, an array
     of residues mod p, found by Gaussian elimination in place.
 
-    Each pivot row, scaled once by -1/pivot, is added times their entry in
-    the pivot column to every row below it, right of that column only: left
-    of it those rows are zero already, the pivot column is not read again,
-    and a row with a zero multiplier gets zero added, so one update of the
-    trailing block as a view serves every pivot.  Only when the top entry
-    of a column is zero does the elimination search the column for a row to
-    swap up.  The pivot search, the swap and this column walk are shared by
-    every dtype; only the update of the trailing block differs.
+    Each pivot row, scaled once in place by -1/pivot, is added times their
+    entry in the pivot column to every row below it, right of that column
+    only: left of it those rows are zero already, the pivot column and the
+    pivot row are not read again, and a row with a zero multiplier gets
+    zero added, so one update of the trailing block as a view serves every
+    pivot.  Only when the top entry of a column is zero does the
+    elimination search the column for a row to swap up.  The pivot search,
+    the swap and this column walk are shared by every dtype; only the
+    update of the trailing block differs.
 
     int64 (p at most `_NUMPY_SAFE_MODULUS`) and object (p above 2**63):
     reduction mod p is delayed.  While updates are pending, each step
@@ -496,35 +511,45 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int,
 
     With ``trailing``, the rows of the matrix right of a split panel
     (`_rank_mod_p`), every swap is made there too, and pivot t sets its
-    own tracking column, ``width + t``, to 1 before its row is added.
+    own tracking column, ``width + t``, to 1 before its row is added.  The
+    tracking columns right of that one are still zero in every row, so
+    pivot t updates columns up to ``width + t`` only.
     """
+    shoup = a.dtype == np.uint64
     budget = _reduction_budget(p) if a.dtype == np.int64 else None
     pending = 0
-    m = a.shape[0]
+    m, end = a.shape
     r = 0
     for c in range(width):
         if r == m:
             break
+        column = a[r:, c]
         if pending:
-            a[r:, c] %= p
-        if not a[r, c]:
-            support = np.flatnonzero(a[r + 1:, c])
+            column %= p
+        pivot = int(column[0])
+        if not pivot:
+            support = np.flatnonzero(column)
             if support.size == 0:
                 continue
-            swap = [r, r + 1 + support[0]]
+            pivot = int(column[support[0]])
+            swap = [r, r + support[0]]
             a[swap] = a[swap[::-1]]
             if trailing is not None:
                 trailing[swap] = trailing[swap[::-1]]
         if trailing is not None:
             a[r, width + r] = 1
-        scale = p - pow(int(a[r, c]), -1, p)
-        if a.dtype == np.uint64:
-            _add_shoup_products(a[r + 1:, c + 1:], a[r + 1:, c],
-                                a[r, c + 1:], scale, p)
+            end = width + r + 1
+        scale = p - pow(pivot, -1, p)
+        lead = a[r, c + 1:end]
+        if shoup:
+            _add_shoup_products(a[r + 1:, c + 1:end], column[1:], lead,
+                                scale, p)
         else:
-            lead = a[r, c + 1:] % p if pending else a[r, c + 1:]
-            a[r + 1:, c + 1:] += np.multiply.outer(a[r + 1:, c],
-                                                   lead * scale % p)
+            if pending:
+                lead %= p
+            lead *= scale
+            lead %= p
+            a[r + 1:, c + 1:end] += np.multiply.outer(column[1:], lead)
             pending += 1
         r += 1
         if pending == budget:

@@ -270,13 +270,15 @@ def test_rank_above_its_cap_raises(field: FieldSpec) -> None:
         rank(units, cap=1)
 
 
-@pytest.mark.parametrize("field", [FieldSpec(101), FieldSpec(2**61 - 1),
+@pytest.mark.parametrize("field", [FieldSpec(1_000_003), FieldSpec(2**61 - 1),
                                    FieldSpec(2**89 - 1), QQ],
                          ids=["int64", "uint64", "object", "QQ"])
 def test_rank_leaves_its_input_unchanged(field: FieldSpec) -> None:
     """The elimination runs in place on the nonzero rows, so it must get a
-    copy of them even when no row is zero."""
-    rows = [[2, 3, 5, 7], [1, 4, 1, 5], [9, 2, 6, 5], [3, 1, 4, 1]]
+    copy of them even when no row is zero; the matrix is tall, so over
+    GF(1000003) the copy is transposed."""
+    rows = [[2, 3, 5, 7], [1, 4, 1, 5], [9, 2, 6, 5], [3, 1, 4, 1],
+            [2, 7, 1, 8]]
     matrix = DenseMatrix.from_rows(field, rows)
     before = matrix.entries.copy()
     assert rank(matrix) == _oracle_rank(field, rows)
@@ -447,7 +449,10 @@ def test_panels_split_off_below_the_float64_bound(monkeypatch, p, dtype,
                                                   cols, widths) -> None:
     """int64 matrices split off panels of 16 columns while more than
     `_SPLIT_COLUMNS` remain, for primes the bound admits; above it, in
-    uint64 and in Python integers the matrix is one panel."""
+    uint64 and in Python integers the matrix is one panel.  The 60-row
+    transpose of each matrix has the same rank: for primes the bound
+    admits in int64 it is transposed back, on a copy that leaves it
+    unchanged, and split the same way; elsewhere it is one panel of 60."""
     seen = []
 
     def spy(a, width, p, trailing=None):
@@ -457,9 +462,18 @@ def test_panels_split_off_below_the_float64_bound(monkeypatch, p, dtype,
     monkeypatch.setattr(exact, "_eliminate_panel", spy)
     rng = random.Random(p)
     rows = [[rng.randrange(p) for _ in range(cols)] for _ in range(60)]
-    assert _rank_mod_p(np.array(rows, dtype=dtype), p) == modular_rank(
-        rows, p)
+    expected = modular_rank(rows, p)
+    assert _rank_mod_p(np.array(rows, dtype=dtype), p) == expected
     assert seen == widths
+    seen.clear()
+    tall = np.array(rows, dtype=dtype).T.copy()
+    before = tall.copy()
+    assert _rank_mod_p(tall, p) == expected
+    if dtype is np.int64 and _float_exact(_PANEL_WIDTH, p):
+        assert seen == widths
+        assert np.array_equal(tall, before)
+    else:
+        assert seen == [60]
 
 
 def test_panel_update_is_exact_at_the_largest_admitted_prime() -> None:
@@ -512,7 +526,9 @@ def test_panel_elimination_matches_modular_oracle(p: int) -> None:
     before the last: all-(p - 1) blocks, with and without zeros, make
     every product as large as it can be; low-rank products of 0, 1,
     p - 1 and p - 2 have ranks below, across and beyond a panel; and
-    `_swapping_rows` swaps rows after earlier pivots of the same panel."""
+    `_swapping_rows` swaps rows after earlier pivots of the same panel.
+    Each case is ranked transposed too, as a tall matrix, which is
+    transposed back on a copy."""
     rng = random.Random(p)
     cases = [[[p - 1] * 100 for _ in range(20)],
              [[rng.choice((0, p - 1)) for _ in range(110)]
@@ -530,8 +546,11 @@ def test_panel_elimination_matches_modular_oracle(p: int) -> None:
                                     rng.randint(90, 130)))
     for rows in cases:
         expected = modular_rank(rows, p)
-        assert _rank_mod_p(np.array(rows, dtype=np.int64), p) == expected
-        assert rank(DenseMatrix.from_rows(FieldSpec(p), rows)) == expected
+        for matrix in (rows, [list(col) for col in zip(*rows)]):
+            assert _rank_mod_p(np.array(matrix, dtype=np.int64),
+                               p) == expected
+            assert rank(DenseMatrix.from_rows(FieldSpec(p),
+                                              matrix)) == expected
 
 
 def test_field_dtype_by_prime() -> None:
