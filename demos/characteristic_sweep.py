@@ -6,7 +6,9 @@ field's characteristic.  A sweep is evidence, not proof: it re-runs the
 same seeded verification over the rationals and over several prime
 fields and reports the verdict for each.  Every field uses the same
 modular elimination: the primes directly, and characteristic 0 modulo
-word primes until a Hadamard bound proves the rank exact.
+primes below 2**30.  A rank over QQ ends at the first prime whose rank
+reaches the degree's cap; only when a prime falls short does a Hadamard
+bound decide how many more primes prove it exact.
 """
 from hvectors import KIND_SOCLE_DEGREE, sweep_characteristics
 

@@ -23,7 +23,7 @@ the rows below each panel are updated by one float64 matrix product;
 such a matrix with more rows than columns is eliminated transposed, and
 a pivot in a panel updates only the tracking columns already set.
 Floats hold only integers below 2**53, there and in the witnesses'
-weighted sums (`inverse_systems._weighted_sums`), so no float64
+weighted sums (`inverse_systems.linear_combination`), so no float64
 operation rounds (`_float_exact`).  Random sampling is driven by
 splitmix64, a fixed, portable, counter-based 64-bit generator, so every
 result is reproducible from its seed.
@@ -151,9 +151,6 @@ class FieldSpec:
     def array(self, values: Sequence) -> np.ndarray:
         """Normalized 1-D array of the given values."""
         return np.array([self.normalize(v) for v in values], dtype=self.dtype)
-
-    def zeros(self, length: int) -> np.ndarray:
-        return np.zeros(length, dtype=self.dtype)
 
     def multiplier(self, y) -> np.ndarray:
         """Scalars ``y`` ready to multiply by in :meth:`multiply_add`: in a

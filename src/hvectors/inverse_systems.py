@@ -130,14 +130,9 @@ class Form:
             raise ValueError(f"{bad[0]} is not a monomial of degree {degree} "
                              f"in {num_vars} variables")
         exps = np.array(list(terms), dtype=np.int64).reshape(-1, num_vars)
-        dense = field.zeros(len(monomials(num_vars, degree)))
+        dense = np.zeros(len(monomials(num_vars, degree)), dtype=field.dtype)
         dense[_positions(num_vars, degree, exps)] = field.array(terms.values())
         return cls(num_vars, degree, field, dense)
-
-    def terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Nonzero (monomial, coefficient) pairs in the canonical order."""
-        order = monomials(self.num_vars, self.degree)
-        return [(m, c) for m, c in zip(order, self.coeffs.tolist()) if c != 0]
 
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.coeffs)
@@ -291,19 +286,10 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
     return tuple(ranks), seconds
 
 
-def linear_combination(weights: Sequence[Scalar], forms: Sequence[Form]) -> Form:
-    """Weighted sum of forms of one shape."""
-    if len(weights) != len(forms):
-        raise ValueError("one weight per form required")
-    num_vars, degree, field = _check_generators(forms)
-    dense = _weighted_sums(field.array(weights)[None],
-                           np.stack([f.coeffs for f in forms]), field)[0]
-    return Form(num_vars, degree, field, dense)
-
-
-def _weighted_sums(weights: np.ndarray, rows: np.ndarray,
-                   field: FieldSpec) -> np.ndarray:
-    """``weights @ rows`` over the field.  In int64, where the product is
+def linear_combination(weights: np.ndarray, rows: np.ndarray,
+                       field: FieldSpec) -> np.ndarray:
+    """Weighted sums of coefficient rows, one per row of ``weights``:
+    ``weights @ rows`` over the field.  In int64, where the product is
     exact in float64 (`_float_exact`), it is one float64 product reduced
     once; otherwise it is summed one term at a time
     (`FieldSpec.multiply_add`), with the weights' quotients computed
@@ -319,28 +305,18 @@ def _weighted_sums(weights: np.ndarray, rows: np.ndarray,
     return acc
 
 
-def contraction_power(linear: Form, power: int) -> Form:
-    """Degree-``power`` form playing the role of a power of a linear form.
+def contraction_power(linears: np.ndarray, power: int,
+                      field: FieldSpec) -> np.ndarray:
+    """Degree-``power`` forms playing the role of powers of linear forms:
+    the coefficients of one for each row of linear coefficients, in the
+    order of :func:`monomials`.
 
     The coefficient of y^a is c^a (the product of the linear coefficients
     raised to the exponents, with no multinomial factors), so a monomial
-    contraction acts coefficient-wise: x^b sends this form to c^b times
-    the corresponding form of lower degree.  That mirrors how classical
-    powers behave under differentiation in characteristic zero and stays
-    valid over every field.
-    """
-    if linear.degree != 1:
-        raise ValueError(f"need a linear form, got degree {linear.degree}")
-    if power < 1:
-        raise ValueError(f"power must be positive, got {power}")
-    dense = _power_tables(linear.coeffs[None], power, linear.field)[0]
-    return Form(linear.num_vars, power, linear.field, dense)
-
-
-def _power_tables(linears: np.ndarray, power: int,
-                  field: FieldSpec) -> np.ndarray:
-    """Coefficients of :func:`contraction_power` for every row of linear
-    coefficients at once, one row per form.
+    contraction acts coefficient by coefficient: x^b sends the form of
+    degree P to c^b times the one of degree P-|b|.  That mirrors how
+    classical powers behave under differentiation in characteristic zero
+    and stays valid over every field.
 
     Step k of the loop raises every coefficient of every form to the k-th
     power with one array product into the contiguous slice of power k;
@@ -404,8 +380,8 @@ def codim5_generators(
     linears[:n_general] = samples[:3 * n_general].reshape(-1, 3)
     linears[n_general:, 1:] = samples[3 * n_general:cut].reshape(-1, 2)
     weights = samples[cut:].reshape(2, count)
-    first, second = _weighted_sums(
-        weights, _power_tables(linears, power, field), field)
+    first, second = linear_combination(
+        weights, contraction_power(linears, power, field), field)
     return Form(3, power, field, first), Form(3, power, field, second)
 
 
@@ -464,15 +440,15 @@ def _rank_caps(kind: str, parameter: int) -> tuple[int, ...]:
     Every degree is at most ``C(i+2, 2)``, its number of monomials, and at
     most its number of operator rows.  Beyond that:
 
-    * Codimension 5: each generator is ``sum_k w_k L_k^[P]``, contraction
-      powers of the sampled linear forms L_k, and contracting it by x^g
-      gives ``sum_k w_k c_k^g L_k^[i]`` (:func:`contraction_power`).  So
-      degree i lies in the span of the n_general powers of general forms
-      and the n_line powers of forms in the last two variables, and the
-      latter lie in the ``i+1`` binary forms of degree i.  With two
-      generators of ``C(P-i+2, 2)`` operators each, the cap is
-      ``min(C(i+2,2), 2*C(P-i+2,2), min(n_general, C(i+2,2)) + min(n_line,
-      i+1))``.
+    * Codimension 5: each generator is ``sum_k w_k L_k^[P]``
+      (:func:`linear_combination`), where L_k^[P] is the contraction power
+      of the sampled linear form L_k (:func:`contraction_power`), and
+      contracting it by x^g gives ``sum_k w_k c_k^g L_k^[i]``.  So degree i
+      lies in the span of the n_general powers of general forms and the
+      n_line powers of forms in the last two variables, and the latter lie
+      in the ``i+1`` binary forms of degree i.  With two generators of
+      ``C(P-i+2, 2)`` operators each, the cap is ``min(C(i+2,2),
+      2*C(P-i+2,2), min(n_general, C(i+2,2)) + min(n_line, i+1))``.
     * thm-e: the truncation spans the ``i+1`` binary monomials of degree i
       (`_TRUNCATION_VARS`), and the sampled form of degree e-1 adds at
       most its ``C(e+1-i, 2)`` operators.

@@ -9,12 +9,14 @@ multi-modular numpy elimination.  ``WIDE_PRIMES`` are the primes at the
 ends of the uint64 range of the library's arrays.  ``truncation`` builds the
 monomial module the library only pins, as one library form per monomial.
 ``ones`` replaces the sampler for witnesses that miss every cap.
+``terms``, ``power_coefficients`` and ``weighted_sums`` read a form and
+build witnesses on Python integers, one coefficient at a time.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 from hvectors import FieldSpec, Form
@@ -45,6 +47,30 @@ def truncation(num_vars: int, used_vars: int, degree: int,
     pad = (0,) * (num_vars - used_vars)
     return [Form.from_terms(num_vars, degree, field, {(*mono, *pad): 1})
             for mono in descending_monomials(used_vars, degree)]
+
+
+def terms(form: Form) -> list[tuple[tuple[int, ...], object]]:
+    """A form's nonzero (monomial, coefficient) pairs, in descending lex
+    order."""
+    order = descending_monomials(form.num_vars, form.degree)
+    return [(m, c) for m, c in zip(order, form.coeffs.tolist()) if c != 0]
+
+
+def power_coefficients(linear: list, power: int, p: int) -> list:
+    """Coefficients of the contraction power of a linear form: c^a for
+    every monomial y^a of the degree, with no multinomial factor, in
+    descending lex order; modulo p, or exact for p = 0."""
+    out = [prod(pow(c, a, p or None) for c, a in zip(linear, mono))
+           for mono in descending_monomials(len(linear), power)]
+    return [v % p for v in out] if p else out
+
+
+def weighted_sums(weights: list[list], rows: list[list], p: int) -> list:
+    """One weighted sum of the rows per list of weights, term by term;
+    modulo p, or exact for p = 0."""
+    out = [[sum(w * row[j] for w, row in zip(ws, rows))
+            for j in range(len(rows[0]))] for ws in weights]
+    return [[v % p for v in row] for row in out] if p else out
 
 
 def contract(operator: tuple[int, ...], terms: dict) -> dict:

@@ -117,7 +117,8 @@ def test_field_axioms_on_samples(field: FieldSpec) -> None:
     inverse = field.array([pow(v, -1, p) if p else Fraction(1, v)
                            for v in units.tolist()])
     assert np.array_equal(mul(units, inverse), field.array([1] * len(units)))
-    assert np.array_equal(field.multiply_add(a, a, minus_one), field.zeros(3))
+    assert np.array_equal(field.multiply_add(a, a, minus_one),
+                          np.zeros(3, dtype=field.dtype))
     assert a.dtype == field.dtype
 
 
