@@ -10,7 +10,7 @@ primes below 2**30.  A rank over QQ ends at the first prime whose rank
 reaches the degree's cap; only when a prime falls short does a Hadamard
 bound decide how many more primes prove it exact.
 """
-from hvectors import KIND_SOCLE_DEGREE, sweep_characteristics
+from hvectors import KIND_SOCLE_DEGREE, FieldSpec, sweep_characteristics
 
 CHARACTERISTICS = [0, 101, 1009, 32003]
 
@@ -18,7 +18,7 @@ print(f"sweeping the e = 6 construction over {CHARACTERISTICS}")
 reports = sweep_characteristics(KIND_SOCLE_DEGREE, 6, CHARACTERISTICS,
                                 seed=7, trials=3)
 for report in reports:
-    field = "QQ" if report.characteristic == 0 else f"GF({report.characteristic})"
+    field = str(FieldSpec(report.characteristic))
     total = sum(report.degree_seconds)
     print(f"  {field:<10} verdict {report.verdict:<12} "
           f"(rank time {total:.3f}s, trial seeds {list(report.trial_seeds)[:2]}...)")

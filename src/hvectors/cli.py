@@ -5,10 +5,9 @@ run verifications and characteristic sweeps, write reports.
 names: both commands share one grammar, one validation table and one
 handler, which runs every job through ``sweep_characteristics``.
 
-Exit codes: 0 success (or match), 1 verification mismatch or a report
-with status error, 2 invalid input, 3 inconclusive verification (trials
-short of a cap in a field too small to bound a miss) with no mismatch or
-error.
+Exit codes: 0 success (or match), 1 verification mismatch, 2 invalid
+input, 3 inconclusive verification (trials short of a cap in a field too
+small to bound a miss) with no mismatch.
 JSON output is canonical (sorted keys, no floats) so that reruns with the
 same seed are byte-identical.
 """
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import families, sequences
-from .exact import MASK64, is_prime
+from .exact import MASK64, FieldSpec
 from .inverse_systems import VerificationReport, sweep_characteristics
 from .sequences import HVector, Violation
 from .version import VERSION
@@ -160,9 +159,10 @@ def _parse_chars(text: str) -> tuple[int, ...]:
     if not chars:
         raise UsageError("name at least one characteristic")
     for c in chars:
-        if c != 0 and not is_prime(c):
-            raise UsageError(
-                f"field characteristic must be 0 or a prime, got {c}")
+        try:
+            FieldSpec(c)
+        except ValueError as err:
+            raise UsageError(f"field {err}") from None
     return chars
 
 
@@ -240,10 +240,6 @@ def _violation_text(violation: Violation) -> str:
     return _VIOLATION_TEXT[violation.kind].format(
         i=violation.index, j=violation.index + 1
     )
-
-
-def _field_text(characteristic: int) -> str:
-    return "QQ" if characteristic == 0 else f"GF({characteristic})"
 
 
 def _command_text(config: RunConfig) -> str:
@@ -363,7 +359,7 @@ def _cmd_construct(config: RunConfig) -> int:
 def _report_plain(report: VerificationReport) -> list[str]:
     lines = [
         f"{report.kind} parameter={report.parameter} "
-        f"field={_field_text(report.characteristic)} seed={report.seed} "
+        f"field={FieldSpec(report.characteristic)} seed={report.seed} "
         f"trials={report.trials} generator={report.generator}",
         f"  target  {','.join(str(v) for v in report.target)}",
     ]
@@ -418,7 +414,7 @@ def _cmd_verify(config: RunConfig) -> int:
         for report in reports:
             lines.extend(_report_plain(report))
         _emit("\n".join(lines) + "\n", config)
-    if any(r.verdict == "mismatch" or r.status == "error" for r in reports):
+    if any(r.verdict == "mismatch" for r in reports):
         return EXIT_MISMATCH
     if any(r.verdict == "inconclusive" for r in reports):
         return EXIT_INCONCLUSIVE

@@ -1,27 +1,27 @@
 """Exact scalar arithmetic, seeded sampling, and matrix rank.
 
 Scalars are arbitrary-precision rationals (characteristic 0) or residues
-modulo a prime p, held in numpy arrays of one dtype per field
+modulo a prime p below 2**63, held in numpy arrays of one dtype per field
 (`FieldSpec.dtype`), from the sampled scalars through the forms to the
 matrices ranked: int64 for word primes (p at most 3 037 000 499, where a
-residue plus a product of two fits), uint64 for larger primes below
-2**63, and Python integers over the rationals and above 2**63.  Products
-of residues are reduced by one % per term in int64 and on Python
-integers, and in uint64 at once with a precomputed quotient (Shoup),
-so that no value wraps (`FieldSpec.multiply_add`).  Every rank comes
-from one in-place modular Gaussian elimination: over GF(p) directly, and
-over the rationals modulo primes below 2**30, where it reduces its block
-only every 8 updates, until a Hadamard bound or a cap the caller proved
-shows the largest rank seen exact.  Only the update of its trailing block
-depends on the dtype: in int64 it is reduced mod p only when one more
-update could overflow (delayed reduction, as in Dumas-Giorgi-Pernet, ACM
-TOMS 35(3), 2008), in uint64 every product is reduced with the same
-Shoup product as the field's, and Python integers are never reduced.
-Following the same paper, int64 matrices over primes up to 23 726 561
-are eliminated in panels of 16 columns while more than 72 are left, and
-the rows below each panel are updated by one float64 matrix product;
-such a matrix with more rows than columns is eliminated transposed, and
-a pivot in a panel updates only the tracking columns already set.
+residue plus a product of two fits), uint64 for larger primes, and
+Python integers over the rationals.  Products of residues are reduced by
+one % per term in int64, and in uint64 at once with a precomputed
+quotient (Shoup), so that no value wraps (`FieldSpec.multiply_add`).
+Every rank comes from one in-place modular Gaussian elimination: over
+GF(p) directly, and over the rationals modulo primes below 2**30, where
+it reduces its block only every 8 updates, until a Hadamard bound or a
+cap the caller proved shows the largest rank seen exact.  Only the
+update of its trailing block depends on the dtype: in int64 it is
+reduced mod p only when one more update could overflow (delayed
+reduction, as in Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008), and in
+uint64 every product is reduced with the same Shoup product as the
+field's.  Following the same paper, int64 matrices over primes up to
+23 726 561 are eliminated in panels of 16 columns while more than 72 are
+left, and the rows below each panel are updated by one float64 matrix
+product; such a matrix with more rows than columns is eliminated
+transposed, and a pivot in a panel updates only the tracking columns
+already set.
 Floats hold only integers below 2**53, there and in the witnesses'
 weighted sums (`inverse_systems.linear_combination`), so no float64
 operation rounds (`_float_exact`).  Random sampling is driven by
@@ -108,14 +108,19 @@ def mix(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The rationals (characteristic 0) or the prime field GF(p)."""
+    """The rationals (characteristic 0) or the prime field GF(p), p below
+    2**63; this is the one check of which characteristics exist."""
 
     characteristic: int = 0
 
     def __post_init__(self) -> None:
         c = self.characteristic
+        if not isinstance(c, int):
+            raise TypeError(f"characteristic must be an int, got {c!r}")
         if c < 0 or (c != 0 and not is_prime(c)):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
+        if c >= 2**63:
+            raise ValueError(f"characteristic must be below 2**63, got {c}")
 
     @property
     def is_modular(self) -> bool:
@@ -139,14 +144,13 @@ class FieldSpec:
         """Array dtype of the field's scalars, the one table of how a
         residue is held: int64 where a residue plus a product of two
         residues fits (p at most `_NUMPY_SAFE_MODULUS`), uint64 for larger
-        primes below 2**63, where a sum of two residues stays below 2**64
-        and products are reduced with precomputed quotients
-        (`_shoup_product`), and Python integers over the rationals and
-        above 2**63."""
+        primes, where a sum of two residues stays below 2**64 and products
+        are reduced with precomputed quotients (`_shoup_product`), and
+        Python integers over the rationals."""
         p = self.characteristic
         if 0 < p <= _NUMPY_SAFE_MODULUS:
             return np.int64
-        return np.uint64 if 0 < p < 2**63 else object
+        return np.uint64 if p else object
 
     def array(self, values: Sequence) -> np.ndarray:
         """Normalized 1-D array of the given values."""
@@ -172,12 +176,11 @@ class FieldSpec:
         and acc (None for zero), x and y hold the field's scalars.  The
         result goes to ``out``, which may be x, or to a new array.
 
-        int64 and Python integers take one % per term, as a residue plus a
-        product of two fits int64 for word primes; over the rationals
-        nothing is reduced.  uint64 takes Shoup's product, which stays
-        below 2**64 where ``x * y`` would wrap (`_shoup_product`), and the
-        sum of two residues below 2p <= 2**64 needs one conditional
-        subtraction.
+        int64 takes one % per term, as a residue plus a product of two fits
+        int64 for word primes; over the rationals nothing is reduced.
+        uint64 takes Shoup's product, which stays below 2**64 where
+        ``x * y`` would wrap (`_shoup_product`), and the sum of two
+        residues below 2p <= 2**64 needs one conditional subtraction.
         """
         p = self.characteristic
         if self.dtype is not np.uint64:
@@ -442,8 +445,8 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     `_reduction_budget` as one update per pivot, as in a single panel.
 
     The rest of the matrix is one panel, and so is all of a matrix in
-    uint64, in Python integers or in int64 above that bound, and of one
-    of at most `_SPLIT_COLUMNS` columns, which panels made no faster.
+    uint64 or in int64 above that bound, and of one of at most
+    `_SPLIT_COLUMNS` columns, which panels made no faster.
 
     Where panels are split, a matrix with more rows than columns is
     eliminated transposed, on a copy, leaving ``a`` as it is: the rank is
@@ -493,13 +496,12 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int,
     the swap and this column walk are shared by every dtype; only the
     update of the trailing block differs.
 
-    int64 (p at most `_NUMPY_SAFE_MODULUS`) and object (p above 2**63):
-    reduction mod p is delayed.  While updates are pending, each step
-    reduces only the column that yields the next pivot and multipliers and
-    the lead row, so every product added is of two residues.  The trailing
-    block is reduced once `_reduction_budget(p)` updates are pending,
-    before an int64 entry could overflow; Python integers cannot overflow,
-    so there it is never reduced.
+    int64 (p at most `_NUMPY_SAFE_MODULUS`): reduction mod p is delayed.
+    While updates are pending, each step reduces only the column that
+    yields the next pivot and multipliers and the lead row, so every
+    product added is of two residues.  The trailing block is reduced once
+    `_reduction_budget(p)` updates are pending, before an entry could
+    overflow.
 
     uint64 (`_NUMPY_SAFE_MODULUS` < p < 2**63): every update is reduced at
     once (`_add_shoup_products`), with the scaled lead row's quotients
@@ -513,7 +515,7 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int,
     pivot t updates columns up to ``width + t`` only.
     """
     shoup = a.dtype == np.uint64
-    budget = _reduction_budget(p) if a.dtype == np.int64 else None
+    budget = None if shoup else _reduction_budget(p)
     pending = 0
     m, end = a.shape
     r = 0
@@ -578,13 +580,11 @@ def _stream_words(seed: int, start: int, count: int) -> np.ndarray:
 def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
     """Deterministic stream of ``count`` scalars from ``seed``.
 
-    Over GF(p): uniform over all p residues (rejection sampling, no modulo
-    bias), each drawn from as many 64-bit words, first most significant,
-    as p - 1 has 64-bit digits (one for every p - 1 < 2**64).  Over the
-    rationals: uniform over the 2 * `RATIONAL_HEIGHT_BOUND` nonzero
-    integers of magnitude at most 2**20, so downstream rank computations
-    stay tractable.  Words are drawn in batches of one per missing scalar;
-    a draw of several words is joined in Python integers.
+    Over GF(p): uniform over all p residues, each drawn from one 64-bit
+    word (rejection sampling, no modulo bias).  Over the rationals:
+    uniform over the 2 * `RATIONAL_HEIGHT_BOUND` nonzero integers of
+    magnitude at most 2**20, so downstream rank computations stay
+    tractable.  Words are drawn in batches of one per missing scalar.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -594,18 +594,12 @@ def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
             np.int64) + 1
         return np.where(words >> np.uint64(63), -magnitude, magnitude).tolist()
     p = field.characteristic
-    width = -(-(p - 1).bit_length() // 64)
-    # The largest accepted draw: below it every residue is equally likely.
-    top = (1 << 64 * width) - (1 << 64 * width) % p - 1
+    # The largest accepted word: up to it every residue is equally likely.
+    top = np.uint64(MASK64 - 2**64 % p)
     out: list[Scalar] = []
     used = 0
     while len(out) < count:
-        batch = count - len(out)
-        words = _stream_words(seed, used, batch * width).reshape(batch, width)
-        used += batch * width
-        draws = words[:, 0]
-        for column in words[:, 1:].T:
-            draws = draws.astype(object) << 64 | column.astype(object)
-        draws = draws[draws <= top]
-        out.extend((draws % p).tolist())
+        words = _stream_words(seed, used, count - len(out))
+        used += words.size
+        out.extend((words[words <= top] % np.uint64(p)).tolist())
     return out

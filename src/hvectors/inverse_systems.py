@@ -395,8 +395,10 @@ class VerificationReport:
     later trial can exceed it.  ``best`` is the entrywise maximum over the
     trials run: reaching the target dimension is an open condition, so any
     witness certifies a degree, and a degree at its cap is proved.
-    ``detail`` states a ``mismatch``'s bound, an ``inconclusive``'s reason
-    (:func:`verify_construction`) or an ``error``.  ``degree_seconds``
+    ``detail`` states a ``mismatch``'s bound or an ``inconclusive``'s
+    reason (:func:`verify_construction`).  ``status`` is always ``ok``, as
+    invalid input raises instead; it stays in the JSON view, whose bytes
+    reruns and golden reports compare.  ``degree_seconds``
     holds wall time per degree summed over trials, 0.0 for a degree every
     trial proved from its neighbour without a rank (:func:`_hilbert_ranks`);
     it is deliberately left out of the JSON view so that reruns with one
@@ -560,26 +562,13 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
 def sweep_characteristics(kind: str, parameter: int,
                           characteristics: Sequence[int], seed: int = 0,
                           trials: int = 5) -> list[VerificationReport]:
-    """One verification report per characteristic, in the given order.
-
-    Each characteristic is processed independently with the same base
-    seed.  A characteristic that is neither 0 nor a prime gets a report
-    with status ``error`` and does not abort the rest of the sweep; an
-    error raised inside a verification propagates.
+    """One verification report per characteristic, in the given order,
+    each with the same base seed.  Every characteristic is checked
+    (`FieldSpec`) before the first verification runs, so an invalid one
+    raises before any trial; so does any error inside a verification.
     """
-    chars = list(characteristics)
-    if not chars:
+    specs = [FieldSpec(c) for c in characteristics]
+    if not specs:
         raise ValueError("characteristics list is empty")
-    reports = []
-    for ch in chars:
-        try:
-            field = FieldSpec(ch)
-        except ValueError as exc:
-            reports.append(VerificationReport(
-                kind=kind, parameter=parameter, characteristic=ch, seed=seed,
-                trials=trials, target=family_target(kind, parameter).entries,
-                status="error", detail=f"{type(exc).__name__}: {exc}"))
-        else:
-            reports.append(
-                verify_construction(kind, parameter, field, seed, trials))
-    return reports
+    return [verify_construction(kind, parameter, field, seed, trials)
+            for field in specs]

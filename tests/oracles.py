@@ -5,9 +5,10 @@ enumeration is reimplemented here, contraction acts term by term on
 ``{monomial: coefficient}`` dicts instead of gathering from coefficient
 arrays, and ranks are computed by plain Gaussian elimination on Python
 lists, over the rationals or modulo p, instead of the library's
-multi-modular numpy elimination.  ``WIDE_PRIMES`` are the primes at the
-ends of the uint64 range of the library's arrays.  ``truncation`` builds the
-monomial module the library only pins, as one library form per monomial.
+multi-modular numpy elimination.  ``WIDE_PRIMES`` are primes of the
+uint64 range of the library's arrays, its first and last among them.
+``truncation`` builds the monomial module the library only pins, as one
+library form per monomial.
 ``ones`` replaces the sampler for witnesses that miss every cap.
 ``terms``, ``power_coefficients`` and ``weighted_sums`` read a form and
 build witnesses on Python integers, one coefficient at a time.
@@ -21,10 +22,10 @@ from typing import Iterator
 
 from hvectors import FieldSpec, Form
 
-# The uint64 range of `FieldSpec.dtype`: its first prime, two inside, its
-# last prime, and the first prime above it, which stays on Python integers.
+# The uint64 range of `FieldSpec.dtype`: its first prime, two inside, and
+# its last prime, the largest characteristic `FieldSpec` accepts.
 WIDE_PRIMES = (3_037_000_507, 2**61 - 1, 2**62 - 57,
-               9_223_372_036_854_775_783, 9_223_372_036_854_775_837)
+               9_223_372_036_854_775_783)
 
 
 @lru_cache(maxsize=None)
@@ -179,22 +180,17 @@ def splitmix_stream(seed: int) -> Iterator[int]:
 
 def splitmix_scalars(p: int, count: int, seed: int) -> list[int]:
     """The sampling stream one splitmix64 word at a time: over GF(p)
-    (p > 0) residues 0..p-1 by rejection, a draw being as many words as
-    p - 1 has 64-bit digits, first most significant; over the rationals
-    (p = 0) signed integers of magnitude 1..2**20."""
+    (p > 0) residues 0..p-1 by rejection of the words at or above the
+    largest multiple of p up to 2**64; over the rationals (p = 0) signed
+    integers of magnitude 1..2**20."""
     stream = splitmix_stream(seed)
     out = []
     while len(out) < count:
+        draw = next(stream)
         if p == 0:
-            draw = next(stream)
             sign = -1 if draw >> 63 else 1
             out.append(sign * ((draw & ((1 << 20) - 1)) + 1))
-            continue
-        words = -(-(p - 1).bit_length() // 64)
-        draw = 0
-        for _ in range(words):
-            draw = draw << 64 | next(stream)
-        if draw < (1 << 64 * words) - (1 << 64 * words) % p:
+        elif draw < 2**64 - 2**64 % p:
             out.append(draw % p)
     return out
 

@@ -57,7 +57,8 @@ def test_is_prime_rejects_psi_12() -> None:
     assert PSI_12 == 399_165_290_221 * 798_330_580_441
     assert is_prime(399_165_290_221) and is_prime(798_330_580_441)
     assert not is_prime(PSI_12)
-    with pytest.raises(ValueError):
+    # Refused as composite, not as too large: the primality check comes first.
+    with pytest.raises(ValueError, match="0 or a prime"):
         FieldSpec(PSI_12)
     assert is_prime(2**89 - 1) and is_prime(2**64 + 13)
 
@@ -66,12 +67,16 @@ def test_field_spec_validation() -> None:
     FieldSpec(0)
     FieldSpec(2)
     FieldSpec(32003)
+    FieldSpec(WIDE_PRIMES[-1])
     with pytest.raises(ValueError):
         FieldSpec(4)
     with pytest.raises(ValueError):
         FieldSpec(-5)
     with pytest.raises(ValueError):
         FieldSpec(32001)
+    for inexact in (7.0, np.int64(32003), "7", Fraction(7)):
+        with pytest.raises(TypeError, match="characteristic must be an int"):
+            FieldSpec(inexact)
 
 
 def test_field_normalize() -> None:
@@ -251,7 +256,7 @@ def test_rank_cap_proves_rational_rank_from_one_prime(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("field", [FieldSpec(2), GF, FieldSpec(2**61 - 1),
-                                   FieldSpec(2**89 - 1), QQ])
+                                   FieldSpec(WIDE_PRIMES[-1]), QQ])
 def test_rank_above_its_cap_raises(field: FieldSpec) -> None:
     """A cap below the rank is a wrong proof, never a smaller rank, also
     for a matrix of unit rows only; a cap at or above the rank changes
@@ -272,8 +277,8 @@ def test_rank_above_its_cap_raises(field: FieldSpec) -> None:
 
 
 @pytest.mark.parametrize("field", [FieldSpec(1_000_003), FieldSpec(2**61 - 1),
-                                   FieldSpec(2**89 - 1), QQ],
-                         ids=["int64", "uint64", "object", "QQ"])
+                                   QQ],
+                         ids=["int64", "uint64", "QQ"])
 def test_rank_leaves_its_input_unchanged(field: FieldSpec) -> None:
     """The elimination runs in place on the nonzero rows, so it must get a
     copy of them even when no row is zero; the matrix is tall, so over
@@ -306,7 +311,7 @@ def test_rational_rank_matches_fraction_rank(rows) -> None:
     assert rank(DenseMatrix.from_rows(QQ, rows)) == fraction_rank(rows)
 
 
-@pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1])
+@pytest.mark.parametrize("p", [2**61 - 1])
 def test_big_prime_rank_matches_modular_oracle(p: int) -> None:
     field = FieldSpec(p)
     rng = random.Random(p)
@@ -444,16 +449,15 @@ def test_panel_width_is_the_widest_the_float64_bound_admits() -> None:
     (_NEXT_PRIME, np.int64, 105, [105]),
     (2**31 - 1, np.int64, 105, [105]),
     (2**61 - 1, np.uint64, 105, [105]),
-    (WIDE_PRIMES[-1], object, 105, [105]),
 ])
 def test_panels_split_off_below_the_float64_bound(monkeypatch, p, dtype,
                                                   cols, widths) -> None:
     """int64 matrices split off panels of 16 columns while more than
-    `_SPLIT_COLUMNS` remain, for primes the bound admits; above it, in
-    uint64 and in Python integers the matrix is one panel.  The 60-row
-    transpose of each matrix has the same rank: for primes the bound
-    admits in int64 it is transposed back, on a copy that leaves it
-    unchanged, and split the same way; elsewhere it is one panel of 60."""
+    `_SPLIT_COLUMNS` remain, for primes the bound admits; above it and in
+    uint64 the matrix is one panel.  The 60-row transpose of each matrix
+    has the same rank: for primes the bound admits in int64 it is
+    transposed back, on a copy that leaves it unchanged, and split the
+    same way; elsewhere it is one panel of 60."""
     seen = []
 
     def spy(a, width, p, trailing=None):
@@ -556,15 +560,17 @@ def test_panel_elimination_matches_modular_oracle(p: int) -> None:
 
 def test_field_dtype_by_prime() -> None:
     """`FieldSpec.dtype` is the one table of how a scalar is held, from
-    the sampled witness to the eliminated matrix."""
+    the sampled witness to the eliminated matrix: Python integers hold
+    only rationals, as no prime at or above 2**63 is a characteristic."""
     last_word_prime = 3_037_000_493
     assert not any(is_prime(q) for q in
                    range(last_word_prime + 1, _NUMPY_SAFE_MODULUS + 1))
     assert FieldSpec(last_word_prime).dtype is np.int64
-    assert [FieldSpec(p).dtype for p in WIDE_PRIMES] == [np.uint64] * 4 + [
-        object]
-    assert FieldSpec(2**89 - 1).dtype is object
+    assert [FieldSpec(p).dtype for p in WIDE_PRIMES] == [np.uint64] * 4
     assert QQ.dtype is object
+    for p in (9_223_372_036_854_775_837, 2**89 - 1):
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            FieldSpec(p)
 
 
 def test_high_words_of_extreme_products() -> None:
@@ -580,7 +586,7 @@ def test_high_words_of_extreme_products() -> None:
     assert high.tolist() == [[x * y >> 64 for y in ys] for x in xs]
 
 
-@pytest.mark.parametrize("p", WIDE_PRIMES[:4])
+@pytest.mark.parametrize("p", WIDE_PRIMES)
 def test_shoup_quotients_match_python_integers(p: int) -> None:
     """Residues at 0, 1, p/2 and p - 1 and random ones; at 2**62 - 57 and
     at the last prime some of them need the quotient's last correction."""
@@ -592,7 +598,7 @@ def test_shoup_quotients_match_python_integers(p: int) -> None:
     assert quotients.tolist() == [(v << 64) // p for v in w]
 
 
-@pytest.mark.parametrize("p", WIDE_PRIMES[:4])
+@pytest.mark.parametrize("p", WIDE_PRIMES)
 def test_shoup_update_is_exact_and_reduced(p: int) -> None:
     """Residues at 0, 1, p/2 and p - 1 make the precomputed-quotient
     product land on either side of p and the sum reach 2p - 2."""
@@ -713,8 +719,8 @@ def test_sample_scalars_modular_residues() -> None:
 
 
 def test_sample_scalars_single_word_stream() -> None:
-    """Below 2**64 + 1 each scalar is one accepted splitmix64 word."""
-    for p in (2, 2**61 - 1, 2**64 - 59):
+    """Each scalar is one accepted splitmix64 word."""
+    for p in (2, 2**61 - 1, WIDE_PRIMES[-1]):
         limit = 2**64 - 2**64 % p
         stream = splitmix_stream(7)
         expected = []
@@ -726,25 +732,16 @@ def test_sample_scalars_single_word_stream() -> None:
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 17, 65537, 32003, 2**61 - 1,
-                               9223372036854775837, 2**64 + 13, 2**89 - 1])
+                               6148914691236517223, WIDE_PRIMES[-1]])
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_sample_scalars_match_word_by_word_stream(p: int, seed: int) -> None:
     """The batched draw equals the stream drawn one splitmix64 word at a
     time: rationals, GF(2) (every 64-bit draw accepted), Fermat primes,
-    word and big primes, a prime just above 2**63 (half of all draws
-    rejected) and draws of two words."""
+    word and big primes, the first prime above 2**64 / 3 (a third of all
+    draws rejected) and the last prime below 2**63."""
     for count in (0, 1, 5, 300):
         assert sample_scalars(FieldSpec(p), count, seed) == splitmix_scalars(
             p, count, seed)
-
-
-@pytest.mark.parametrize("p", [2**64 + 13, 2**89 - 1])
-def test_sample_scalars_beyond_one_word(p: int) -> None:
-    values = sample_scalars(FieldSpec(p), 200, seed=5)
-    assert values == sample_scalars(FieldSpec(p), 200, seed=5)
-    assert values != sample_scalars(FieldSpec(p), 200, seed=6)
-    assert all(0 <= v < p for v in values)
-    assert max(values) > p // 2
 
 
 def test_sample_scalars_rational_height() -> None:
