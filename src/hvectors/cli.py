@@ -2,8 +2,9 @@
 run verifications and characteristic sweeps, write reports.
 
 ``verify`` is a ``sweep`` over the one characteristic its ``--field``
-names: both commands share one grammar, one validation table and one
-handler, which runs every job through ``sweep_characteristics``.
+names: both commands share one grammar and one handler, which runs every
+job through ``sweep_characteristics``.  The CLI only parses: the library
+refuses each value it cannot use, with one text for every command.
 
 Exit codes: 0 success (or match), 1 verification mismatch, 2 invalid
 input, 3 inconclusive verification (trials short of a cap in a field too
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import families, sequences
-from .exact import MASK64, FieldSpec
+from .exact import FieldSpec
 from .inverse_systems import VerificationReport, sweep_characteristics
 from .sequences import HVector, Violation
 from .version import VERSION
@@ -156,8 +157,6 @@ def _parse_chars(text: str) -> tuple[int, ...]:
         chars = tuple(int(c) for c in text.split(",") if c.strip())
     except ValueError:
         raise UsageError(f"cannot parse characteristics {text!r}") from None
-    if not chars:
-        raise UsageError("name at least one characteristic")
     for c in chars:
         try:
             FieldSpec(c)
@@ -174,24 +173,18 @@ def _parse_field(text: str) -> tuple[int, ...]:
 
 def _parse_seed(text: str) -> int:
     try:
-        seed = int(text, 0)
+        return int(text, 0)
     except ValueError:
         raise UsageError(f"cannot parse seed {text!r}") from None
-    if seed < 0:
-        raise UsageError("seed must be nonnegative")
-    if seed > MASK64:
-        raise UsageError("seed must be below 2**64")
-    return seed
 
 
-# CLI kind -> (its parameter flag, the smallest parameter with a
-# construction, the flags it rejects, its library kind for each --parity)
+# CLI kind -> (its parameter flag, the flags it rejects, its library kind
+# for each --parity).  The library refuses a parameter with no
+# construction (`families.family`) and a seed outside [0, 2**64).
 _KIND_RULES = {
-    "thm-e": ("e", families.MIN_SOCLE_DEGREE, ("d", "parity"),
-              {None: families.KIND_SOCLE_DEGREE}),
-    "thm-r": ("d", families.MIN_HALF_DEGREE, ("e",),
-              {"odd": families.KIND_CODIM5_ODD,
-               "even": families.KIND_CODIM5_EVEN}),
+    "thm-e": ("e", ("d", "parity"), {None: families.KIND_SOCLE_DEGREE}),
+    "thm-r": ("d", ("e",), {"odd": families.KIND_CODIM5_ODD,
+                            "even": families.KIND_CODIM5_EVEN}),
 }
 
 
@@ -206,7 +199,7 @@ def _build_config(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
         return RunConfig(vector=_parse_vector(args.vector), **common)
 
     kind = args.kind
-    flag, minimum, rejected, library_kinds = _KIND_RULES[kind]
+    flag, rejected, library_kinds = _KIND_RULES[kind]
     for name in rejected:
         if getattr(args, name) is not None:
             raise UsageError(f"{kind} does not take --{name}")
@@ -218,19 +211,13 @@ def _build_config(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
               else list(library_kinds.values()))
 
     if args.command == "construct":
-        # Below the minimum the families module explains why no member exists.
         if len(chosen) > 1:
             raise UsageError(f"{kind} needs --parity")
-        if args.a < 0:
-            raise UsageError("--a must be nonnegative")
         return RunConfig(jobs=((chosen[0], value),), lift=args.a, **common)
 
+    # Jobs run in ascending parameter order with shared trials, seed and
+    # fields, so a value the library refuses stops the first job unsampled.
     parameters = _parse_values(value, f"--{flag}")
-    if min(parameters) < minimum:
-        raise UsageError(f"--{flag} must be >= {minimum} "
-                         "(no construction exists below that)")
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
     return RunConfig(jobs=tuple((k, p) for p in parameters for k in chosen),
                      characteristics=args.chars, seed=_parse_seed(args.seed),
                      trials=args.trials, **common)
@@ -310,7 +297,7 @@ def _cmd_construct(config: RunConfig) -> int:
     outcome = families.family(*config.jobs[0])
     gorenstein = outcome.gorenstein
     level: Optional[HVector] = outcome.level
-    if config.lift > 0:
+    if config.lift:
         gorenstein = families.lift_codimension(gorenstein, config.lift)
         level = None  # the lifted vector has no level companion
     if config.output_format == "json":

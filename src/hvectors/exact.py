@@ -30,6 +30,7 @@ result is reproducible from its seed.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -99,8 +100,8 @@ def is_prime(n: int) -> bool:
 
 def mix(seed: int, index: int) -> int:
     """Derived stream seed for parallel trial ``index``: word ``index`` of
-    the splitmix64 stream of ``seed`` (`_stream_words`), fixed so that
-    serial and concurrent execution sample identically."""
+    the splitmix64 stream of ``seed`` in [0, 2**64) (`_stream_words`),
+    fixed so that serial and concurrent execution sample identically."""
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
     return int(_stream_words(seed, index, 1)[0])
@@ -115,7 +116,7 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         c = self.characteristic
-        if not isinstance(c, int):
+        if not isinstance(c, int) or isinstance(c, bool):
             raise TypeError(f"characteristic must be an int, got {c!r}")
         if c < 0 or (c != 0 and not is_prime(c)):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
@@ -559,16 +560,21 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int,
 
 def _stream_words(seed: int, start: int, count: int) -> np.ndarray:
     """Words ``start`` to ``start + count - 1`` of the splitmix64 stream
-    of ``seed``, as uint64.  The generator adds the golden gamma
-    0x9E3779B97F4A7C15 to a 64-bit state that starts at the seed and
-    outputs the mix of the new state, so word k is the mix of
+    of ``seed``, as uint64; a seed outside [0, 2**64) is refused, not
+    wrapped, so that each stream has one seed.  The generator adds the
+    golden gamma 0x9E3779B97F4A7C15 to a 64-bit state that starts at the
+    seed and outputs the mix of the new state, so word k is the mix of
     seed + (k + 1) * gamma mod 2**64: every word is mixed at once, and
     uint64 sums and products wrap modulo 2**64 as the generator's do.  The
     steps run in place, so the batch allocates one array besides the
     shifts."""
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if seed > MASK64:
+        raise ValueError("seed must be below 2**64")
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & MASK64)
+    z += np.uint64(operator.index(seed))  # a float seed is refused too
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -578,7 +584,8 @@ def _stream_words(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
-    """Deterministic stream of ``count`` scalars from ``seed``.
+    """Deterministic stream of ``count`` scalars from ``seed``, which
+    must lie in [0, 2**64) (`_stream_words`).
 
     Over GF(p): uniform over all p residues, each drawn from one 64-bit
     word (rejection sampling, no modulo bias).  Over the rationals:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
+from typing import Optional
 
 from .sequences import HVector, is_symmetric
 
@@ -44,15 +44,6 @@ class FamilyResult:
     level: HVector
     gorenstein: HVector
     violation_step: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class NoSuchFamily:
-    """Typed outcome for parameters where no such h-vector exists."""
-
-    kind: str
-    parameter: int
-    reason: str
 
 
 def trivial_extension(level: HVector) -> HVector:
@@ -111,23 +102,20 @@ def lift_codimension(h: HVector, amount: int) -> HVector:
     return HVector((1, *interior, 1))
 
 
-def socle_degree_family(e: int) -> Union[FamilyResult, NoSuchFamily]:
+def socle_degree_family(e: int) -> FamilyResult:
     """Unimodal non-SI Gorenstein h-vector of socle degree e, codimension e+4.
 
     The level part compresses the 2-variable truncation (1, 2, ..., e) with
     one general form of degree e-1 in 3 variables; the Gorenstein vector is
     its trivial extension.  For e < 6 no unimodal non-SI Gorenstein
-    h-vector exists at all, and a typed ``NoSuchFamily`` is returned.
+    h-vector exists at all, and a ValueError says so.
     """
     if e < 1:
         raise ValueError(f"socle degree must be positive, got {e}")
     if e < MIN_SOCLE_DEGREE:
-        return NoSuchFamily(
-            KIND_SOCLE_DEGREE,
-            e,
+        raise ValueError(
             f"every unimodal Gorenstein h-vector of socle degree {e} < 6 "
-            "is an SI-sequence",
-        )
+            "is an SI-sequence")
     truncation = HVector(tuple(range(1, e + 1)))
     level = compress_level(truncation, 3, e - 1)
     return FamilyResult(
@@ -189,7 +177,4 @@ def family(kind: str, parameter: int) -> FamilyResult:
         raise ValueError(f"unknown kind {kind!r}")
     if KIND_PARITIES[kind] is not None:
         return codim5_family(parameter, KIND_PARITIES[kind])
-    result = socle_degree_family(parameter)
-    if isinstance(result, NoSuchFamily):
-        raise ValueError(result.reason)
-    return result
+    return socle_degree_family(parameter)

@@ -203,6 +203,7 @@ def hilbert_function(generators: Sequence[Form]) -> HVector:
     independent.  Every degree beyond either end is proved from its
     neighbour (:func:`_hilbert_ranks`).
     """
+    _check_generators(generators)
     if all(f.is_zero() for f in generators):
         raise ValueError("no nonzero generator")
     ranks, _ = _hilbert_ranks(generators, 0)

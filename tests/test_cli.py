@@ -105,6 +105,32 @@ def test_construct_lift(capsys) -> None:
     assert "codimension    12" in out
 
 
+def test_construct_negative_lift_exits_two(capsys) -> None:
+    code, out, err = run_cli(capsys, "construct", "thm-e", "--e", "6",
+                             "--a", "-1")
+    assert code == 2
+    assert out == ""
+    assert "lift amount must be nonnegative, got -1" in err
+
+
+def test_construct_and_verify_refuse_a_parameter_alike(capsys) -> None:
+    """The library refuses a parameter with no construction, so both
+    commands give its reason, and a range stops at its first member."""
+    for kind, flag, value, extra in (("thm-e", "--e", "5", ()),
+                                     ("thm-r", "--d", "9", ("--parity",
+                                                            "odd"))):
+        errors = set()
+        for command in ("construct", "verify"):
+            code, out, err = run_cli(capsys, command, kind, flag, value,
+                                     *extra)
+            assert (code, out) == (2, "")
+            errors.add(err)
+        assert len(errors) == 1
+    code, out, err = run_cli(capsys, "verify", "thm-e", "--e", "3..8")
+    assert (code, out) == (2, "")
+    assert "socle degree 3 < 6 is an SI-sequence" in err
+
+
 def test_construct_missing_parameters(capsys) -> None:
     assert run_cli(capsys, "construct", "thm-r", "--d", "10")[0] == 2
     assert run_cli(capsys, "construct", "thm-e")[0] == 2
@@ -215,7 +241,12 @@ def test_verify_csv(capsys) -> None:
 def test_sweep_rejects_bad_characteristics(capsys) -> None:
     assert run_cli(capsys, "sweep", "thm-e", "--e", "6",
                    "--chars", "0,15")[0] == 2
-    assert run_cli(capsys, "sweep", "thm-e", "--e", "6", "--chars", ",")[0] == 2
+    # Only sweep can name no characteristic: verify's ``--field ,`` is
+    # refused first, as more than one.
+    code, out, err = run_cli(capsys, "sweep", "thm-e", "--e", "6",
+                             "--chars", ",")
+    assert (code, out) == (2, "")
+    assert "characteristics list is empty" in err
 
 
 def test_sweep_small(capsys) -> None:
@@ -229,17 +260,18 @@ def test_sweep_small(capsys) -> None:
 
 
 # Each input is invalid for verify and sweep alike, for the reason named
-# in the second column: the two commands share one validation table.
+# in the second column: the CLI parses and the library refuses values, so
+# the two commands give one text, before any trial samples.
 # "{field}" stands for --field or --chars.
 INVALID_RUNS = [
-    (("thm-e", "--e", "5"), "--e must be >= 6"),
-    (("thm-r", "--d", "9", "--parity", "odd"), "--d must be >= 10"),
+    (("thm-e", "--e", "5"), "socle degree 5 < 6 is an SI-sequence"),
+    (("thm-r", "--d", "9", "--parity", "odd"), "d must be >= 10, got 9"),
     (("thm-e", "--e", "6", "--d", "10"), "thm-e does not take --d"),
     (("thm-e", "--e", "6", "--parity", "odd"), "thm-e does not take --parity"),
     (("thm-r", "--d", "10", "--e", "6"), "thm-r does not take --e"),
     (("thm-e", "--e", "7..6"), "empty range"),
     (("thm-r", "--d", "12..10"), "empty range"),
-    (("thm-e", "--e", "6", "--trials", "0"), "--trials must be at least 1"),
+    (("thm-e", "--e", "6", "--trials", "0"), "trials must be positive, got 0"),
     (("thm-e", "--e", "6", "{field}", "15"), "0 or a prime, got 15"),
     # A strong pseudoprime to the first 12 prime bases.
     (("thm-e", "--e", "6", "{field}", "318665857834031151167461"),
@@ -260,13 +292,17 @@ INVALID_RUNS = [
                          ids=["verify", "sweep"])
 @pytest.mark.parametrize("args, reason", INVALID_RUNS,
                          ids=[" ".join(args) for args, _ in INVALID_RUNS])
-def test_verify_and_sweep_reject_invalid_input(capsys, command, field, args,
-                                              reason) -> None:
+def test_verify_and_sweep_reject_invalid_input(capsys, monkeypatch, command,
+                                              field, args, reason) -> None:
+    sampled = []
+    monkeypatch.setattr(inverse_systems, "sample_scalars",
+                        lambda *call: sampled.append(call))
     code, out, err = run_cli(capsys, command,
                              *(a.format(field=field) for a in args))
     assert code == 2
     assert out == ""
     assert reason in err
+    assert sampled == []
 
 
 def test_sweep_accepts_parameter_range(capsys) -> None:

@@ -74,7 +74,8 @@ def test_field_spec_validation() -> None:
         FieldSpec(-5)
     with pytest.raises(ValueError):
         FieldSpec(32001)
-    for inexact in (7.0, np.int64(32003), "7", Fraction(7)):
+    # bool is an int subclass: False would build QQ, True fail as 1.
+    for inexact in (7.0, np.int64(32003), "7", Fraction(7), False, True):
         with pytest.raises(TypeError, match="characteristic must be an int"):
             FieldSpec(inexact)
 

@@ -339,9 +339,9 @@ def test_hilbert_function_examples() -> None:
 
 
 def test_hilbert_function_rejects_zero_module() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no nonzero generator"):
         hilbert_function([Form.from_coefficients(3, 2, GF, [0] * 6)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="generator list is empty"):
         hilbert_function([])
 
 
@@ -754,6 +754,41 @@ def test_verify_validates_parameters() -> None:
     for query in (family, family_target):
         with pytest.raises(ValueError, match="unknown kind"):
             query("unknown", 6)
+
+
+def test_seeds_outside_64_bits_are_refused(monkeypatch) -> None:
+    """Seeds are refused, not wrapped modulo 2**64, so that a report's seed
+    is the one its trials derive from; a verification refuses one before
+    it samples."""
+    sampled = []
+
+    def spy(field, count, seed):
+        sampled.append(seed)
+        return sample_scalars(field, count, seed)
+
+    monkeypatch.setattr(inverse_systems, "sample_scalars", spy)
+    for seed, reason in ((-1, "seed must be nonnegative"),
+                         (2**64, r"seed must be below 2\*\*64")):
+        for refuse in (lambda: mix(seed, 0),
+                       lambda: sample_scalars(GF, 3, seed),
+                       lambda: sample_scalars(QQ, 3, seed),
+                       lambda: verify_construction(KIND_SOCLE_DEGREE, 6, GF,
+                                                   seed=seed, trials=1),
+                       lambda: verify_construction(KIND_CODIM5_ODD, 10, GF,
+                                                   seed=seed, trials=1)):
+            with pytest.raises(ValueError, match=reason):
+                refuse()
+    assert sampled == []
+    with pytest.raises(TypeError):
+        mix(1.5, 0)
+    for seed in (0, 2**64 - 1):
+        assert 0 <= mix(seed, 0) < 2**64
+        assert len(sample_scalars(GF, 3, seed)) == 3
+        report = verify_construction(KIND_SOCLE_DEGREE, 6, GF, seed=seed,
+                                     trials=1)
+        assert report.seed == seed
+        assert report.trial_seeds == (mix(seed, 0),)
+    assert len(sampled) == 2
 
 
 def test_verify_codim5_targets() -> None:
