@@ -154,15 +154,9 @@ def _parse_values(text: str, flag: str) -> tuple[int, ...]:
 
 def _parse_chars(text: str) -> tuple[int, ...]:
     try:
-        chars = tuple(int(c) for c in text.split(",") if c.strip())
+        return tuple(int(c) for c in text.split(",") if c.strip())
     except ValueError:
         raise UsageError(f"cannot parse characteristics {text!r}") from None
-    for c in chars:
-        try:
-            FieldSpec(c)
-        except ValueError as err:
-            raise UsageError(f"field {err}") from None
-    return chars
 
 
 def _parse_field(text: str) -> tuple[int, ...]:

@@ -11,22 +11,23 @@ quotient (Shoup), so that no value wraps (`FieldSpec.multiply_add`).
 Every rank comes from one in-place modular Gaussian elimination: over
 GF(p) directly, and over the rationals modulo primes below 2**30, where
 it reduces its block only every 8 updates, until a Hadamard bound or a
-cap the caller proved shows the largest rank seen exact.  Only the
-update of its trailing block depends on the dtype: in int64 it is
-reduced mod p only when one more update could overflow (delayed
-reduction, as in Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008), and in
-uint64 every product is reduced with the same Shoup product as the
-field's.  Following the same paper, int64 matrices over primes up to
-23 726 561 are eliminated in panels of 16 columns while more than 72 are
-left, and the rows below each panel are updated by one float64 matrix
-product; such a matrix with more rows than columns is eliminated
-transposed, and a pivot in a panel updates only the tracking columns
-already set.
-Floats hold only integers below 2**53, there and in the witnesses'
-weighted sums (`inverse_systems.linear_combination`), so no float64
-operation rounds (`_float_exact`).  Random sampling is driven by
-splitmix64, a fixed, portable, counter-based 64-bit generator, so every
-result is reproducible from its seed.
+cap the caller proved shows the largest rank seen exact.  Following
+Dumas-Giorgi-Pernet (ACM TOMS 35(3), 2008), it splits panels off wide
+matrices, and eliminates tall ones transposed: the rows below each panel
+are updated by one matrix product, and a pivot in a panel updates only
+the tracking columns already set.  For int64 primes up to 23 726 561 the
+panels have 16 columns and the product is one float64 product; reduction
+mod p is then delayed until one more update could overflow.  For every
+other prime the panels have 32 columns and the product is exact mod p,
+from float64 products of limbs (`_matmul_mod_p`, after Ozaki, Ogita,
+Oishi and Rump, Numer. Algorithms 59, 2012), which also forms the
+witnesses' weighted sums (`inverse_systems.linear_combination`).
+Inside a panel only the update of its trailing block depends on the
+dtype: delayed reduction in int64, and in uint64 every product reduced
+with the same Shoup product as the field's.  Floats hold only integers
+below 2**53, so no float64 operation rounds (`_float_exact`).  Random
+sampling is driven by splitmix64, a fixed, portable, counter-based 64-bit
+generator, so every result is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -61,6 +62,14 @@ _RATIONAL_PRIME_START = 1 << 30
 # of a single panel; thm-e's, of at most 66 columns, no faster.
 _PANEL_WIDTH = 16
 _SPLIT_COLUMNS = 72
+# Columns per panel, and columns that must be left to split one, where
+# each panel's update is a product of limbs (`_matmul_mod_p`), which is
+# one float64 product for up to 32 columns at 2**31 - 1 and 51 above
+# 2**32.  32 ranked thm-r d=20 over GF(2**61 - 1), and thm-r d=30 and
+# thm-e e=120 over GF(2**31 - 1), 2-9% faster than 24 and 7-40% faster
+# than 16 or 48; on the smaller matrices of thm-e e=14 and thm-r d=10, 16
+# was 10% faster.  Leaving 48 to 72 columns to split was no faster.
+_LIMB_PANEL_WIDTH = 32
 # Half-word mask and shift for 64x64 -> 128-bit products in uint64.
 _LOW32 = np.uint64(0xFFFFFFFF)
 _HALF = np.uint64(32)
@@ -181,7 +190,7 @@ class FieldSpec:
         int64 for word primes; over the rationals nothing is reduced.
         uint64 takes Shoup's product, which stays below 2**64 where
         ``x * y`` would wrap (`_shoup_product`), and the sum of two
-        residues below 2p <= 2**64 needs one conditional subtraction.
+        residues one conditional subtraction (`_add_mod`).
         """
         p = self.characteristic
         if self.dtype is not np.uint64:
@@ -193,8 +202,7 @@ class FieldSpec:
             return out
         t = _shoup_product(x, multiplier[..., 0], multiplier[..., 1], p)
         if acc is not None:
-            t += acc
-            np.minimum(t, t - np.uint64(p), out=t)
+            _add_mod(t, acc, p)
         if out is None:
             return t
         out[...] = t
@@ -406,75 +414,159 @@ def _shoup_quotients(w: np.ndarray, p: int) -> np.ndarray:
     return q
 
 
+def _add_mod(acc: np.ndarray, t: np.ndarray, p: int) -> None:
+    """acc += t mod p in place, for uint64 arrays of residues mod p < 2**63:
+    the sum, below 2p <= 2**64, is exact, and min(s, s - p) is s mod p, as
+    s - p wraps to above s when s < p."""
+    acc += t
+    np.minimum(acc, acc - np.uint64(p), out=acc)
+
+
 def _add_shoup_products(block: np.ndarray, column: np.ndarray,
                         lead: np.ndarray, scale: int, p: int) -> None:
     """block += column (outer) (scale * lead mod p), reduced mod p, on
     uint64 residues.  The scaled lead row and its quotients, one row per
     pivot, are computed in Python integers; each product is Shoup's
-    (`_shoup_product`), and the sum of two residues, below 2p <= 2**64,
-    is reduced by min(s, s - p)."""
+    (`_shoup_product`), and each sum is reduced by `_add_mod`."""
     if not block.size:
         return
     w = [v * scale % p for v in lead.tolist()]
     w, w_quotient = np.array([w, [(v << 64) // p for v in w]],
                              dtype=np.uint64)
-    block += _shoup_product(column[:, None], w, w_quotient, p)
-    modulus = np.uint64(p)
-    np.minimum(block, block - modulus, out=block)
+    _add_mod(block, _shoup_product(column[:, None], w, w_quotient, p), p)
+
+
+def _float_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y as int64 by one float64 product, exact for residues mod p
+    where `_float_exact` holds for the inner dimension and p."""
+    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+
+
+def _matmul_mod_p(x: np.ndarray, y: np.ndarray, p: int,
+                  acc: Optional[np.ndarray] = None) -> np.ndarray:
+    """acc + x @ y mod p, in [0, p), for 2-D arrays of residues mod p in
+    the dtype of ``FieldSpec(p)`` (int64 or uint64), written into ``acc``
+    when it is given, from exact float64 products only: the error-free
+    splitting of Ozaki, Ogita, Oishi and Rump (Numer. Algorithms 59,
+    2012).
+
+    Where `_float_exact` holds for the inner dimension k and p, it is one
+    float64 product.  Otherwise y is split into ``cy`` limbs y_j of
+    ``bits`` bits, and x @ y = sum_j x_j @ y_j mod p with x_j = 2**(bits j)
+    x mod p.  Below 2**32 the limbs have 16 bits and the x_j are residues;
+    above, they have 13, and each x_j is split too, into 32-bit halves
+    x_j0 and x_j1.  So
+
+        x @ y = D_0 + 2**32 D_1 mod p,  D_i = sum_j x_ji @ y_j,
+
+    where D_1 is zero below 2**32: the limb products are grouped by
+    degree i, and every degree is one float64 product of the x_ji side by
+    side by the y_j stacked, of inner dimension cy * k, all of them in a
+    single product.  By the argument of `_float_exact`, it is exact while
+    cy * k * (x_top - 1) * (2**bits - 1) < 2**53, where the x_ji are below
+    x_top: for k up to 32 at 2**31 - 1 and up to 51 above 2**32; a longer
+    inner dimension is cut into products that are exact.  The degrees are
+    recombined mod p, D_1 by the Shoup product by 2**32 mod p, which takes
+    any uint64 (`_shoup_product`).
+    """
+    (m, k), n, dtype = x.shape, y.shape[1], x.dtype
+    if _float_exact(k, p):
+        out = _float_product(x, y)
+    else:
+        wide = p >= 2**32
+        bits = 13 if wide else 16
+        cy = -(-(p - 1).bit_length() // bits)
+        x_top = 2**32 if wide else p
+        most = (2**53 - 1) // (cy * (x_top - 1) * (2**bits - 1))
+        if k > most:
+            acc = _matmul_mod_p(x[:, :most], y[:most], p, acc)
+            return _matmul_mod_p(x[:, most:], y[most:], p, acc)
+        shifts = np.arange(0, cy * bits, bits, dtype=np.uint64)
+        right = np.empty((cy, k, n))
+        for limb, shift in zip(right, shifts):
+            limb[...] = (y.view(np.uint64) >> shift) & np.uint64(2**bits - 1)
+        w = np.left_shift(np.uint64(1), shifts)[:, None, None]
+        x = x.view(np.uint64)
+        folds = _shoup_product(x, w, _shoup_quotients(w, p), p) if wide \
+            else x * w % np.uint64(p)
+        left = np.empty((1 + wide, m, cy, k))
+        if wide:
+            left[0] = (folds & _LOW32).transpose(1, 0, 2)
+            left[1] = (folds >> _HALF).transpose(1, 0, 2)
+        else:
+            left[0] = folds.transpose(1, 0, 2)
+        out = (left.reshape(len(left) * m, cy * k)
+               @ right.reshape(cy * k, n)).astype(np.int64)
+    low = out[:m].view(dtype)
+    if acc is None:
+        acc = low
+    else:
+        acc += low
+    acc %= p
+    if out.shape[0] > m:
+        w = 2**32 % p
+        _add_mod(acc, _shoup_product(out[m:].view(np.uint64), np.uint64(w),
+                                     np.uint64((w << 64) // p), p), p)
+    return acc
 
 
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank of a 2-D array of residues mod p held in the dtype of
     ``FieldSpec(p)`` (`FieldSpec.dtype`), by Gaussian elimination in place,
     one panel of columns at a time, each eliminated pivot by pivot
-    (`_eliminate_panel`); only the rows below a panel's pivots are read
-    again.
+    (`_eliminate_panel`), in the manner of Dumas-Giorgi-Pernet; only the
+    rows below a panel's pivots are read again.
+
+    While enough columns remain, a panel is split off: it is copied,
+    reduced, next to as many tracking columns, zero but for a 1 each pivot
+    row puts in its own before it is added to the rows below; so every
+    row's tracking columns hold the combination of the panel's pivot rows
+    added to it.  Each swap in the panel is made in the trailing block
+    too, which then holds every row as it was before the panel.  So one
+    matrix product, of the tracking columns of the rows below the pivots
+    by the pivot rows' trailing parts, both reduced, updates the trailing
+    block of those rows.  The rest of the matrix is one panel.
 
     In int64, for primes where a sum of `_PANEL_WIDTH` products of two
-    residues is exact in float64 (`_float_exact`), panels of that width
-    are split off while more than `_SPLIT_COLUMNS` columns remain, in the
-    manner of Dumas-Giorgi-Pernet.  A panel is copied, reduced, next to
-    as many tracking columns, zero but for a 1 each pivot row puts in its
-    own before it is added to the rows below; so every row's tracking
-    columns hold the combination of the panel's pivot rows added to it.
-    Each swap in the panel is made in the trailing block too, which then
-    holds every row as it was before the panel.  So one float64 product,
-    of the tracking columns of the rows below the pivots by the pivot
-    rows' trailing parts, both reduced, updates the trailing block of
-    those rows: it is exact (`_float_exact`), and adds to each entry at
-    most `_PANEL_WIDTH` products of two residues, counted towards
+    residues is exact in float64 (`_float_exact`, up to 23 726 561),
+    panels of that width are split while more than `_SPLIT_COLUMNS`
+    columns remain, as panels made no narrower matrix faster.  The update
+    is one float64 product left unreduced: it adds to each entry at most
+    `_PANEL_WIDTH` products of two residues, counted towards
     `_reduction_budget` as one update per pivot, as in a single panel.
+    For every other prime, in int64 or uint64, panels of
+    `_LIMB_PANEL_WIDTH` columns are split while more than that many
+    remain, and the update is the exact product mod p of float64 limbs
+    (`_matmul_mod_p`), added reduced, so the trailing block stays reduced.
 
-    The rest of the matrix is one panel, and so is all of a matrix in
-    uint64 or in int64 above that bound, and of one of at most
-    `_SPLIT_COLUMNS` columns, which panels made no faster.
-
-    Where panels are split, a matrix with more rows than columns is
-    eliminated transposed, on a copy, leaving ``a`` as it is: the rank is
-    the same, and every pivot is then found in a panel rather than in a
-    last panel over all the remaining rows.  Other matrices are not
-    transposed: a single panel does about as much work either way, and
-    the copy would cost time.
+    A matrix with more rows than columns is eliminated transposed, on a
+    copy, leaving ``a`` as it is: the rank is the same, and every pivot is
+    then found in a panel rather than in a last panel over all the
+    remaining rows.
     """
-    b = _PANEL_WIDTH if a.dtype == np.int64 and _float_exact(
-        _PANEL_WIDTH, p) else 0
-    if b and a.shape[0] > a.shape[1]:
+    delayed = _float_exact(_PANEL_WIDTH, p)
+    b, split = (_PANEL_WIDTH, _SPLIT_COLUMNS) if delayed else (
+        _LIMB_PANEL_WIDTH, _LIMB_PANEL_WIDTH)
+    if a.shape[0] > a.shape[1]:
         a = a.T.copy()
     m, n = a.shape
     budget = _reduction_budget(p)
     r = c = pending = 0
-    while b and r < m and n - c > _SPLIT_COLUMNS:
-        panel = np.zeros((m - r, 2 * b), dtype=np.int64)
+    while r < m and n - c > split:
+        panel = np.zeros((m - r, 2 * b), dtype=a.dtype)
         np.remainder(a[r:, c:c + b], p, out=panel[:, :b])
         trailing = a[r:, c + b:]
         k = _eliminate_panel(panel, b, p, trailing)
         below = trailing[k:]
-        if pending + k > budget:
-            below %= p
-            pending = 0
-        w = (panel[k:, b:b + k] % p).astype(np.float64)
-        below += (w @ (trailing[:k] % p).astype(np.float64)).astype(np.int64)
-        pending += k
+        w = panel[k:, b:b + k] % p
+        if delayed:
+            if pending + k > budget:
+                below %= p
+                pending = 0
+            below += _float_product(w, trailing[:k] % p)
+            pending += k
+        else:
+            _matmul_mod_p(w, trailing[:k], p, below)
         r += k
         c += b
     if pending:
@@ -509,11 +601,13 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int,
     computed once per pivot for the Shoup products of every multiplier
     below it.
 
-    With ``trailing``, the rows of the matrix right of a split panel
-    (`_rank_mod_p`), every swap is made there too, and pivot t sets its
-    own tracking column, ``width + t``, to 1 before its row is added.  The
-    tracking columns right of that one are still zero in every row, so
-    pivot t updates columns up to ``width + t`` only.
+    With ``trailing``, the rows of the matrix right of a panel split off
+    in either dtype (`_rank_mod_p`), every swap is made there too, and
+    pivot t sets its own tracking column, ``width + t``, to 1 before its
+    row is added.  The tracking columns right of that one are still zero
+    in every row, so pivot t updates columns up to ``width + t`` only.  In
+    int64 the tracking columns are left with the pending updates, and the
+    caller reduces them.
     """
     shoup = a.dtype == np.uint64
     budget = None if shoup else _reduction_budget(p)
@@ -595,8 +689,8 @@ def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    words = _stream_words(seed, 0, count)
     if not field.is_modular:
-        words = _stream_words(seed, 0, count)
         magnitude = (words & np.uint64(RATIONAL_HEIGHT_BOUND - 1)).astype(
             np.int64) + 1
         return np.where(words >> np.uint64(63), -magnitude, magnitude).tolist()
@@ -605,8 +699,9 @@ def sample_scalars(field: FieldSpec, count: int, seed: int) -> list[Scalar]:
     top = np.uint64(MASK64 - 2**64 % p)
     out: list[Scalar] = []
     used = 0
-    while len(out) < count:
-        words = _stream_words(seed, used, count - len(out))
+    while True:
         used += words.size
         out.extend((words[words <= top] % np.uint64(p)).tolist())
-    return out
+        if len(out) == count:
+            return out
+        words = _stream_words(seed, used, count - len(out))

@@ -41,7 +41,7 @@ from .exact import (
     DenseMatrix,
     FieldSpec,
     Scalar,
-    _float_exact,
+    _matmul_mod_p,
     mix,
     rank,
     sample_scalars,
@@ -290,20 +290,11 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
 def linear_combination(weights: np.ndarray, rows: np.ndarray,
                        field: FieldSpec) -> np.ndarray:
     """Weighted sums of coefficient rows, one per row of ``weights``:
-    ``weights @ rows`` over the field.  In int64, where the product is
-    exact in float64 (`_float_exact`), it is one float64 product reduced
-    once; otherwise it is summed one term at a time
-    (`FieldSpec.multiply_add`), with the weights' quotients computed
-    once."""
+    ``weights @ rows`` over the field, by the exact modular product of
+    float64 limbs for every prime (`exact._matmul_mod_p`) and on Python
+    integers over the rationals."""
     p = field.characteristic
-    if field.dtype is np.int64 and _float_exact(len(rows), p):
-        return (weights.astype(np.float64) @ rows.astype(np.float64)
-                ).astype(np.int64) % p
-    multipliers = field.multiplier(weights)
-    acc = np.zeros((len(weights), rows.shape[1]), dtype=field.dtype)
-    for k, row in enumerate(rows):
-        acc = field.multiply_add(acc, row, multipliers[:, k, None])
-    return acc
+    return _matmul_mod_p(weights, rows, p) if p else weights @ rows
 
 
 def contraction_power(linears: np.ndarray, power: int,

@@ -23,18 +23,20 @@ from hvectors import exact
 from hvectors.exact import (
     _NUMPY_SAFE_MODULUS,
     _RATIONAL_PRIME_START,
+    _LIMB_PANEL_WIDTH,
     _PANEL_WIDTH,
     _SPLIT_COLUMNS,
     _add_shoup_products,
     _eliminate_panel,
     _float_exact,
     _high_words,
+    _matmul_mod_p,
     _rank_mod_p,
     _reduction_budget,
     _shoup_quotients,
 )
 from oracles import (WIDE_PRIMES, fraction_rank, modular_rank,
-                     splitmix_scalars, splitmix_stream)
+                     splitmix_scalars, splitmix_stream, weighted_sums)
 
 GF = FieldSpec(32003)
 QQ = FieldSpec(0)
@@ -447,18 +449,20 @@ def test_panel_width_is_the_widest_the_float64_bound_admits() -> None:
     (_LAST_PANEL_PRIME, np.int64, 105, [16, 16, 16, 57]),
     (2, np.int64, _SPLIT_COLUMNS + 1, [16, _SPLIT_COLUMNS - 15]),
     (2, np.int64, _SPLIT_COLUMNS, [_SPLIT_COLUMNS]),
-    (_NEXT_PRIME, np.int64, 105, [105]),
-    (2**31 - 1, np.int64, 105, [105]),
-    (2**61 - 1, np.uint64, 105, [105]),
+    (_NEXT_PRIME, np.int64, 105, [32, 32, 41]),
+    (2**31 - 1, np.int64, 105, [32, 32, 41]),
+    (2**61 - 1, np.uint64, 105, [32, 32, 41]),
+    (2**61 - 1, np.uint64, 2 * _LIMB_PANEL_WIDTH + 1, [32, 32, 1]),
+    (3_037_000_507, np.uint64, 2 * _LIMB_PANEL_WIDTH, [32, 32]),
 ])
 def test_panels_split_off_below_the_float64_bound(monkeypatch, p, dtype,
                                                   cols, widths) -> None:
     """int64 matrices split off panels of 16 columns while more than
-    `_SPLIT_COLUMNS` remain, for primes the bound admits; above it and in
-    uint64 the matrix is one panel.  The 60-row transpose of each matrix
-    has the same rank: for primes the bound admits in int64 it is
-    transposed back, on a copy that leaves it unchanged, and split the
-    same way; elsewhere it is one panel of 60."""
+    `_SPLIT_COLUMNS` remain, for primes the float64 bound admits; above
+    it, and in uint64, panels of `_LIMB_PANEL_WIDTH` columns are split
+    while more than that many remain.  The 60-row transpose of each
+    matrix has the same rank: it is transposed back, on a copy that leaves
+    it unchanged, and split the same way."""
     seen = []
 
     def spy(a, width, p, trailing=None):
@@ -475,11 +479,8 @@ def test_panels_split_off_below_the_float64_bound(monkeypatch, p, dtype,
     tall = np.array(rows, dtype=dtype).T.copy()
     before = tall.copy()
     assert _rank_mod_p(tall, p) == expected
-    if dtype is np.int64 and _float_exact(_PANEL_WIDTH, p):
-        assert seen == widths
-        assert np.array_equal(tall, before)
-    else:
-        assert seen == [60]
+    assert seen == widths
+    assert np.array_equal(tall, before)
 
 
 def test_panel_update_is_exact_at_the_largest_admitted_prime() -> None:
@@ -557,6 +558,82 @@ def test_panel_elimination_matches_modular_oracle(p: int) -> None:
                                p) == expected
             assert rank(DenseMatrix.from_rows(FieldSpec(p),
                                               matrix)) == expected
+
+
+# The primes on each side of each bound: the float64 panels' (23 726 561),
+# int64's (3 037 000 499; the next prime is held in uint64), and the
+# largest prime a field admits.
+_BOUND_PRIMES = [_LAST_PANEL_PRIME, _NEXT_PRIME, 3_037_000_493,
+                 3_037_000_507, 2**61 - 1, 9_223_372_036_854_775_783]
+
+
+def _edgy_rows(rng: random.Random, p: int, rows: int,
+               cols: int) -> list[list[int]]:
+    return [[rng.choice((0, 1, p - 2, p - 1, rng.randrange(p)))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@given(st.sampled_from(_BOUND_PRIMES), st.integers(1, 4),
+       st.integers(1, 110), st.integers(1, 5), st.booleans(),
+       st.integers(0, 2**32))
+@settings(max_examples=120, deadline=None)
+def test_matmul_mod_p_matches_weighted_sums(p, m, k, n, accumulate,
+                                            seed) -> None:
+    """`_matmul_mod_p` against Python integers, with entries of 0, 1,
+    p - 2 and p - 1, and inner dimensions past two products of limbs (32
+    at 2**31 - 1, 22 at 3 037 000 493, 51 above 2**32), into an
+    accumulator or a new array of the field's dtype."""
+    rng = random.Random(seed)
+    x, y = _edgy_rows(rng, p, m, k), _edgy_rows(rng, p, k, n)
+    acc = _edgy_rows(rng, p, m, n) if accumulate else [[0] * n] * m
+    dtype = FieldSpec(p).dtype
+    into = np.array(acc, dtype=dtype) if accumulate else None
+    got = _matmul_mod_p(np.array(x, dtype=dtype), np.array(y, dtype=dtype),
+                        p, into)
+    assert got.dtype == dtype
+    assert got.tolist() == [[(a + v) % p for a, v in zip(row, sums)]
+                            for row, sums in zip(acc, weighted_sums(x, y, p))]
+    if accumulate:
+        assert into.tolist() == got.tolist()
+
+
+@pytest.mark.parametrize("p, terms", [(2**31 - 1, 32), (3_037_000_493, 22),
+                                      (3_037_000_507, 22), (2**61 - 1, 51),
+                                      (9_223_372_036_854_775_783, 51)])
+def test_limb_product_is_exact_at_the_largest_admitted_inner_dimension(
+        p: int, terms: int) -> None:
+    """Entries of p - 1 at the largest inner dimension one float64 product
+    of limbs admits, and at one more, which is cut into two products.
+    Below 2**32 each of the limbs' products is of a residue by a 16-bit
+    limb; above, of a 32-bit half by a 13-bit limb."""
+    wide = p >= 2**32
+    bits = 13 if wide else 16
+    limbs = -(-(p - 1).bit_length() // bits)
+    bound = limbs * ((2**32 if wide else p) - 1) * (2**bits - 1)
+    assert terms * bound < 2**53 <= (terms + 1) * bound
+    dtype = FieldSpec(p).dtype
+    for k in (terms, terms + 1):
+        x, y = [[p - 1] * k] * 3, [[p - 1] * 4] * k
+        got = _matmul_mod_p(np.array(x, dtype=dtype),
+                            np.array(y, dtype=dtype), p)
+        assert got.tolist() == weighted_sums(x, y, p)
+
+
+@given(st.sampled_from(_BOUND_PRIMES), st.integers(2, 45),
+       st.integers(33, 110), st.integers(1, 45), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_panel_ranks_match_modular_oracle_at_the_bounds(p, rows, cols, inner,
+                                                        seed) -> None:
+    """Low-rank products of 0, 1, p - 2 and p - 1, wide enough to split
+    panels on either side of each bound, ranked upright and transposed."""
+    rng = random.Random(seed)
+    left, right = _edgy_rows(rng, p, rows, inner), _edgy_rows(rng, p, inner,
+                                                             cols)
+    matrix = [[v % p for v in row] for row in weighted_sums(left, right, 0)]
+    expected = modular_rank(matrix, p)
+    dtype = FieldSpec(p).dtype
+    assert _rank_mod_p(np.array(matrix, dtype=dtype), p) == expected
+    assert _rank_mod_p(np.array(matrix, dtype=dtype).T.copy(), p) == expected
 
 
 def test_field_dtype_by_prime() -> None:

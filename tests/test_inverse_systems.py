@@ -269,11 +269,11 @@ def test_witness_arithmetic_matches_python_integers(data) -> None:
 def test_int64_weighted_sums_match_python_integers(p: int) -> None:
     """156 rows, as many as thm-r d=16 combines: one float64 product up to
     7 598 543, the largest prime where 156 products of residues sum
-    exactly below 2**53, and the loop of reduced terms from the next
-    prime on.  Columns and weights of p - 1 and p - 2 make every product
-    and sum as large as it can be; the weights p - 2 give odd sums in the
-    first two columns (155 odd products and an even one), which round in
-    float64 above 2**53."""
+    exactly below 2**53, and products of limbs from the next prime on
+    (`exact._matmul_mod_p`).  Columns and weights of p - 1 and p - 2 make
+    every product and sum as large as it can be; the weights p - 2 give
+    odd sums in the first two columns (155 odd products and an even one),
+    which round in float64 above 2**53."""
     rng = random.Random(p)
     count, cols = 156, 12
     rows = [[p - 2, p - 1] + [rng.choice((0, 1, p - 2, p - 1,
@@ -758,8 +758,8 @@ def test_verify_validates_parameters() -> None:
 
 def test_seeds_outside_64_bits_are_refused(monkeypatch) -> None:
     """Seeds are refused, not wrapped modulo 2**64, so that a report's seed
-    is the one its trials derive from; a verification refuses one before
-    it samples."""
+    is the one its trials derive from, also where no scalar is drawn; a
+    verification refuses one before it samples."""
     sampled = []
 
     def spy(field, count, seed):
@@ -772,6 +772,8 @@ def test_seeds_outside_64_bits_are_refused(monkeypatch) -> None:
         for refuse in (lambda: mix(seed, 0),
                        lambda: sample_scalars(GF, 3, seed),
                        lambda: sample_scalars(QQ, 3, seed),
+                       lambda: sample_scalars(FieldSpec(101), 0, seed),
+                       lambda: sample_scalars(QQ, 0, seed),
                        lambda: verify_construction(KIND_SOCLE_DEGREE, 6, GF,
                                                    seed=seed, trials=1),
                        lambda: verify_construction(KIND_CODIM5_ODD, 10, GF,
