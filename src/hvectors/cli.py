@@ -1,10 +1,15 @@
 """Command-line front end: classify vectors, emit family constructions,
 run verifications and characteristic sweeps, write reports.
 
-``verify`` is a ``sweep`` over the one characteristic its ``--field``
-names: both commands share one grammar and one handler, which runs every
-job through ``sweep_characteristics``.  The CLI only parses: the library
-refuses each value it cannot use, with one text for every command.
+One parser, one handler per subcommand and one emitter: each subparser
+registers its handler, which builds the report from the parsed arguments
+and hands ``_emit`` one rendering for each format it offers; ``_emit``
+renders only the one ``--format`` names and writes it to ``--out`` or
+stdout.  ``verify`` is a ``sweep`` over the one characteristic its
+``--field`` names: both commands share one grammar and one handler, which
+runs every job through ``sweep_characteristics``.  The CLI only parses:
+the library refuses each value it cannot use, with one text for every
+command.
 
 Exit codes: 0 success (or match), 1 verification mismatch, 2 invalid
 input, 3 inconclusive verification (trials short of a cap in a field too
@@ -19,8 +24,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import families, sequences
 from .exact import FieldSpec
@@ -52,29 +56,13 @@ _VIOLATION_TEXT = {
 
 
 class UsageError(Exception):
-    """Invalid command line or out-of-range parameters."""
+    """A command line the CLI cannot parse.  Values it parses but cannot
+    use, such as a parameter with no construction, the library refuses."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: exactly one command plus its parameters."""
-
-    command: str
-    argv: tuple[str, ...]
-    output_format: str = "plain"
-    out_path: Optional[str] = None
-    vector: Optional[HVector] = None
-    # (library kind, parameter) pairs, in report order
-    jobs: tuple[tuple[str, int], ...] = ()
-    lift: int = 0
-    characteristics: tuple[int, ...] = ()
-    seed: int = DEFAULT_SEED
-    trials: int = DEFAULT_TRIALS
 
 
 def _build_parser() -> _Parser:
@@ -94,6 +82,7 @@ def _build_parser() -> _Parser:
         "check", help="classify a comma-separated h-vector")
     p_check.add_argument("vector", help="for example 1,10,14,20,14,10,1")
     add_output(p_check, ("plain", "json"))
+    p_check.set_defaults(handler=_cmd_check)
 
     p_construct = sub.add_parser(
         "construct", help="emit a constructed family member")
@@ -104,6 +93,7 @@ def _build_parser() -> _Parser:
     p_construct.add_argument("--a", type=int, default=0,
                              help="lift every interior entry by this amount")
     add_output(p_construct, ("plain", "json", "csv"))
+    p_construct.set_defaults(handler=_cmd_construct)
 
     # verify and sweep differ only in how they name the characteristics;
     # both store the tuple in ``chars``.
@@ -126,6 +116,7 @@ def _build_parser() -> _Parser:
         p_run.add_argument("--seed", default=str(DEFAULT_SEED))
         p_run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         add_output(p_run, ("plain", "json", "csv"))
+        p_run.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -182,16 +173,9 @@ _KIND_RULES = {
 }
 
 
-def _build_config(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
-    common = dict(
-        command=args.command,
-        argv=tuple(argv),
-        output_format=args.format,
-        out_path=args.out,
-    )
-    if args.command == "check":
-        return RunConfig(vector=_parse_vector(args.vector), **common)
-
+def _jobs(args: argparse.Namespace) -> list[tuple[str, int]]:
+    """The (library kind, parameter) pairs the command names, in report
+    order."""
     kind = args.kind
     flag, rejected, library_kinds = _KIND_RULES[kind]
     for name in rejected:
@@ -203,18 +187,13 @@ def _build_config(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
     # Without --parity, thm-r runs both variants; thm-e has just one.
     chosen = ([library_kinds[args.parity]] if args.parity in library_kinds
               else list(library_kinds.values()))
-
     if args.command == "construct":
         if len(chosen) > 1:
             raise UsageError(f"{kind} needs --parity")
-        return RunConfig(jobs=((chosen[0], value),), lift=args.a, **common)
-
+        return [(chosen[0], value)]
     # Jobs run in ascending parameter order with shared trials, seed and
     # fields, so a value the library refuses stops the first job unsampled.
-    parameters = _parse_values(value, f"--{flag}")
-    return RunConfig(jobs=tuple((k, p) for p in parameters for k in chosen),
-                     characteristics=args.chars, seed=_parse_seed(args.seed),
-                     trials=args.trials, **common)
+    return [(k, p) for p in _parse_values(value, f"--{flag}") for k in chosen]
 
 
 def _violation_text(violation: Violation) -> str:
@@ -223,32 +202,32 @@ def _violation_text(violation: Violation) -> str:
     )
 
 
-def _command_text(config: RunConfig) -> str:
-    return " ".join(["hvectors", *config.argv])
+def _command_text(arguments: Sequence[str]) -> str:
+    return " ".join(["hvectors", *arguments])
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _csv_text(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _emit(text: str, config: RunConfig) -> None:
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
+def _emit(args: argparse.Namespace, **render: Callable[[], object]) -> None:
+    """Write the report in ``--format`` to ``--out`` or stdout.  ``render``
+    maps each format the command offers to a function that builds it: a
+    JSON payload, CSV rows or plain lines; only the chosen one runs."""
+    report = render[args.format]()
+    if args.format == "json":
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    elif args.format == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(report)
+        text = buffer.getvalue()
+    else:
+        text = "\n".join(report) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_check(config: RunConfig) -> int:
-    h = config.vector
-    assert h is not None
+def _cmd_check(args: argparse.Namespace, arguments: Sequence[str]) -> int:
+    h = _parse_vector(args.vector)
     results = (
         ("O-sequence", "o_sequence", sequences.o_sequence_violation(h)),
         ("symmetric", "symmetric", sequences.symmetry_violation(h)),
@@ -257,83 +236,62 @@ def _cmd_check(config: RunConfig) -> int:
          sequences.differentiability_violation(h)),
         ("SI-sequence", "si_sequence", sequences.si_violation(h)),
     )
-    if config.output_format == "json":
-        payload = {
-            "command": _command_text(config),
-            "version": VERSION,
-            "vector": list(h.entries),
-            "socle_degree": h.socle_degree,
-            "codimension": h.codimension if len(h) > 1 else None,
-            "violations": {
-                key: {"kind": v.kind, "index": v.index}
-                for _, key, v in results if v is not None
-            },
-        }
-        for _, key, violation in results:
-            payload[key] = violation is None
-        _emit(_json_text(payload), config)
-        return EXIT_OK
-    lines = [
+    _emit(args, json=lambda: {
+        "command": _command_text(arguments),
+        "version": VERSION,
+        "vector": list(h.entries),
+        "socle_degree": h.socle_degree,
+        "codimension": h.codimension if len(h) > 1 else None,
+        "violations": {
+            key: {"kind": v.kind, "index": v.index}
+            for _, key, v in results if v is not None
+        },
+        **{key: violation is None for _, key, violation in results},
+    }, plain=lambda: [
         f"h-vector       {h}",
         f"socle degree   {h.socle_degree}",
         f"codimension    {h.codimension if len(h) > 1 else '-'}",
-    ]
-    for name, _, violation in results:
-        if violation is None:
-            lines.append(f"{name:<15}{PASS_MARK}")
-        else:
-            lines.append(f"{name:<15}{FAIL_MARK} ({_violation_text(violation)})")
-    _emit("\n".join(lines) + "\n", config)
+        *(f"{name:<15}{PASS_MARK}" if violation is None
+          else f"{name:<15}{FAIL_MARK} ({_violation_text(violation)})"
+          for name, _, violation in results),
+    ])
     return EXIT_OK
 
 
-def _cmd_construct(config: RunConfig) -> int:
-    outcome = families.family(*config.jobs[0])
+def _cmd_construct(args: argparse.Namespace, arguments: Sequence[str]) -> int:
+    ((kind, parameter),) = _jobs(args)
+    outcome = families.family(kind, parameter)
     gorenstein = outcome.gorenstein
     level: Optional[HVector] = outcome.level
-    if config.lift:
-        gorenstein = families.lift_codimension(gorenstein, config.lift)
+    if args.a:
+        gorenstein = families.lift_codimension(gorenstein, args.a)
         level = None  # the lifted vector has no level companion
-    if config.output_format == "json":
-        payload = {
-            "command": _command_text(config),
-            "version": VERSION,
-            "kind": outcome.kind,
-            "parameter": outcome.parameter,
-            "lift": config.lift,
-            "level": list(level.entries) if level is not None else None,
-            "gorenstein": list(gorenstein.entries),
-            "codimension": gorenstein.codimension,
-            "socle_degree": gorenstein.socle_degree,
-            "violation_step": list(outcome.violation_step),
-        }
-        _emit(_json_text(payload), config)
-        return EXIT_OK
-    if config.output_format == "csv":
-        rows = []
-        if level is not None:
-            rows.append([outcome.kind, outcome.parameter, "level",
-                         *level.entries])
-        rows.append([outcome.kind, outcome.parameter, "gorenstein",
-                     *gorenstein.entries])
-        _emit(_csv_text(rows), config)
-        return EXIT_OK
-    lines = [
+    vectors = [("level", level)] if level is not None else []
+    vectors.append(("gorenstein", gorenstein))
+    _emit(args, json=lambda: {
+        "command": _command_text(arguments),
+        "version": VERSION,
+        "kind": outcome.kind,
+        "parameter": outcome.parameter,
+        "lift": args.a,
+        "level": list(level.entries) if level is not None else None,
+        "gorenstein": list(gorenstein.entries),
+        "codimension": gorenstein.codimension,
+        "socle_degree": gorenstein.socle_degree,
+        "violation_step": list(outcome.violation_step),
+    }, csv=lambda: [
+        [outcome.kind, outcome.parameter, name, *h.entries]
+        for name, h in vectors
+    ], plain=lambda: [
         f"kind           {outcome.kind}",
         f"parameter      {outcome.parameter}",
-    ]
-    if config.lift:
-        lines.append(f"lift           {config.lift}")
-    if level is not None:
-        lines.append(f"level          {level}")
-    lines += [
-        f"gorenstein     {gorenstein}",
+        *([f"lift           {args.a}"] if args.a else []),
+        *(f"{name:<15}{h}" for name, h in vectors),
         f"codimension    {gorenstein.codimension}",
         f"socle degree   {gorenstein.socle_degree}",
         "predicted SI violation: difference step "
         f"{outcome.violation_step[0]}->{outcome.violation_step[1]}",
-    ]
-    _emit("\n".join(lines) + "\n", config)
+    ])
     return EXIT_OK
 
 
@@ -369,32 +327,22 @@ def _report_csv_rows(report: VerificationReport) -> list[list]:
     return rows
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace, arguments: Sequence[str]) -> int:
+    jobs = _jobs(args)
+    seed = _parse_seed(args.seed)
     reports = [
         report
-        for kind, parameter in config.jobs
-        for report in sweep_characteristics(
-            kind, parameter, config.characteristics, config.seed,
-            config.trials)
+        for kind, parameter in jobs
+        for report in sweep_characteristics(kind, parameter, args.chars,
+                                            seed, args.trials)
     ]
-    if config.output_format == "json":
-        command = _command_text(config)
-        payload = {
-            "command": command,
-            "version": VERSION,
-            "reports": [r.to_json_dict(command) for r in reports],
-        }
-        _emit(_json_text(payload), config)
-    elif config.output_format == "csv":
-        rows = []
-        for report in reports:
-            rows.extend(_report_csv_rows(report))
-        _emit(_csv_text(rows), config)
-    else:
-        lines = []
-        for report in reports:
-            lines.extend(_report_plain(report))
-        _emit("\n".join(lines) + "\n", config)
+    command = _command_text(arguments)
+    _emit(args, json=lambda: {
+        "command": command,
+        "version": VERSION,
+        "reports": [r.to_json_dict(command) for r in reports],
+    }, csv=lambda: [row for r in reports for row in _report_csv_rows(r)],
+       plain=lambda: [line for r in reports for line in _report_plain(r)])
     if any(r.verdict == "mismatch" for r in reports):
         return EXIT_MISMATCH
     if any(r.verdict == "inconclusive" for r in reports):
@@ -402,22 +350,11 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
-    handlers = {
-        "check": _cmd_check,
-        "construct": _cmd_construct,
-        "verify": _cmd_verify,
-        "sweep": _cmd_verify,
-    }
-    return handlers[config.command](config)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     arguments = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(arguments)
-        config = _build_config(args, arguments)
-        return run(config)
+        return args.handler(args, arguments)
     except (UsageError, ValueError, OSError) as err:
         print(f"hvectors: error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,7 @@ matrices ranked: int64 for word primes (p at most 3 037 000 499, where a
 residue plus a product of two fits), uint64 for larger primes, and
 Python integers over the rationals.  Products of residues are reduced by
 one % per term in int64, and in uint64 at once with a precomputed
-quotient (Shoup), so that no value wraps (`FieldSpec.multiply_add`).
+quotient (Shoup), so that no value wraps (`FieldSpec.multiply`).
 Every rank comes from one in-place modular Gaussian elimination: over
 GF(p) directly, and over the rationals modulo primes below 2**30, where
 it reduces its block only every 8 updates, until a Hadamard bound or a
@@ -167,7 +167,7 @@ class FieldSpec:
         return np.array([self.normalize(v) for v in values], dtype=self.dtype)
 
     def multiplier(self, y) -> np.ndarray:
-        """Scalars ``y`` ready to multiply by in :meth:`multiply_add`: in a
+        """Scalars ``y`` ready to multiply by in :meth:`multiply`: in a
         uint64 field y stacked on a last axis with its Shoup quotients
         (`_shoup_quotients`), in the others y with a last axis of length
         one.  Index it as ``y``, leaving that axis, so the quotients are
@@ -178,31 +178,25 @@ class FieldSpec:
                             axis=-1)
         return y[..., None]
 
-    def multiply_add(self, acc: Optional[np.ndarray], x: np.ndarray,
-                     multiplier: np.ndarray,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``acc + x * y`` over the field, elementwise and broadcast to the
-        shape of ``x * y``, where ``multiplier`` is :meth:`multiplier` of y
-        and acc (None for zero), x and y hold the field's scalars.  The
-        result goes to ``out``, which may be x, or to a new array.
+    def multiply(self, x: np.ndarray, multiplier: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``x * y`` over the field, elementwise and broadcast, where
+        ``multiplier`` is :meth:`multiplier` of y and x and y hold the
+        field's scalars.  The result goes to ``out``, which may be x, or to
+        a new array.
 
-        int64 takes one % per term, as a residue plus a product of two fits
+        int64 takes one % per product, as a product of two residues fits
         int64 for word primes; over the rationals nothing is reduced.
         uint64 takes Shoup's product, which stays below 2**64 where
-        ``x * y`` would wrap (`_shoup_product`), and the sum of two
-        residues one conditional subtraction (`_add_mod`).
+        ``x * y`` would wrap (`_shoup_product`).
         """
         p = self.characteristic
         if self.dtype is not np.uint64:
             out = np.multiply(x, multiplier[..., 0], out=out)
-            if acc is not None:
-                out += acc
             if p:
                 out %= p
             return out
         t = _shoup_product(x, multiplier[..., 0], multiplier[..., 1], p)
-        if acc is not None:
-            _add_mod(t, acc, p)
         if out is None:
             return t
         out[...] = t

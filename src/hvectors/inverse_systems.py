@@ -319,14 +319,14 @@ def contraction_power(linears: np.ndarray, power: int,
     powers = np.ones((power + 1, *linears.shape), dtype=field.dtype)
     step = field.multiplier(linears)
     for k in range(1, power + 1):
-        field.multiply_add(None, powers[k - 1], step, out=powers[k])
+        field.multiply(powers[k - 1], step, out=powers[k])
     tables = powers.transpose(1, 0, 2)
     multipliers = field.multiplier(tables)
     exponents = _exponents(linears.shape[1], power)
     dense = tables[:, exponents[:, 0], 0]
     for var in range(1, linears.shape[1]):
-        field.multiply_add(None, dense, multipliers[:, exponents[:, var], var],
-                           out=dense)
+        field.multiply(dense, multipliers[:, exponents[:, var], var],
+                       out=dense)
     return dense
 
 

@@ -103,6 +103,15 @@ def test_construct_lift(capsys) -> None:
     assert code == 0
     assert "1,12,16,22,16,12,1" in out
     assert "codimension    12" in out
+    # The lifted vector has no level companion, in any format.
+    lifted = ("construct", "thm-e", "--e", "6", "--a", "2", "--format")
+    code, out, _ = run_cli(capsys, *lifted, "csv")
+    assert (code, out) == (0, "thm-e,6,gorenstein,1,12,16,22,16,12,1\n")
+    code, out, _ = run_cli(capsys, *lifted, "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["lift"], payload["level"]) == (2, None)
+    assert payload["gorenstein"] == [1, 12, 16, 22, 16, 12, 1]
 
 
 def test_construct_negative_lift_exits_two(capsys) -> None:
@@ -333,17 +342,25 @@ def test_verify_is_a_one_characteristic_sweep(capsys) -> None:
 
 
 def test_out_writes_file(tmp_path, capsys) -> None:
-    target = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys, "construct", "thm-e", "--e", "6", "--format", "json",
-        "--out", str(target),
-    )
-    assert code == 0
-    assert out == ""
-    payload = json.loads(target.read_text())
+    """Each handler's JSON report goes to --out, and nothing to stdout."""
+    reports = {}
+    for name, args in (
+            ("check", ("check", GORENSTEIN_E6)),
+            ("construct", ("construct", "thm-e", "--e", "6")),
+            ("verify", ("verify", "thm-e", "--e", "6", "--trials", "1"))):
+        target = tmp_path / f"{name}.json"
+        code, out, _ = run_cli(capsys, *args, "--format", "json",
+                               "--out", str(target))
+        assert (code, out) == (0, "")
+        reports[name] = json.loads(target.read_text())
+    assert reports["check"]["si_sequence"] is False
+    assert reports["check"]["vector"] == [1, 10, 14, 20, 14, 10, 1]
+    payload = reports["construct"]
     assert payload["gorenstein"] == [1, 10, 14, 20, 14, 10, 1]
     assert payload["level"] == [1, 3, 6, 10, 8, 7]
     assert payload["violation_step"] == [2, 3]
+    (report,) = reports["verify"]["reports"]
+    assert (report["kind"], report["verdict"]) == ("thm-e", "match")
 
 
 def test_unknown_command_exits_two(capsys) -> None:

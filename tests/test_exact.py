@@ -106,16 +106,17 @@ def test_field_normalize() -> None:
                                    FieldSpec(2**61 - 1)])
 def test_field_axioms_on_samples(field: FieldSpec) -> None:
     """Ring axioms on three samples, and inverses on those that are
-    nonzero: over GF(p) a sample may be zero."""
+    nonzero: over GF(p) a sample may be zero.  Products are the field's
+    (`FieldSpec.multiply`); sums are of Python integers or fractions,
+    reduced by `FieldSpec.normalize` (`FieldSpec.array`)."""
     a = field.array(sample_scalars(field, 3, seed=99))
     b, c = np.roll(a, 1), np.roll(a, 2)
-    one, minus_one = (field.multiplier(field.array([v] * 3)) for v in (1, -1))
 
     def add(x, y):
-        return field.multiply_add(x, y, one)
+        return field.array([u + v for u, v in zip(x.tolist(), y.tolist())])
 
     def mul(x, y):
-        return field.multiply_add(None, x, field.multiplier(y))
+        return field.multiply(x, field.multiplier(y))
 
     assert np.array_equal(add(a, b), add(b, a))
     assert np.array_equal(add(add(a, b), c), add(a, add(b, c)))
@@ -125,7 +126,7 @@ def test_field_axioms_on_samples(field: FieldSpec) -> None:
     inverse = field.array([pow(v, -1, p) if p else Fraction(1, v)
                            for v in units.tolist()])
     assert np.array_equal(mul(units, inverse), field.array([1] * len(units)))
-    assert np.array_equal(field.multiply_add(a, a, minus_one),
+    assert np.array_equal(add(a, mul(a, field.array([-1] * 3))),
                           np.zeros(3, dtype=field.dtype))
     assert a.dtype == field.dtype
 
@@ -634,6 +635,27 @@ def test_panel_ranks_match_modular_oracle_at_the_bounds(p, rows, cols, inner,
     dtype = FieldSpec(p).dtype
     assert _rank_mod_p(np.array(matrix, dtype=dtype), p) == expected
     assert _rank_mod_p(np.array(matrix, dtype=dtype).T.copy(), p) == expected
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_panel_updates_reduce_at_a_cut_budget(monkeypatch, budget) -> None:
+    """At panel primes the budget is at least 16 384 updates, so no
+    matrix of the suite's size reaches it.  Cut to 1 or 2, each panel's
+    product finds more updates pending than that, and the rows below are
+    reduced before it is added; inside each panel the block is reduced
+    after every pivot or two.  Low-rank products of more than 72 columns,
+    wide and tall, must still rank as the oracle does."""
+    monkeypatch.setattr(exact, "_reduction_budget", lambda p: budget)
+    p = 1_000_003
+    rng = random.Random(budget)
+    for rows, cols, inner in ((40, 120, 25), (60, 100, 45), (130, 90, 30),
+                              (20, 150, 20)):
+        left = _edgy_rows(rng, p, rows, inner)
+        right = _edgy_rows(rng, p, inner, cols)
+        matrix = [[v % p for v in row]
+                  for row in weighted_sums(left, right, 0)]
+        expected = modular_rank(matrix, p)
+        assert _rank_mod_p(np.array(matrix, dtype=np.int64), p) == expected
 
 
 def test_field_dtype_by_prime() -> None:
