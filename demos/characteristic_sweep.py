@@ -5,10 +5,10 @@ Level h-vectors are conjectured to exist independently of the base
 field's characteristic.  A sweep is evidence, not proof: it re-runs the
 same seeded verification over the rationals and over several prime
 fields and reports the verdict for each.  Every field uses the same
-modular elimination: the primes directly, and characteristic 0 modulo
-primes below 2**30.  A rank over QQ ends at the first prime whose rank
-reaches the degree's cap; only when a prime falls short does a Hadamard
-bound decide how many more primes prove it exact.
+modular elimination.  Over QQ the trials run in GF(23726561): a rank
+there is a proved lower bound over QQ, so a degree at its cap is proved
+over QQ, and a run that stays short of a cap is inconclusive, never a
+mismatch.
 """
 from hvectors import KIND_SOCLE_DEGREE, FieldSpec, sweep_characteristics
 

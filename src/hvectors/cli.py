@@ -12,8 +12,8 @@ the library refuses each value it cannot use, with one text for every
 command.
 
 Exit codes: 0 success (or match), 1 verification mismatch, 2 invalid
-input, 3 inconclusive verification (trials short of a cap in a field too
-small to bound a miss) with no mismatch.
+input, 3 inconclusive verification (trials short of a cap over QQ, or in
+a field too small to bound a miss) with no mismatch.
 JSON output is canonical (sorted keys, no floats) so that reruns with the
 same seed are byte-identical.
 """

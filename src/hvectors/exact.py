@@ -12,8 +12,8 @@ Every rank comes from one modular Gaussian elimination, in place on one
 C-contiguous copy of the matrix laid out long side first, so that every
 vector it walks for a pivot is one contiguous row: over GF(p) directly,
 and over the rationals modulo primes below 2**30, where it reduces its
-block only every 8 updates, until a Hadamard bound or a cap the caller
-proved shows the largest rank seen exact.  Following Dumas-Giorgi-Pernet
+block only every 8 updates, until a Hadamard bound or a full rank shows
+the largest rank seen exact.  Following Dumas-Giorgi-Pernet
 (ACM TOMS 35(3), 2008), it splits panels of rows off the copy: the rows
 below each panel are updated by one matrix product, and a pivot in a
 panel updates only the tracking rows already set.  For int64 primes up
@@ -253,9 +253,8 @@ def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
     runs on its own copy (`_rank_mod_p`).
 
     ``cap`` is an upper bound on the rank that the caller has proved, for
-    instance from the span of the forms the rows come from.  Over the
-    rationals a prime whose rank reaches it ends the proof at once
-    (`_rank_rational`).  A rank above it means the proof was wrong, so it
+    instance from the span of the forms the rows come from: the same check
+    in every field, as a rank above it means the proof was wrong, so it
     raises `ArithmeticError` instead of returning.
     """
     entries = matrix.entries
@@ -265,8 +264,7 @@ def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
         if not nonzero.all():
             entries = entries[nonzero]
         p = matrix.field.characteristic
-        found = _rank_mod_p(entries, p) if p else \
-            _rank_rational(entries, cap)
+        found = _rank_mod_p(entries, p) if p else _rank_rational(entries)
     if cap is not None and found > cap:
         raise ArithmeticError(f"rank {found} exceeds its proved cap {cap}")
     return found
@@ -281,34 +279,32 @@ def _integer_rows(entries) -> list[list[int]]:
     return rows
 
 
-def _rank_rational(entries: np.ndarray, cap: Optional[int] = None) -> int:
+def _rank_rational(entries: np.ndarray) -> int:
     """Rank over QQ of nonzero rows, proved modulo primes below 2**30,
-    largest first (`_RATIONAL_PRIME_START` says why there).
+    largest first (`_RATIONAL_PRIME_START` says why there).  It serves the
+    matrices users build: a verification over QQ ranks its witnesses in
+    GF(23 726 561) instead (`inverse_systems.verify_construction`).
 
     A rank mod q is at most the rank over QQ (a minor nonzero mod q is a
     nonzero integer), so the largest rank seen, rho, is a lower bound.  It is
-    exact once rho reaches an upper bound: min(rows, cols) of the integer
-    rows, or ``cap``, a bound the caller proved from where the rows
-    come from (for a witness's contraction matrix, the span of the powers
-    it was built from; see `inverse_systems._rank_caps`).  Then one prime is
-    enough.  Otherwise rho is exact once the product of the primes used
+    exact once rho reaches min(rows, cols); then one prime is enough.
+    Otherwise rho is exact once the product of the primes used
     exceeds a Hadamard bound on every (rho+1)-minor, the smaller of the
     products of the rho+1 largest row and column norms: each prime used
     gave rank at most rho, so each such minor is a multiple of that
     product, and smaller than it in absolute value, hence zero.  The norms
-    are computed only once a prime falls short of the ceiling, as a rank
-    proved by the first prime never reads them.  Python's % leaves a
+    are computed only once a prime falls short of min(rows, cols), as a
+    rank proved by the first prime never reads them.  Python's % leaves a
     residue in [0, q) for negative integers too.
     """
     rows = np.array(_integer_rows(entries.tolist()), dtype=object)
-    ceiling = min(rows.shape) if cap is None else min(cap, *rows.shape)
     norms_sq = None
     best, bound_sq, modulus = -1, 0, 1
     for q in filter(is_prime, range(_RATIONAL_PRIME_START - 1, 2, -2)):
         found = _rank_mod_p((rows % q).astype(np.int64), q)
         if found > best:
             best = found
-            if best >= ceiling:
+            if best >= min(rows.shape):
                 return best
             if norms_sq is None:  # squared: modulus**2 > bound**2 is exact
                 norms_sq = [sorted((rows * rows).sum(axis=k).tolist(),

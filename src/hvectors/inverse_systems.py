@@ -18,9 +18,10 @@ has no torsion (:func:`_hilbert_ranks`).  On top of that sit the
 randomized drivers that check the constructed level h-vectors against
 actual rank computations, including a characteristic sweep.  Each witness
 bounds its own rank in every degree (:func:`_rank_caps`): a rank at its
-cap is proved, over QQ from one prime, and trials at every cap between
-them end the verification; a run whose trials all miss a cap states how
-likely that is for a target that holds (:func:`verify_construction`).
+cap is proved, over QQ by a trial in GF(23 726 561), and trials at every
+cap between them end the verification; a run whose trials all miss a cap
+states how likely that is for a target that holds
+(:func:`verify_construction`).
 Kinds and targets live in :mod:`families`; the witness facts (point
 counts, powers, the truncation's variables) stay here, never derived
 from them.
@@ -38,7 +39,6 @@ import numpy as np
 
 from .exact import (
     GENERATOR_NAME,
-    RATIONAL_HEIGHT_BOUND,
     DenseMatrix,
     FieldSpec,
     Scalar,
@@ -454,10 +454,10 @@ def _rank_caps(kind: str, parameter: int) -> tuple[int, ...]:
       (`_TRUNCATION_VARS`), and the sampled form of degree e-1 adds at
       most its ``C(e+1-i, 2)`` operators.
 
-    A cap bounds the rank over every field, so a field in which a trial
-    reaches it proves that degree: over QQ a prime whose rank reaches the
-    cap proves it (:func:`rank`), and a trial that reaches every cap
-    proves the whole vector, as no other trial can exceed it.
+    A cap bounds the rank over every field, so a trial that reaches it
+    proves that degree, over QQ from GF(q) (:func:`verify_construction`),
+    and a trial that reaches every cap proves the whole vector, as no
+    other trial can exceed it.
     """
     parity = KIND_PARITIES[kind]
     if parity is None:
@@ -493,42 +493,44 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     trials run, reaches the cap in every degree (:func:`_rank_caps`),
     whether one trial reaches them all or several do between them, as no
     later trial can raise ``best`` above the caps.  The caps equal the
-    targets, so the verdict is ``match``, a proof in the field the trials
-    ran in, exactly when ``best`` equals the target.
+    targets, so the verdict is ``match``, a proof in the field, exactly
+    when ``best`` equals the target.
+
+    Over QQ the trials run in GF(q), q = 23 726 561, the largest prime
+    whose 16-row panels are exact in float64, so ``sweep --chars
+    0,23726561`` runs the same trials twice.  Entries are integer
+    polynomials in the samples (contraction powers carry no multinomial
+    factors), so the samples lifted to [0, q) give a QQ witness whose
+    matrices reduce mod q to the trial's, of rank at least the trial's in
+    every degree: a degree the trial proves, at its cap or by the walk, is
+    proved over QQ.
 
     Otherwise some degree fell short of its cap in every trial, all of
-    which ran.  An entry of a trial's matrices has degree k in its samples
-    (k = P+1 for the codimension-5 power P, a weight times P linear
-    coefficients; k = 1 for thm-e).  If degree i has generic rank cap_i,
-    some cap_i-minor is a nonzero polynomial of degree at most cap_i*k, so
-    by Schwartz-Zippel (Schwartz, JACM 27, 1980; Zippel, EUROSAM 1979)
-    independent trials drawing uniformly from a set S (p residues over
-    GF(p), 2 * `RATIONAL_HEIGHT_BOUND` integers over QQ) all miss degree i
-    with probability at most (cap_i*k/|S|)**trials.  If the least of these
-    over the short degrees is below 1, the verdict is ``mismatch`` with
-    that bound in ``detail``, as (n/d)**trials so that its digits stay few;
-    otherwise the field is too small to bound a miss and the verdict is
-    ``inconclusive``.
+    which ran.  Over QQ the verdict is ``inconclusive``, as a miss mod q
+    bounds no miss over QQ.  Over GF(p) an entry of a trial's matrices has
+    degree k in its samples (k = P+1 for the codimension-5 power P, a
+    weight times P linear coefficients; k = 1 for thm-e).  If degree i has
+    generic rank cap_i, some cap_i-minor is a nonzero polynomial of degree
+    at most cap_i*k, so by Schwartz-Zippel (Schwartz, JACM 27, 1980;
+    Zippel, EUROSAM 1979) independent trials drawing uniformly from the p
+    residues all miss degree i with probability at most
+    (cap_i*k/p)**trials.  If the least of these over the short degrees is
+    below 1, the verdict is ``mismatch`` with that bound in ``detail``, as
+    (n/d)**trials so that its digits stay few; otherwise the field is too
+    small to bound a miss and the verdict is ``inconclusive``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     target = family_target(kind, parameter)
-    report = VerificationReport(
-        kind=kind,
-        parameter=parameter,
-        characteristic=field.characteristic,
-        seed=seed,
-        trials=trials,
-        target=target.entries,
-    )
     trial_seeds, per_trial = [], []
     degree_seconds = [0.0] * len(target)
     parity = KIND_PARITIES[kind]
     shared = _TRUNCATION_VARS if parity is None else 0
     caps = _rank_caps(kind, parameter)
+    gf = field if field.is_modular else FieldSpec(23_726_561)
     for t in range(trials):
         trial_seed = mix(seed, t)
-        generators = _trial_generators(kind, parameter, field, trial_seed)
+        generators = _trial_generators(kind, parameter, gf, trial_seed)
         ranks, seconds = _hilbert_ranks(generators, shared, caps)
         trial_seeds.append(trial_seed)
         per_trial.append(ranks)
@@ -537,21 +539,23 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
         best = tuple(max(col) for col in zip(*per_trial))
         if best == caps:
             break
-    report.trial_seeds = tuple(trial_seeds)
-    report.per_trial = tuple(per_trial)
-    report.best = best
-    report.degree_seconds = degree_seconds
+    report = VerificationReport(
+        kind=kind, parameter=parameter, characteristic=field.characteristic,
+        seed=seed, trials=trials, target=target.entries,
+        trial_seeds=tuple(trial_seeds), per_trial=tuple(per_trial),
+        best=best, degree_seconds=degree_seconds)
     if best == target.entries:
         report.verdict = "match"
         return report
     short = [i for i, (b, cap) in enumerate(zip(best, caps)) if b < cap]
     k = 1 if parity is None else _codim5_power(parameter, parity) + 1
-    miss = Fraction(min(caps[i] for i in short) * k,
-                    field.characteristic or 2 * RATIONAL_HEIGHT_BOUND)
+    miss = Fraction(min(caps[i] for i in short) * k, gf.characteristic)
     ran = len(per_trial)
     report.detail = (f"degrees {', '.join(map(str, short))} short of their "
                      f"caps in all {ran} trials; ")
-    if miss < 1:
+    if not field.is_modular:
+        report.detail += f"ranks in {gf} are proved lower bounds over QQ"
+    elif miss < 1:
         report.verdict = "mismatch"
         report.detail += f"at most ({miss})**{ran} likely if the target holds"
     else:

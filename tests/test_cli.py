@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -222,6 +223,26 @@ def test_verify_inconclusive_exits_three(capsys) -> None:
     assert code == 3
     assert out.count("verdict inconclusive") == 2
     assert out.count("GF(13) is too small to bound a miss") == 2
+
+
+def test_verify_short_over_qq_exits_three(capsys, monkeypatch) -> None:
+    """Over QQ a trial short of a cap in GF(23726561) proves only lower
+    bounds, never a mismatch: exit 3, and thm-r d=13 stays well within a
+    second, as no degree is ranked over QQ."""
+    monkeypatch.setattr(inverse_systems, "sample_scalars", ones)
+    code, out, _ = run_cli(capsys, "verify", "thm-e", "--e", "6",
+                           "--field", "0", "--trials", "5")
+    assert code == 3
+    assert "verdict inconclusive" in out
+    assert ("detail  degrees 2, 3, 4 short of their caps in all 5 trials; "
+            "ranks in GF(23726561) are proved lower bounds over QQ") in out
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "thm-r", "--d", "13",
+                           "--parity", "odd", "--field", "0", "--trials", "1")
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "ranks in GF(23726561) are proved lower bounds over QQ" in out
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
 def test_mismatch_outranks_inconclusive(capsys, monkeypatch) -> None:

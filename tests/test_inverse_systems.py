@@ -34,7 +34,8 @@ from hvectors import (
     verify_construction,
 )
 from hvectors import inverse_systems
-from hvectors.exact import _NUMPY_SAFE_MODULUS
+from hvectors import exact
+from hvectors.exact import _NUMPY_SAFE_MODULUS, _PANEL_WIDTH, _float_exact
 from hvectors.families import KIND_PARITIES, family
 from oracles import (WIDE_PRIMES, contract, descending_monomials,
                      fraction_rank, modular_rank, ones, power_coefficients,
@@ -761,15 +762,20 @@ def test_verify_is_deterministic() -> None:
 
 
 def test_verify_states_the_schwartz_zippel_bound(monkeypatch) -> None:
-    """Trials that miss a cap state the least (cap_i*k/|S|)**trials over
+    """Trials that miss a cap state the least (cap_i*k/p)**trials over
     the short degrees i, with k the degree of an entry in the samples, as
     (n/d)**trials: exact, and short at any number of trials.
     With every sample 1, thm-e e=6 is short in degrees 2-4 (caps 6, 10,
     8; k = 1), and thm-r d=10 odd in degrees 1-20, the top one of cap 2
-    as its two generators coincide (k = 20+1)."""
+    as its two generators coincide (k = 20+1).  Over QQ, whose trials run
+    in GF(23726561), a miss bounds nothing: the run is inconclusive."""
     monkeypatch.setattr(inverse_systems, "sample_scalars", ones)
+    report = verify_construction(KIND_SOCLE_DEGREE, 6, QQ, trials=5)
+    assert report.verdict == "inconclusive"
+    assert report.detail == (
+        "degrees 2, 3, 4 short of their caps in all 5 trials; ranks in "
+        "GF(23726561) are proved lower bounds over QQ")
     for kind, parameter, field, trials, bound in (
-            (KIND_SOCLE_DEGREE, 6, QQ, 5, Fraction(6, 2**21) ** 5),
             (KIND_SOCLE_DEGREE, 6, GF, 3, Fraction(6, 32003) ** 3),
             (KIND_SOCLE_DEGREE, 6, GF, 1000, Fraction(6, 32003) ** 1000),
             (KIND_CODIM5_ODD, 10, GF, 2, Fraction(2 * 21, 32003) ** 2),
@@ -786,6 +792,37 @@ def test_verify_states_the_schwartz_zippel_bound(monkeypatch) -> None:
     assert report.detail == (
         f"degrees {', '.join(map(str, range(1, 21)))} short of their caps "
         "in all 3 trials; GF(41) is too small to bound a miss")
+
+
+def test_verify_over_qq_ranks_its_trials_in_gf_23726561(monkeypatch) -> None:
+    """Over QQ every trial runs in GF(23 726 561), the largest prime whose
+    16-row panels are exact in float64: each matrix ranked is int64 over
+    that field, the rational rank never runs, and the report keeps
+    characteristic 0 but otherwise equals the one over GF(23726561)."""
+    q = FieldSpec(23_726_561)
+    assert _float_exact(_PANEL_WIDTH, q.characteristic)
+    assert not _float_exact(_PANEL_WIDTH, 23_726_569)
+    ranked = []
+
+    def spy(matrix, cap=None):
+        ranked.append((matrix.field, matrix.entries.dtype))
+        return rank(matrix, cap)
+
+    def refuse(entries):
+        raise AssertionError("a verification ranked over QQ")
+
+    monkeypatch.setattr(inverse_systems, "rank", spy)
+    monkeypatch.setattr(exact, "_rank_rational", refuse)
+    for kind, parameter in ((KIND_SOCLE_DEGREE, 6), (KIND_SOCLE_DEGREE, 7),
+                            (KIND_CODIM5_ODD, 10), (KIND_CODIM5_EVEN, 10)):
+        ranked.clear()
+        rational = verify_construction(kind, parameter, QQ, trials=1)
+        assert ranked and set(ranked) == {(q, np.dtype(np.int64))}
+        assert rational.characteristic == 0
+        assert rational.verdict == "match"
+        modular = verify_construction(kind, parameter, q, trials=1)
+        assert rational.to_json_dict() == {**modular.to_json_dict(),
+                                           "characteristic": 0}
 
 
 def test_verify_validates_parameters() -> None:
