@@ -35,7 +35,7 @@ from hvectors import (
 )
 from hvectors import inverse_systems
 from hvectors import exact
-from hvectors.exact import _NUMPY_SAFE_MODULUS, _PANEL_WIDTH, _float_exact
+from hvectors.exact import _NUMPY_SAFE_MODULUS
 from hvectors.families import KIND_PARITIES, family
 from oracles import (WIDE_PRIMES, contract, descending_monomials,
                      fraction_rank, modular_rank, ones, power_coefficients,
@@ -800,8 +800,6 @@ def test_verify_over_qq_ranks_its_trials_in_gf_23726561(monkeypatch) -> None:
     that field, the rational rank never runs, and the report keeps
     characteristic 0 but otherwise equals the one over GF(23726561)."""
     q = FieldSpec(23_726_561)
-    assert _float_exact(_PANEL_WIDTH, q.characteristic)
-    assert not _float_exact(_PANEL_WIDTH, 23_726_569)
     ranked = []
 
     def spy(matrix, cap=None):
