@@ -19,10 +19,11 @@ below each panel are updated by one matrix product, and a pivot in a
 panel updates only the tracking rows already set.  For int64 primes up
 to 23 726 561 the panels have 16 rows and the product is one float64
 product; reduction mod p is then delayed until one more update could
-overflow.  For every other prime the panels have 32 rows and the product
-is exact mod p, from float64 products of limbs (`_matmul_mod_p`, after
-Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012), which also
-forms the witnesses' weighted sums (`inverse_systems.linear_combination`).
+overflow.  For every other prime the panels have 32 rows, or 16 while
+the long side is under 200, and the product is exact mod p, from float64
+products of limbs (`_matmul_mod_p`, after Ozaki, Ogita, Oishi and Rump,
+Numer. Algorithms 59, 2012), which also forms the witnesses' weighted
+sums (`inverse_systems.linear_combination`).
 Inside a panel only the update of its trailing block depends on the
 dtype: delayed reduction in int64, and in uint64 every product reduced
 with the same Shoup product as the field's.  Floats hold only integers
@@ -67,14 +68,16 @@ _RATIONAL_PRIME_START = 1 << 30
 # and e=120 over GF(32003).
 _PANEL_WIDTH = 16
 _SPLIT_ROWS = 72
+_QQ_TRIAL_PRIME = 23_726_561  # the largest they admit; QQ trials run there
 # Rows per panel, and rows that must be left to split one, where each
-# panel's update is a product of limbs (`_matmul_mod_p`), which is one
-# float64 product for an inner dimension of up to 32 at 2**31 - 1 and 51
-# above 2**32.  32 ranked thm-r d=20 over GF(2**61 - 1), and thm-r d=30
-# and thm-e e=120 over GF(2**31 - 1), 2-9% faster than 24 and 7-40%
-# faster than 16 or 48; on the smaller matrices of thm-e e=14 and thm-r
-# d=10, 16 was 10% faster.  Leaving 48 to 72 rows to split was no faster.
+# update is a product of limbs (`_matmul_mod_p`): 16 while the long side
+# is under `_LIMB_SHORT_ROWS`, which halves each pivot's update for twice
+# the limb products, else 32.  With one BLAS thread, 16 ranked thm-r d=12,
+# 14 and 17 over GF(2**61 - 1) (120-342 rows) 8-10% faster than 32, but
+# d=20 (306-462) 4% and d=30 odd over GF(2**31 - 1) (702-992) 15% slower;
+# 32 beat 24 by 2-9% and 48 by 7-40% there.  Leaving 48-72 was no faster.
 _LIMB_PANEL_WIDTH = 32
+_LIMB_SHORT_ROWS = 200
 # Half-word mask and shift for 64x64 -> 128-bit products in uint64.
 _LOW32 = np.uint64(0xFFFFFFFF)
 _HALF = np.uint64(32)
@@ -483,10 +486,10 @@ def _matmul_mod_p(x: np.ndarray, y: np.ndarray, p: int,
         right = np.empty((cy, k, n))
         for limb, shift in zip(right, shifts):
             limb[...] = (y.view(np.uint64) >> shift) & np.uint64(2**bits - 1)
-        w = np.left_shift(np.uint64(1), shifts)[:, None, None]
+        w = np.array([(1 << s, (1 << 64 + s) // p) for s in shifts.tolist()],
+                     dtype=np.uint64).T[..., None, None]
         x = x.view(np.uint64)
-        folds = _shoup_product(x, w, _shoup_quotients(w, p), p) if wide \
-            else x * w % np.uint64(p)
+        folds = _shoup_product(x, *w, p) if wide else x * w[0] % np.uint64(p)
         left = np.empty((1 + wide, m, cy, k))
         if wide:
             left[0] = (folds & _LOW32).transpose(1, 0, 2)
@@ -537,25 +540,31 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     remain.  The update is one float64 product left unreduced: it adds to
     each entry at most `_PANEL_WIDTH` products of two residues, counted
     towards `_reduction_budget` as one update per pivot, as in a single
-    panel.  For every other prime, in int64 or uint64, panels of
-    `_LIMB_PANEL_WIDTH` rows are split while more than that many remain,
-    and the update is the exact product mod p of float64 limbs
-    (`_matmul_mod_p`), added reduced, so the trailing block stays reduced.
+    panel.  For every other prime, in int64 or uint64, panels of 16 rows,
+    or 32 from `_LIMB_SHORT_ROWS` long side rows on, are split while more
+    rows than that remain; the update, the exact product mod p of float64
+    limbs (`_matmul_mod_p`), is added reduced.  So y stays reduced, and of
+    a panel only the int64 tracking rows, left delayed, are reduced.
     """
     delayed = _float_exact(_PANEL_WIDTH, p)
-    b, split = (_PANEL_WIDTH, _SPLIT_ROWS) if delayed else (
-        _LIMB_PANEL_WIDTH, _LIMB_PANEL_WIDTH)
     y = (a if a.shape[0] > a.shape[1] else a.T).copy()
     n, m = y.shape
+    b = _PANEL_WIDTH if delayed or n < _LIMB_SHORT_ROWS else _LIMB_PANEL_WIDTH
+    split = _SPLIT_ROWS if delayed else b
     budget = _reduction_budget(p)
     r = c = pending = 0
     while r < m and n - c > split:
         panel = np.zeros((2 * b, m - r), dtype=y.dtype)
-        np.remainder(y[c:c + b, r:], p, out=panel[:b])
+        if delayed:
+            np.remainder(y[c:c + b, r:], p, out=panel[:b])
+        else:
+            panel[:b] = y[c:c + b, r:]
         trailing = y[c + b:, r:]
         k = _eliminate_panel(panel, b, p, trailing)
         below = trailing[:, k:]
-        t = panel[b:b + k, k:] % p
+        t = panel[b:b + k, k:]
+        if y.dtype == np.int64:
+            t = t % p
         if delayed:
             if pending + k > budget:
                 below %= p

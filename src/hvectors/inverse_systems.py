@@ -42,6 +42,7 @@ from .exact import (
     DenseMatrix,
     FieldSpec,
     Scalar,
+    _QQ_TRIAL_PRIME,
     _matmul_mod_p,
     mix,
     rank,
@@ -527,7 +528,7 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     parity = KIND_PARITIES[kind]
     shared = _TRUNCATION_VARS if parity is None else 0
     caps = _rank_caps(kind, parameter)
-    gf = field if field.is_modular else FieldSpec(23_726_561)
+    gf = field if field.is_modular else FieldSpec(_QQ_TRIAL_PRIME)
     for t in range(trials):
         trial_seed = mix(seed, t)
         generators = _trial_generators(kind, parameter, gf, trial_seed)

@@ -24,7 +24,9 @@ from hvectors.exact import (
     _NUMPY_SAFE_MODULUS,
     _RATIONAL_PRIME_START,
     _LIMB_PANEL_WIDTH,
+    _LIMB_SHORT_ROWS,
     _PANEL_WIDTH,
+    _QQ_TRIAL_PRIME,
     _SPLIT_ROWS,
     _add_shoup_products,
     _eliminate_panel,
@@ -445,8 +447,9 @@ def test_rank_mod_p_single_update_path(p: int) -> None:
 
 
 # The largest prime whose int64 panels of `_PANEL_WIDTH` columns are exact
-# in float64, and the next prime, which keeps a single panel.
-_LAST_PANEL_PRIME = 23_726_561
+# in float64, where QQ trials run, and the next prime, whose panels' updates
+# are products of limbs.
+_LAST_PANEL_PRIME = _QQ_TRIAL_PRIME
 _NEXT_PRIME = 23_726_569
 
 
@@ -464,21 +467,27 @@ def test_panel_width_is_the_widest_the_float64_bound_admits() -> None:
     (_LAST_PANEL_PRIME, np.int64, 105, [16, 16, 16, 57]),
     (2, np.int64, _SPLIT_ROWS + 1, [16, _SPLIT_ROWS - 15]),
     (2, np.int64, _SPLIT_ROWS, [_SPLIT_ROWS]),
-    (_NEXT_PRIME, np.int64, 105, [32, 32, 41]),
-    (2**31 - 1, np.int64, 105, [32, 32, 41]),
-    (2**61 - 1, np.uint64, 105, [32, 32, 41]),
-    (2**61 - 1, np.uint64, 2 * _LIMB_PANEL_WIDTH + 1, [32, 32, 1]),
-    (3_037_000_507, np.uint64, 2 * _LIMB_PANEL_WIDTH, [32, 32]),
+    (_NEXT_PRIME, np.int64, 105, [16, 16, 16, 16, 41]),
+    (2**31 - 1, np.int64, 105, [16, 16, 16, 16, 41]),
+    (2**61 - 1, np.uint64, 105, [16, 16, 16, 16, 41]),
+    (2**61 - 1, np.uint64, 4 * _PANEL_WIDTH + 1, [16, 16, 16, 16, 1]),
+    (3_037_000_507, np.uint64, 4 * _PANEL_WIDTH, [16, 16, 16, 16]),
+    (2**61 - 1, np.uint64, _LIMB_SHORT_ROWS - 1, [16, 16, 16, 16, 135]),
+    (2**61 - 1, np.uint64, _LIMB_SHORT_ROWS, [32, 32, 136]),
+    (2**31 - 1, np.int64, _LIMB_SHORT_ROWS - 1, [16, 16, 16, 16, 135]),
+    (2**31 - 1, np.int64, _LIMB_SHORT_ROWS, [32, 32, 136]),
 ])
 def test_panels_split_off_below_the_float64_bound(monkeypatch, p, dtype,
                                                   cols, widths) -> None:
     """int64 matrices split off panels of 16 of their long side's
     vectors, here columns, while more than `_SPLIT_ROWS` remain, for
     primes the float64 bound admits; above it, and in uint64, panels of
-    `_LIMB_PANEL_WIDTH` are split while more than that many remain.  Each
-    60-row matrix is copied transposed, its long side first, and its
-    transpose, which has the same rank, is copied as it is and split the
-    same way; neither argument is changed."""
+    16 while the long side is under `_LIMB_SHORT_ROWS`, else of
+    `_LIMB_PANEL_WIDTH`, are split while more than that many remain.  A
+    panel that reaches the last column ends the splitting.  Each 60-row
+    matrix is copied transposed, its long side first, and its transpose,
+    which has the same rank, is copied as it is and split the same way;
+    neither argument is changed."""
     seen = []
 
     def spy(a, width, p, trailing=None):
@@ -530,15 +539,18 @@ def _walked_rows(rng: random.Random, p: int, width: int) -> list[list[int]]:
 
 @pytest.mark.parametrize("p, dtype", [(_LAST_PANEL_PRIME, np.int64),
                                       (_NEXT_PRIME, np.int64),
+                                      (2**31 - 1, np.int64),
                                       (2**61 - 1, np.uint64)])
 def test_long_side_first_swaps_and_skips_inside_panels(p, dtype) -> None:
     """Rank-deficient matrices, as given (tall, eliminated as they are)
     and transposed (wide, copied back long side first), against the
     oracle: a panel's first row zero at its pivot column swaps columns of
     the trailing block, and rows left zero inside a panel are skipped.
-    Neither argument is changed."""
-    width = _PANEL_WIDTH if _float_exact(_PANEL_WIDTH, p) else \
-        _LIMB_PANEL_WIDTH
+    Neither argument is changed.  At 2**31 - 1 an int64 block is reduced
+    every 2 updates, so the first panel's 5 pivots leave its tracking rows
+    one update unreduced, which the product of limbs must not be given."""
+    short = _float_exact(_PANEL_WIDTH, p) or 110 < _LIMB_SHORT_ROWS
+    width = _PANEL_WIDTH if short else _LIMB_PANEL_WIDTH
     rng = random.Random(p)
     for _ in range(3):
         rows = _walked_rows(rng, p, width)
