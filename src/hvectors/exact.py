@@ -274,11 +274,12 @@ def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
 
 
 def _integer_rows(entries) -> list[list[int]]:
-    """Clear denominators row by row (rank is unchanged)."""
+    """Clear denominators row by row (rank is unchanged); integer rows stay."""
     rows = []
     for row in entries:
         scale = lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
+        rows.append(row if scale == 1 else
+                    [v.numerator * (scale // v.denominator) for v in row])
     return rows
 
 

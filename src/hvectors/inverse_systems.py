@@ -1,30 +1,29 @@
 """Macaulay inverse systems over an exact field.
 
 Homogeneous forms are stored densely per degree as coefficient arrays, in
-the descending lex order of :func:`monomials`; a monomial's position is a
-sum of binomials of its exponents' suffix sums (:func:`_positions`).
-The variables of the dual ring act by contraction (exponent subtraction,
-killing terms that would go negative), never term by term: the Hilbert
-function of the module generated by a list of forms is read off as the rank
-of the contraction coefficient matrix in each degree, one gather from the
-stacked arrays.  A monomial module every trial shares, the thm-e binary
-truncation, is never built as forms: it holds every monomial of its
-variables, so its columns are pinned and only the sampled generators are
-ranked, on the other columns.  Only a band of degrees is ranked and the
-rest are proved: below it every degree is full, because the module is
-closed under contraction, and above it every degree is free, because the
-generators' operator syzygies form a submodule of a free module, which
-has no torsion (:func:`_hilbert_ranks`).  On top of that sit the
-randomized drivers that check the constructed level h-vectors against
-actual rank computations, including a characteristic sweep.  Each witness
-bounds its own rank in every degree (:func:`_rank_caps`): a rank at its
-cap is proved, over QQ by a trial in GF(23 726 561), and trials at every
-cap between them end the verification; a run whose trials all miss a cap
-states how likely that is for a target that holds
-(:func:`verify_construction`).
-Kinds and targets live in :mod:`families`; the witness facts (point
-counts, powers, the truncation's variables) stay here, never derived
-from them.
+the descending lex order of :func:`monomials`.  The variables of the dual
+ring act by contraction (exponent subtraction, killing terms that would go
+negative), never term by term: the Hilbert function of the module generated
+by a list of forms is read off as the rank of the contraction coefficient
+matrix in each degree, one ``take`` from a grid indexed by exponents in
+radix P+1 for forms of degree P, under twice the forms in 3 variables and
+under six times in 4 (:func:`contraction_matrix`).  A monomial module every
+trial shares, the thm-e binary truncation, is never built as forms: it
+holds every monomial of its variables, so its columns are pinned and only
+the sampled generators are ranked, on the other columns.  Only a band of
+degrees is ranked and the rest are proved: below it every degree is full,
+because the module is closed under contraction, and above it every degree
+is free, because the generators' operator syzygies form a submodule of a
+free module, which has no torsion (:func:`_hilbert_ranks`).  On top of that
+sit the randomized drivers that check the constructed level h-vectors
+against actual rank computations, including a characteristic sweep.  Each
+witness bounds its own rank in every degree (:func:`_rank_caps`): a rank at
+its cap is proved, over QQ by a trial in GF(23 726 561), and trials at
+every cap between them end the verification; a run whose trials all miss a
+cap states how likely that is for a target that holds
+(:func:`verify_construction`).  Kinds and targets live in :mod:`families`;
+the witness facts (point counts, powers, the truncation's variables) stay
+here, never derived from them.
 """
 from __future__ import annotations
 
@@ -83,22 +82,27 @@ def _exponents(num_vars: int, degree: int) -> np.ndarray:
     return out
 
 
-def _positions(num_vars: int, degree: int, *factors: np.ndarray) -> np.ndarray:
-    """Index among ``monomials(num_vars, degree)`` of the product of one
-    exponent row from each factor array, the arrays broadcast against each
-    other.  With s_v the sum of the product's exponents after position v,
-    the sum of the factors' own, the monomials before it in descending lex
-    order are, for each v < num_vars - 1, the C(s_v + k - 1, k), k =
-    num_vars - 1 - v, that agree with it before position v and are larger
-    at v: one lookup in a table of binomials per v."""
-    after = [f[..., :0:-1].cumsum(axis=-1)[..., ::-1] for f in factors]
-    out = np.zeros(np.broadcast_shapes(*(f.shape[:-1] for f in factors)),
-                   dtype=np.int64)
-    for v in range(num_vars - 1):
-        k = num_vars - 1 - v
+def _positions(num_vars: int, degree: int, exps: np.ndarray) -> np.ndarray:
+    """Index among ``monomials(num_vars, degree)`` of each exponent row, for
+    `Form.from_terms` only.  With s_v the sum of a row's exponents after
+    position v, the monomials before it in descending lex order are, for
+    each v < num_vars - 1, the C(s_v + k - 1, k), k = num_vars - 1 - v, that
+    agree with it before v and are larger at v: one table lookup per v."""
+    after = degree - exps[:, :-1].cumsum(axis=1)
+    out = np.zeros(len(exps), dtype=np.int64)
+    for v, k in enumerate(range(num_vars - 1, 0, -1)):
         table = np.array([comb(s + k - 1, k) for s in range(degree + 1)])
-        out += table[sum(suffix[..., v] for suffix in after)]
+        out += table[after[:, v]]
     return out
+
+
+def _cells(num_vars: int, form_degree: int, *degrees: int) -> list:
+    """Grid cells of each degree's monomials (:func:`contraction_matrix`),
+    summed elementwise: an integer ``@`` adds 0.1 MiB of numpy code to RSS."""
+    radix = form_degree + 1
+    return [sum((exps[:, v] * radix ** (v - 1) for v in range(1, num_vars)),
+                np.zeros(len(exps), dtype=np.int64))
+            for exps in (_exponents(num_vars, d) for d in degrees)]
 
 
 class Form:
@@ -172,14 +176,6 @@ def _check_generators(generators: Sequence[Form]) -> tuple[int, int, FieldSpec]:
     return num_vars, degree, field
 
 
-def _contraction_layout(num_vars: int, form_degree: int,
-                        degree: int) -> np.ndarray:
-    """Index among the form's monomials of operator+column, one row per
-    operator and one column per column monomial."""
-    ops = _exponents(num_vars, form_degree - degree)[:, None]
-    return _positions(num_vars, form_degree, ops, _exponents(num_vars, degree))
-
-
 def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
     """Coefficient matrix of the degree-lowering contractions.
 
@@ -187,18 +183,26 @@ def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
     degree), generator-major, columns by the monomials of the target
     degree; the entry is the coefficient of the column monomial in the
     contracted generator.  Its rank is the dimension of the generated
-    module in that degree.  The matrix is one gather from the stacked
-    coefficient arrays; an operator that divides none of a generator's
-    terms gives a zero row, which :func:`rank` drops.
+    module in that degree; an operator that divides none of a generator's
+    terms gives a zero row, which :func:`rank` drops.  The matrix is one
+    ``take`` from a zeroed grid per generator of degree P in n variables,
+    (P+1)**(n-1) cells numbered by the exponents of variables 1..n-1 as
+    digits in radix P+1; variable 0 follows from the degree.  Operator and
+    column digits add without a carry, so their product sits at the sum of
+    their cells.  The grid is under twice the form in 3 variables, where
+    every witness lives, under six times in 4, and 161 051 cells at n = 6,
+    P = 10.
     """
     num_vars, form_degree, field = _check_generators(generators)
     if not 0 <= degree <= form_degree:
-        raise ValueError(
-            f"degree must lie in [0, {form_degree}], got {degree}"
-        )
-    layout = _contraction_layout(num_vars, form_degree, degree)
-    coeffs = np.stack([g.coeffs for g in generators])
-    return DenseMatrix(field, coeffs[:, layout].reshape(-1, layout.shape[1]))
+        raise ValueError(f"degree must lie in [0, {form_degree}], got {degree}")
+    form, ops, cols = _cells(num_vars, form_degree, form_degree,
+                             form_degree - degree, degree)
+    grid = np.zeros((len(generators), (form_degree + 1) ** (num_vars - 1)),
+                    dtype=field.dtype)
+    grid[:, form] = [g.coeffs for g in generators]
+    matrix = grid.take(ops[:, None] + cols, axis=1)
+    return DenseMatrix(field, matrix.reshape(-1, len(cols)))
 
 
 def hilbert_function(generators: Sequence[Form]) -> HVector:

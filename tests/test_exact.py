@@ -154,6 +154,10 @@ def test_rank_rational_entries() -> None:
     assert rank(m) == 2
     m2 = DenseMatrix.from_rows(QQ, [[Fraction(1, 2), 1], [1, 2]])
     assert rank(m2) == 1
+    # Denominators are cleared row by row; an integer row is kept as it is.
+    integer = [3, -7]
+    cleared = exact._integer_rows([[Fraction(1, 2), Fraction(-1, 3)], integer])
+    assert cleared == [[3, -2], [3, -7]] and cleared[1] is integer
 
 
 def test_rank_huge_prime_fallback() -> None:

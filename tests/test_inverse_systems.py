@@ -89,10 +89,12 @@ def test_monomials_order_and_count() -> None:
 
 def test_positions_by_formula_follow_the_monomial_order() -> None:
     """`_positions` computes an index in closed form from suffix sums of
-    exponents; it must equal the position in the oracle's enumeration,
-    for one factor (every monomial of the degree) and for the operator x
-    column pair that `_contraction_layout` broadcasts, whose product is
-    the form's monomial."""
+    exponents; it must equal the position in the oracle's enumeration.
+    `_cells` puts each monomial of a form of degree P in a grid cell whose
+    digits in radix P+1 are its exponents of variables 1..; the cells must
+    follow the oracle's enumeration, be distinct and lie in the grid, and
+    the operator x column sum that `contraction_matrix` broadcasts must be
+    the cell of their product, the form's monomial."""
     for n in range(1, 7):
         for degree in range(11):
             order = descending_monomials(n, degree)
@@ -100,12 +102,20 @@ def test_positions_by_formula_follow_the_monomial_order() -> None:
             exps = np.array(monomials(n, degree)).reshape(-1, n)
             assert inverse_systems._positions(
                 n, degree, exps).tolist() == list(range(len(order)))
+            radix = degree + 1
+            [cells] = inverse_systems._cells(n, degree, degree)
+            cells = cells.tolist()
+            assert cells == [sum(e * radix**v for v, e in enumerate(m[1:]))
+                             for m in order]
+            assert len(set(cells)) == len(order)
+            assert 0 <= min(cells) and max(cells) < radix ** (n - 1)
             for low in range(degree + 1):
                 ops = descending_monomials(n, degree - low)
                 cols = descending_monomials(n, low)
-                layout = inverse_systems._contraction_layout(n, degree, low)
-                assert layout.tolist() == [
-                    [index[tuple(a + b for a, b in zip(op, col))]
+                ops_cells, col_cells = inverse_systems._cells(
+                    n, degree, degree - low, low)
+                assert (ops_cells[:, None] + col_cells).tolist() == [
+                    [cells[index[tuple(a + b for a, b in zip(op, col))]]
                      for col in cols] for op in ops]
 
 
@@ -224,6 +234,30 @@ def test_contraction_matrix_agrees_with_contract(case) -> None:
                      if field.is_modular else fraction_rank(full))
     assert rank(matrix) == expected_rank
     assert matrix.cols == len(monomials(num_vars, degree))
+
+
+def test_witness_matrices_equal_a_lookup_oracle() -> None:
+    """Every degree of real witnesses, thm-r of powers 23 (d=12 even) and
+    32 (d=16 odd) and thm-e e=22, over a word prime, a uint64 prime and
+    the prime QQ trials run in, equals the entry-by-entry lookup of
+    operator x column among each generator's terms."""
+    fields = [FieldSpec(p) for p in (1_000_003, 2**61 - 1, 23_726_561)]
+    for kind, parameter in ((KIND_CODIM5_EVEN, 12), (KIND_CODIM5_ODD, 16),
+                            (KIND_SOCLE_DEGREE, 22)):
+        witnesses = [inverse_systems._trial_generators(
+            kind, parameter, field, mix(0, 0)) for field in fields]
+        form_degree = witnesses[0][0].degree
+        for degree in range(form_degree + 1):
+            products = [
+                [tuple(a + b for a, b in zip(op, col))
+                 for col in descending_monomials(3, degree)]
+                for op in descending_monomials(3, form_degree - degree)]
+            for generators in witnesses:
+                lookups = [dict(terms(g)) for g in generators]
+                expected = [[coeffs.get(m, 0) for m in row]
+                            for coeffs in lookups for row in products]
+                matrix = contraction_matrix(generators, degree)
+                assert matrix.entries.tolist() == expected
 
 
 def test_word_prime_overflow_boundary() -> None:
