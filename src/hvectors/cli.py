@@ -7,7 +7,9 @@ and hands ``_emit`` one rendering for each format it offers; ``_emit``
 renders only the one ``--format`` names and writes it to ``--out`` or
 stdout.  ``verify`` is a ``sweep`` over the one characteristic its
 ``--field`` names: both commands share one grammar and one handler, which
-runs every job through ``sweep_characteristics``.  The CLI only parses:
+runs every job through ``sweep_characteristics``.  ``main`` builds only
+the subparser its first argument names (every one when that names none),
+so a command pays for no other command's grammar.  The CLI only parses:
 the library refuses each value it cannot use, with one text for every
 command.
 
@@ -65,7 +67,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+# The subcommands, in the order the top-level help lists them.
+_COMMANDS = ("check", "construct", "verify", "sweep")
+
+
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser with only ``command``'s subparser, or with all of them
+    when ``command`` names none, so that the top-level help and the
+    invalid-choice error still list every subcommand.  A subcommand's
+    help, usage and errors do not depend on its siblings."""
+    chosen = (command,) if command in _COMMANDS else _COMMANDS
     parser = _Parser(
         prog="hvectors",
         description="h-vector calculus, Gorenstein family constructions, "
@@ -78,26 +89,29 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write the report to a file instead of stdout")
 
-    p_check = sub.add_parser(
-        "check", help="classify a comma-separated h-vector")
-    p_check.add_argument("vector", help="for example 1,10,14,20,14,10,1")
-    add_output(p_check, ("plain", "json"))
-    p_check.set_defaults(handler=_cmd_check)
+    if "check" in chosen:
+        p_check = sub.add_parser(
+            "check", help="classify a comma-separated h-vector")
+        p_check.add_argument("vector", help="for example 1,10,14,20,14,10,1")
+        add_output(p_check, ("plain", "json"))
+        p_check.set_defaults(handler=_cmd_check)
 
-    p_construct = sub.add_parser(
-        "construct", help="emit a constructed family member")
-    p_construct.add_argument("kind", choices=("thm-e", "thm-r"))
-    p_construct.add_argument("--e", type=int, help="socle degree (thm-e)")
-    p_construct.add_argument("--d", type=int, help="half degree (thm-r)")
-    p_construct.add_argument("--parity", choices=("odd", "even"))
-    p_construct.add_argument("--a", type=int, default=0,
-                             help="lift every interior entry by this amount")
-    add_output(p_construct, ("plain", "json", "csv"))
-    p_construct.set_defaults(handler=_cmd_construct)
+    if "construct" in chosen:
+        p_construct = sub.add_parser(
+            "construct", help="emit a constructed family member")
+        p_construct.add_argument("kind", choices=("thm-e", "thm-r"))
+        p_construct.add_argument("--e", type=int, help="socle degree (thm-e)")
+        p_construct.add_argument("--d", type=int, help="half degree (thm-r)")
+        p_construct.add_argument("--parity", choices=("odd", "even"))
+        p_construct.add_argument(
+            "--a", type=int, default=0,
+            help="lift every interior entry by this amount")
+        add_output(p_construct, ("plain", "json", "csv"))
+        p_construct.set_defaults(handler=_cmd_construct)
 
     # verify and sweep differ only in how they name the characteristics;
     # both store the tuple in ``chars``.
-    for command, help_text, flag, parse, default, flag_help in (
+    for name, help_text, flag, parse, default, flag_help in (
             ("verify", "recompute a family's Hilbert function from random "
                        "inverse-system witnesses",
              "--field", _parse_field, (DEFAULT_FIELD,),
@@ -105,7 +119,9 @@ def _build_parser() -> _Parser:
             ("sweep", "verify one construction across characteristics",
              "--chars", _parse_chars, DEFAULT_SWEEP_CHARS,
              "comma-separated characteristics (0 or primes)")):
-        p_run = sub.add_parser(command, help=help_text)
+        if name not in chosen:
+            continue
+        p_run = sub.add_parser(name, help=help_text)
         p_run.add_argument("kind", choices=("thm-e", "thm-r"))
         p_run.add_argument("--e", help="socle degree or range, e.g. 6..10")
         p_run.add_argument("--d", help="half degree or range, e.g. 10..12")
@@ -353,7 +369,8 @@ def _cmd_verify(args: argparse.Namespace, arguments: Sequence[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     arguments = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(arguments)
+        parser = _build_parser(arguments[0] if arguments else None)
+        args = parser.parse_args(arguments)
         return args.handler(args, arguments)
     except (UsageError, ValueError, OSError) as err:
         print(f"hvectors: error: {err}", file=sys.stderr)

@@ -1,29 +1,31 @@
 """Macaulay inverse systems over an exact field.
 
 Homogeneous forms are stored densely per degree as coefficient arrays, in
-the descending lex order of :func:`monomials`.  The variables of the dual
-ring act by contraction (exponent subtraction, killing terms that would go
-negative), never term by term: the Hilbert function of the module generated
-by a list of forms is read off as the rank of the contraction coefficient
-matrix in each degree, one ``take`` from a grid indexed by exponents in
-radix P+1 for forms of degree P, under twice the forms in 3 variables and
-under six times in 4 (:func:`contraction_matrix`).  A monomial module every
-trial shares, the thm-e binary truncation, is never built as forms: it
-holds every monomial of its variables, so its columns are pinned and only
-the sampled generators are ranked, on the other columns.  Only a band of
-degrees is ranked and the rest are proved: below it every degree is full,
-because the module is closed under contraction, and above it every degree
-is free, because the generators' operator syzygies form a submodule of a
-free module, which has no torsion (:func:`_hilbert_ranks`).  On top of that
-sit the randomized drivers that check the constructed level h-vectors
-against actual rank computations, including a characteristic sweep.  Each
-witness bounds its own rank in every degree (:func:`_rank_caps`): a rank at
-its cap is proved, over QQ by a trial in GF(23 726 561), and trials at
-every cap between them end the verification; a run whose trials all miss a
-cap states how likely that is for a target that holds
-(:func:`verify_construction`).  Kinds and targets live in :mod:`families`;
-the witness facts (point counts, powers, the truncation's variables) stay
-here, never derived from them.
+descending lex order.  :func:`_exponents` owns that order: it builds each
+degree's exponent table once per process, in numpy, and :func:`monomials`
+only lists its rows.  The variables of the dual ring act by contraction
+(exponent subtraction, killing terms that would go negative), never term
+by term: the Hilbert function of the module generated by a list of forms
+is read off as the rank of the contraction coefficient matrix in each
+degree, one ``take`` from a grid indexed by exponents in radix P+1 for
+forms of degree P, under twice the forms in 3 variables and under six
+times in 4 (:func:`contraction_matrix`).  A monomial module every trial
+shares, the thm-e binary truncation, is never built as forms: it holds
+every monomial of its variables, so its columns are pinned and only the
+sampled generators are ranked, on the other columns, which the one
+``take`` selects.  Only a band of degrees is ranked and the rest are
+proved: below it every degree is full, because the module is closed under
+contraction, and above it every degree is free, because the generators'
+operator syzygies form a submodule of a free module, which has no torsion
+(:func:`_hilbert_ranks`).  On top of that sit the randomized drivers that
+check the constructed level h-vectors against actual rank computations,
+including a characteristic sweep.  Each witness bounds its own rank in
+every degree (:func:`_rank_caps`): a rank at its cap is proved, over QQ by
+a trial in GF(23 726 561), and trials at every cap between them end the
+verification; a run whose trials all miss a cap states how likely that is
+for a target that holds (:func:`verify_construction`).  Kinds and
+targets live in :mod:`families`; the witness facts (point counts, powers,
+the truncation's variables) stay here, never derived from them.
 """
 from __future__ import annotations
 
@@ -54,32 +56,46 @@ from .version import VERSION
 Monomial = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def monomials(num_vars: int, degree: int) -> tuple[Monomial, ...]:
-    """All exponent tuples of the given degree, in descending lex order.
-
-    This ordering is the canonical one used for dense form storage and for
-    contraction-matrix rows and columns.
-    """
-    if num_vars < 1:
-        raise ValueError(f"num_vars must be positive, got {num_vars}")
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    if num_vars == 1:
-        return ((degree,),)
-    out = []
-    for head in range(degree, -1, -1):
-        out.extend((head, *tail) for tail in monomials(num_vars - 1, degree - head))
-    return tuple(out)
+    """All exponent tuples of the given degree, in descending lex order:
+    the rows of :func:`_exponents`, which owns the order."""
+    return tuple(map(tuple, _exponents(num_vars, degree).tolist()))
 
 
 @lru_cache(maxsize=None)
 def _exponents(num_vars: int, degree: int) -> np.ndarray:
-    """Read-only array of :func:`monomials`, one row per monomial, stored
-    column-major so that each variable's exponents are contiguous."""
-    out = np.array(monomials(num_vars, degree), order="F")
+    """Read-only array of the exponents of every monomial of the degree,
+    one row per monomial in descending lex order, stored column-major so
+    that each variable's exponents are contiguous.
+
+    This is the canonical order of dense form storage and of
+    contraction-matrix rows and columns.  Each leading exponent h =
+    degree..0 heads the block of ``_exponents(num_vars - 1, degree - h)``;
+    two variables need no blocks, as the rows are (h, degree - h).
+    """
+    out = np.empty((_monomial_count(num_vars, degree), num_vars),
+                   dtype=np.int64, order="F")
+    heads = np.arange(degree, -1, -1)
+    if num_vars == 1:
+        out[:, 0] = degree
+    elif num_vars == 2:
+        out[:, 0], out[:, 1] = heads, heads[::-1]
+    else:
+        tails = [_exponents(num_vars - 1, h) for h in range(degree + 1)]
+        out[:, 0] = heads.repeat([len(t) for t in tails])
+        out[:, 1:] = np.concatenate(tails)
     out.flags.writeable = False
     return out
+
+
+def _monomial_count(num_vars: int, degree: int) -> int:
+    """Number of monomials of the degree in ``num_vars`` variables, the
+    length of every coefficient array of that shape."""
+    if num_vars < 1:
+        raise ValueError(f"num_vars must be positive, got {num_vars}")
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    return comb(degree + num_vars - 1, num_vars - 1)
 
 
 def _positions(num_vars: int, degree: int, exps: np.ndarray) -> np.ndarray:
@@ -116,7 +132,7 @@ class Form:
 
     def __init__(self, num_vars: int, degree: int, field: FieldSpec,
                  coeffs: Sequence[Scalar]):
-        expected = len(monomials(num_vars, degree))
+        expected = _monomial_count(num_vars, degree)
         if len(coeffs) != expected:
             raise ValueError(
                 f"need {expected} coefficients for degree {degree} in "
@@ -142,7 +158,7 @@ class Form:
             raise ValueError(f"{bad[0]} is not a monomial of degree {degree} "
                              f"in {num_vars} variables")
         exps = np.array(list(terms), dtype=np.int64).reshape(-1, num_vars)
-        dense = np.zeros(len(monomials(num_vars, degree)), dtype=field.dtype)
+        dense = np.zeros(_monomial_count(num_vars, degree), dtype=field.dtype)
         dense[_positions(num_vars, degree, exps)] = field.array(terms.values())
         return cls(num_vars, degree, field, dense)
 
@@ -176,33 +192,39 @@ def _check_generators(generators: Sequence[Form]) -> tuple[int, int, FieldSpec]:
     return num_vars, degree, field
 
 
-def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
+def contraction_matrix(generators: Sequence[Form], degree: int,
+                       shared: int = 0) -> DenseMatrix:
     """Coefficient matrix of the degree-lowering contractions.
 
     Rows are indexed by (generator, operator monomial of complementary
     degree), generator-major, columns by the monomials of the target
-    degree; the entry is the coefficient of the column monomial in the
-    contracted generator.  Its rank is the dimension of the generated
-    module in that degree; an operator that divides none of a generator's
-    terms gives a zero row, which :func:`rank` drops.  The matrix is one
-    ``take`` from a zeroed grid per generator of degree P in n variables,
-    (P+1)**(n-1) cells numbered by the exponents of variables 1..n-1 as
-    digits in radix P+1; variable 0 follows from the degree.  Operator and
-    column digits add without a carry, so their product sits at the sum of
-    their cells.  The grid is under twice the form in 3 variables, where
-    every witness lives, under six times in 4, and 161 051 cells at n = 6,
-    P = 10.
+    degree, in order, but for those in the first ``shared`` variables
+    alone (none when ``shared`` is 0); the entry is the coefficient of the
+    column monomial in the contracted generator.  With ``shared`` 0 its
+    rank is the dimension of the generated module in that degree; an
+    operator that divides none of a generator's terms gives a zero row,
+    which :func:`rank` drops.  The matrix is one ``take`` from a zeroed
+    grid per generator of degree P in n variables, (P+1)**(n-1) cells
+    numbered by the exponents of variables 1..n-1 as digits in radix P+1;
+    variable 0 follows from the degree.  Operator and column digits add
+    without a carry, so their product sits at the sum of their cells.  The
+    grid is under twice the form in 3 variables, where every witness
+    lives, under six times in 4, and 161 051 cells at n = 6, P = 10.  A
+    monomial in the first ``shared`` variables alone has a cell below
+    (P+1)**(shared-1), and every other one a cell at or above it.
     """
     num_vars, form_degree, field = _check_generators(generators)
     if not 0 <= degree <= form_degree:
         raise ValueError(f"degree must lie in [0, {form_degree}], got {degree}")
     form, ops, cols = _cells(num_vars, form_degree, form_degree,
                              form_degree - degree, degree)
+    if shared:
+        cols = cols[cols >= (form_degree + 1) ** (shared - 1)]
     grid = np.zeros((len(generators), (form_degree + 1) ** (num_vars - 1)),
                     dtype=field.dtype)
     grid[:, form] = [g.coeffs for g in generators]
     matrix = grid.take(ops[:, None] + cols, axis=1)
-    return DenseMatrix(field, matrix.reshape(-1, len(cols)))
+    return DenseMatrix(field, matrix.reshape(len(generators) * len(ops), -1))
 
 
 def hilbert_function(generators: Sequence[Form]) -> HVector:
@@ -245,8 +267,9 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
     module is T_i plus the row space of ``contraction_matrix(generators,
     i)``, and T_i is spanned by the unit vectors on its columns.  So its
     rank is ``base_i`` plus the rank of that matrix with T's columns
-    dropped: the row space modulo those unit vectors.  That rank is capped
-    by ``caps[i] - base_i``.
+    dropped, ``contraction_matrix(generators, i, shared)``: the row space
+    modulo those unit vectors.  That rank is capped by ``caps[i] -
+    base_i``.
 
     With ``full_i = C(i+n-1, n-1)`` and ``free_i = base_i +
     g*C(s-i+n-1, n-1)``, the rank in degree i is at most both, and two
@@ -280,10 +303,7 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
 
     def rank_degree(i: int) -> None:
         start = time.perf_counter()
-        matrix = contraction_matrix(generators, i)
-        if shared:
-            outside = _exponents(num_vars, i)[:, shared:].any(axis=1)
-            matrix = DenseMatrix(matrix.field, matrix.entries[:, outside])
+        matrix = contraction_matrix(generators, i, shared)
         ranks[i] = base[i] + rank(matrix, caps[i] - base[i] if caps else None)
         seconds[i] = time.perf_counter() - start
 

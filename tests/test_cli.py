@@ -385,7 +385,34 @@ def test_out_writes_file(tmp_path, capsys) -> None:
 
 
 def test_unknown_command_exits_two(capsys) -> None:
-    assert run_cli(capsys, "frobnicate")[0] == 2
+    """An unknown subcommand gets the parser with every subcommand, so the
+    error lists them all."""
+    code, _, err = run_cli(capsys, "frobnicate")
+    assert code == 2
+    assert "invalid choice: 'frobnicate'" in err
+    for command in ("check", "construct", "verify", "sweep"):
+        assert repr(command) in err
+
+
+def test_help_is_the_same_with_one_subparser_or_all(capsys) -> None:
+    """`main` builds only the subparser its first argument names; the
+    subcommand's help does not depend on the others, and the top-level
+    help, built with all of them, still exits 0."""
+    texts = []
+    for command in ("verify", None):
+        with pytest.raises(SystemExit) as stop:
+            cli._build_parser(command).parse_args(["verify", "--help"])
+        assert stop.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: hvectors verify ")
+    with pytest.raises(cli.UsageError, match="invalid choice: 'check'"):
+        cli._build_parser("verify").parse_args(["check", LEVEL_E6])
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert "{check,construct,verify,sweep}" in out
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))

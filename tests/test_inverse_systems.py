@@ -77,14 +77,30 @@ def _combination(weights: list, forms: list[Form]) -> Form:
 
 
 def test_monomials_order_and_count() -> None:
+    """`monomials` lists the rows of `_exponents`, the one exponent table:
+    the oracle's enumeration, held in a read-only column-major array."""
     assert monomials(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert monomials(3, 0) == ((0, 0, 0),)
-    for r, d in ((2, 5), (3, 7), (4, 4)):
+    for r, d in ((2, 5), (3, 7), (4, 4), (12, 2)):
         listing = monomials(r, d)
         assert len(listing) == comb(r - 1 + d, d)
         assert all(sum(m) == d for m in listing)
         assert list(listing) == sorted(listing, reverse=True)
+    for n in range(1, 7):
+        for d in range(11):
+            order = descending_monomials(n, d)
+            assert monomials(n, d) == order
+            exps = inverse_systems._exponents(n, d)
+            assert exps.tolist() == [list(m) for m in order]
+            assert exps.flags.f_contiguous and not exps.flags.writeable
+    # Many variables, low degree: the sum of the 12 squares contracts to
+    # every linear form, and y0*y1 adds one quadric.
+    squares = {tuple(2 * (v == k) for v in range(12)): 1 for k in range(12)}
+    forms = [Form.from_terms(12, 2, GF, squares),
+             Form.from_terms(12, 2, GF, {(1, 1) + (0,) * 10: 1})]
+    assert terms(forms[0]) == sorted(squares.items(), reverse=True)
+    assert hilbert_function(forms).entries == (1, 12, 2)
 
 
 def test_positions_by_formula_follow_the_monomial_order() -> None:
@@ -132,6 +148,10 @@ def test_form_construction_and_lookup() -> None:
             Form.from_terms(3, 2, GF, bad)
     with pytest.raises(ValueError):
         Form(3, 2, GF, (1, 2, 3))
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        Form(2, -1, GF, ())
+    with pytest.raises(ValueError, match="num_vars must be positive"):
+        Form(0, 2, GF, ())
 
 
 def test_contract_examples() -> None:
@@ -220,7 +240,9 @@ def _generators_and_degree(draw):
 @settings(max_examples=120, deadline=None)
 def test_contraction_matrix_agrees_with_contract(case) -> None:
     """The matrix is the oracle's full matrix, one row per (generator,
-    operator), generator-major, and its rank is the full matrix's."""
+    operator), generator-major, and its rank is the full matrix's.  With
+    ``shared`` it drops the columns of monomials in the first ``shared``
+    variables alone, and only those."""
     generators, degree = case
     field = generators[0].field
     num_vars, form_degree = generators[0].num_vars, generators[0].degree
@@ -234,6 +256,12 @@ def test_contraction_matrix_agrees_with_contract(case) -> None:
                      if field.is_modular else fraction_rank(full))
     assert rank(matrix) == expected_rank
     assert matrix.cols == len(monomials(num_vars, degree))
+    for shared in range(1, num_vars + 1):
+        columns = descending_monomials(num_vars, degree)
+        kept = [k for k, col in enumerate(columns) if any(col[shared:])]
+        pinned = contraction_matrix(generators, degree, shared)
+        assert pinned.entries.tolist() == [[row[k] for k in kept]
+                                           for row in full]
 
 
 def test_witness_matrices_equal_a_lookup_oracle() -> None:
@@ -564,9 +592,9 @@ def test_walk_ranks_only_the_band(monkeypatch) -> None:
     ranked = []
     build = inverse_systems.contraction_matrix
 
-    def record(generators, degree):
+    def record(generators, degree, shared=0):
         ranked.append(degree)
-        return build(generators, degree)
+        return build(generators, degree, shared)
 
     monkeypatch.setattr(inverse_systems, "contraction_matrix", record)
     for e in range(6, 13):
@@ -591,9 +619,9 @@ def test_thm_e_ranks_its_form_on_the_columns_outside_the_truncation(
     degrees, shapes = [], []
     build = inverse_systems.contraction_matrix
 
-    def record_build(generators, degree):
+    def record_build(generators, degree, shared=0):
         degrees.append(degree)
-        return build(generators, degree)
+        return build(generators, degree, shared)
 
     def record_rank(matrix, cap=None):
         shapes.append((matrix.rows, matrix.cols))
