@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -367,7 +368,16 @@ def _cmd_verify(args: argparse.Namespace, arguments: Sequence[str]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  The objects alive when it starts (the modules and
+    the exponent caches) are frozen out of the garbage collector until it
+    returns, unless a caller froze some already: a collection during the
+    command then walks only what the command made, not the thousands of
+    import-time objects, so it costs microseconds wherever the command's
+    allocations happen to trigger it, instead of a millisecond."""
     arguments = list(sys.argv[1:]) if argv is None else list(argv)
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
     try:
         parser = _build_parser(arguments[0] if arguments else None)
         args = parser.parse_args(arguments)
@@ -375,6 +385,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ValueError, OSError) as err:
         print(f"hvectors: error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

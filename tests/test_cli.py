@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import replace
@@ -413,6 +414,35 @@ def test_help_is_the_same_with_one_subparser_or_all(capsys) -> None:
     assert stop.value.code == 0
     out = capsys.readouterr().out
     assert "{check,construct,verify,sweep}" in out
+
+
+def test_main_freezes_older_objects_only_while_a_command_runs(
+        capsys, monkeypatch) -> None:
+    """The objects alive before a command are frozen out of the collector
+    while it runs and thawed when it returns, also by SystemExit; a
+    caller's own freeze is left as it was."""
+    counts = []
+    check = cli._cmd_check
+
+    def spy(args, arguments):
+        counts.append(gc.get_freeze_count())
+        return check(args, arguments)
+
+    monkeypatch.setattr(cli, "_cmd_check", spy)
+    assert gc.get_freeze_count() == 0
+    assert run_cli(capsys, "check", GORENSTEIN_E6)[0] == 0
+    assert counts[0] > 0
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, "check", GORENSTEIN_E6)[0] == 0
+        assert 0 < gc.get_freeze_count() <= counts[1] <= frozen
+    finally:
+        gc.unfreeze()
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
