@@ -9,19 +9,20 @@ Python integers over the rationals.  Products of residues are reduced by
 one % per term in int64, and in uint64 at once with a precomputed
 quotient (Shoup), so that no value wraps (`FieldSpec.multiply`).
 Every rank comes from one modular Gaussian elimination, in place on one
-C-contiguous copy of the matrix laid out long side first, so that every
-vector it walks for a pivot is one contiguous row: over GF(p) directly,
-and over the rationals modulo primes below 2**30, where it reduces its
-block only every 8 updates, until a Hadamard bound or a full rank shows
-the largest rank seen exact.  Following Dumas-Giorgi-Pernet
-(ACM TOMS 35(3), 2008), it splits panels of rows off the copy: the rows
-below each panel are updated by one matrix product, and a pivot in a
-panel updates only the tracking rows already set.  For int64 primes up
-to 23 726 561 the panels have 16 rows and the product is one float64
-product; reduction mod p is then delayed until one more update could
-overflow.  For every other prime the panels have 32 rows, or 16 while
-the long side is under 200, and the product is exact mod p, from float64
-products of limbs (`_matmul_mod_p`, after Ozaki, Ogita, Oishi and Rump,
+C-contiguous copy of the matrix laid out long side first, or columns
+first in a caller's order when it asks which columns yield a pivot
+(`rank`), so that every vector it walks for a pivot is one contiguous
+row: over GF(p) directly, and over the rationals modulo primes below
+2**30, where it reduces its block only every 8 updates, until a Hadamard
+bound or a full rank shows the largest rank seen exact.  Following
+Dumas-Giorgi-Pernet (ACM TOMS 35(3), 2008), it splits panels of rows off
+the copy: the rows below each panel are updated by one matrix product,
+and a pivot in a panel updates only the tracking rows already set.  For
+int64 primes up to 23 726 561 the panels have 16 rows and the product is
+one float64 product; reduction mod p is then delayed until one more
+update could overflow.  For every other prime the panels have 32 rows,
+or 16 while the long side is under 200, and the product is exact mod p,
+from float64 products of limbs (`_matmul_mod_p`, after Ozaki, Ogita, Oishi and Rump,
 Numer. Algorithms 59, 2012), which also forms the witnesses' weighted
 sums (`inverse_systems.linear_combination`).
 Inside a panel only the update of its trailing block depends on the
@@ -249,7 +250,8 @@ class DenseMatrix:
         return self.entries.shape[1]
 
 
-def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
+def rank(matrix: DenseMatrix, cap: Optional[int] = None,
+         marks: Optional[list] = None) -> int:
     """Rank of the matrix over its field; exact and deterministic.  Its
     nonzero rows are ranked, and the matrix is left unchanged: they are
     taken out by a copy only when some row is zero, and the elimination
@@ -259,7 +261,16 @@ def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
     instance from the span of the forms the rows come from: the same check
     in every field, as a rank above it means the proof was wrong, so it
     raises `ArithmeticError` instead of returning.
+
+    ``marks``, when given, lists every column once, in the order the
+    elimination is to walk them, and is cut down in place to the columns
+    that yield a pivot, the ones outside the span of the columns walked
+    before them.  So the marks among the first k columns walked count the
+    rank of those k columns: exactly over GF(p), and over QQ, where they
+    come from the first prime, as a lower bound (`_rank_rational`).
     """
+    if marks is not None and len(marks) != matrix.cols:
+        raise ValueError("marks must list every column once")
     entries = matrix.entries
     nonzero = (entries != 0).any(axis=1)
     found = 0
@@ -267,7 +278,10 @@ def rank(matrix: DenseMatrix, cap: Optional[int] = None) -> int:
         if not nonzero.all():
             entries = entries[nonzero]
         p = matrix.field.characteristic
-        found = _rank_mod_p(entries, p) if p else _rank_rational(entries)
+        found = (_rank_mod_p(entries, p, marks) if p
+                 else _rank_rational(entries, marks))
+    elif marks:
+        marks.clear()
     if cap is not None and found > cap:
         raise ArithmeticError(f"rank {found} exceeds its proved cap {cap}")
     return found
@@ -283,15 +297,17 @@ def _integer_rows(entries) -> list[list[int]]:
     return rows
 
 
-def _rank_rational(entries: np.ndarray) -> int:
+def _rank_rational(entries: np.ndarray, marks: Optional[list] = None) -> int:
     """Rank over QQ of nonzero rows, proved modulo primes below 2**30,
     largest first (`_RATIONAL_PRIME_START` says why there).  It serves the
     matrices users build: a verification over QQ ranks its witnesses in
     GF(23 726 561) instead (`inverse_systems.verify_construction`).
 
     A rank mod q is at most the rank over QQ (a minor nonzero mod q is a
-    nonzero integer), so the largest rank seen, rho, is a lower bound.  It is
-    exact once rho reaches min(rows, cols); then one prime is enough.
+    nonzero integer), for every set of columns too, so the first prime
+    alone sets ``marks`` (`rank`), and the largest rank seen, rho, is a
+    lower bound.  It is exact once rho reaches min(rows, cols); then one
+    prime is enough.
     Otherwise rho is exact once the product of the primes used
     exceeds a Hadamard bound on every (rho+1)-minor, the smaller of the
     products of the rho+1 largest row and column norms: each prime used
@@ -305,7 +321,8 @@ def _rank_rational(entries: np.ndarray) -> int:
     norms_sq = None
     best, bound_sq, modulus = -1, 0, 1
     for q in filter(is_prime, range(_RATIONAL_PRIME_START - 1, 2, -2)):
-        found = _rank_mod_p((rows % q).astype(np.int64), q)
+        found = _rank_mod_p((rows % q).astype(np.int64), q, marks)
+        marks = None
         if found > best:
             best = found
             if best >= min(rows.shape):
@@ -512,12 +529,15 @@ def _matmul_mod_p(x: np.ndarray, y: np.ndarray, p: int,
     return acc
 
 
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
+def _rank_mod_p(a: np.ndarray, p: int, marks: Optional[list] = None) -> int:
     """Rank of a 2-D array of residues mod p held in the dtype of
     ``FieldSpec(p)`` (`FieldSpec.dtype`), which is left unchanged.
 
     It is copied once, C-contiguous and long side first: a tall array's
-    rows as they are, or else its transpose, square too.  The copy y is
+    rows as they are, or else its transpose, square too.  With ``marks``
+    (`rank`) the copy is the transpose whatever the shape, its rows the
+    columns of a in the order ``marks`` lists, and ``marks`` keeps the
+    columns whose rows yield a pivot (`_eliminate_panel`).  The copy y is
     eliminated in place by columns, one panel of rows at a time, each
     eliminated pivot by pivot (`_eliminate_panel`), in the manner of
     Dumas-Giorgi-Pernet: each row walked for a pivot is contiguous, and
@@ -548,7 +568,9 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     a panel only the int64 tracking rows, left delayed, are reduced.
     """
     delayed = _float_exact(_PANEL_WIDTH, p)
-    y = (a if a.shape[0] > a.shape[1] else a.T).copy()
+    y = (a.T.take(marks, axis=0) if marks
+         else (a if a.shape[0] > a.shape[1] else a.T).copy())
+    walked = []
     n, m = y.shape
     b = _PANEL_WIDTH if delayed or n < _LIMB_SHORT_ROWS else _LIMB_PANEL_WIDTH
     split = _SPLIT_ROWS if delayed else b
@@ -561,7 +583,7 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
         else:
             panel[:b] = y[c:c + b, r:]
         trailing = y[c + b:, r:]
-        k = _eliminate_panel(panel, b, p, trailing)
+        k = _eliminate_panel(panel, b, p, walked, trailing)
         below = trailing[:, k:]
         t = panel[b:b + k, k:]
         if y.dtype == np.int64:
@@ -578,24 +600,29 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
         c += b
     if pending:
         y[c:, r:] %= p
-    return r + _eliminate_panel(y[c:, r:], n - c, p)
+    r += _eliminate_panel(y[c:, r:], n - c, p, walked)
+    if marks:
+        marks[:] = [col for col, pivot in zip(marks, walked) if pivot]
+    return r
 
 
-def _eliminate_panel(a: np.ndarray, width: int, p: int,
+def _eliminate_panel(a: np.ndarray, width: int, p: int, walked: list,
                      trailing: Optional[np.ndarray] = None) -> int:
     """Number of pivots in the first ``width`` rows of ``a``, an array of
     residues mod p, found by Gaussian elimination on columns in place.
 
     Each row in turn is searched for a pivot among the columns that are
-    not pivots yet.  The pivot column, scaled once in place by -1/pivot,
-    is added times their entry in the pivot row to every column right of
-    it, below that row only: above it those entries are never read again,
-    the pivot row and the pivot column are not read again, and a column
-    with a zero multiplier gets zero added, so one update of the trailing
-    block as a view serves every pivot.  Only when the first entry of a
-    row is zero is its largest entry, found by one ``argmax``, swapped to
-    the front.  The pivot search, the swap and this row walk are shared
-    by every dtype; only the update of the trailing block differs.
+    not pivots yet, and ``walked`` gets one flag per row searched, whether
+    it yielded one; the search ends once every column is a pivot.  The
+    pivot column, scaled once in place by -1/pivot, is added times their
+    entry in the pivot row to every column right of it, below that row
+    only: above it those entries are never read again, the pivot row and
+    the pivot column are not read again, and a column with a zero
+    multiplier gets zero added, so one update of the trailing block as a
+    view serves every pivot.  Only when the first entry of a row is zero
+    is its largest entry, found by one ``argmax``, swapped to the front.
+    The pivot search, the swap and this row walk are shared by every
+    dtype; only the update of the trailing block differs.
 
     int64 (p at most `_NUMPY_SAFE_MODULUS`): reduction mod p is delayed.
     While updates are pending, each step reduces only the row that yields
@@ -633,6 +660,7 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int,
             j = int(row.argmax())
             pivot = int(row[j])
             if not pivot:
+                walked.append(False)
                 continue
             swap = [r, r + j]
             a[c:, swap] = a[c:, swap[::-1]]
@@ -654,6 +682,7 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int,
             a[c + 1:end, r + 1:] += np.multiply.outer(lead, row[1:])
             pending += 1
         r += 1
+        walked.append(True)
         if pending == budget:
             a[c + 1:, r:] %= p
             pending = 0

@@ -13,13 +13,17 @@ times in 4 (:func:`contraction_matrix`).  A monomial module every trial
 shares, the thm-e binary truncation, is never built as forms: it holds
 every monomial of its variables, so its columns are pinned and only the
 sampled generators are ranked, on the other columns, which the one
-``take`` selects.  Only a band of degrees is ranked and the rest are
-proved: below it every degree is full, because the module is closed under
-contraction, and above it every degree is free, because the generators'
-operator syzygies form a submodule of a free module, which has no torsion
-(:func:`_hilbert_ranks`).  On top of that sit the randomized drivers that
-check the constructed level h-vectors against actual rank computations,
-including a characteristic sweep.  Each witness bounds its own rank in
+``take`` selects.  Only one or two degrees per trial are ranked and the
+rest are proved: below a full degree every degree is full, because the
+module is closed under contraction; above a free degree every degree is
+free, because the generators' operator syzygies form a submodule of a
+free module, which has no torsion; and a lower degree reaches its cap
+from the column-prefix ranks of a ranked degree's matrix, because
+contraction has no multinomial factors, so a power of a variable maps
+those columns onto the lower degree's (:func:`_hilbert_ranks`).  On top
+of that sit the randomized drivers that check the constructed level
+h-vectors against actual rank computations, including a characteristic
+sweep.  Each witness bounds its own rank in
 every degree (:func:`_rank_caps`): a rank at its cap is proved, over QQ by
 a trial in GF(23 726 561), and trials at every cap between them end the
 verification; a run whose trials all miss a cap states how likely that is
@@ -33,6 +37,7 @@ import time
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Optional, Sequence
 
@@ -231,11 +236,13 @@ def hilbert_function(generators: Sequence[Form]) -> HVector:
     """Hilbert function of the module generated by the forms.
 
     Entry i is the rank of the degree-i contraction matrix; entry 0 is 1
-    and the top entry counts linearly independent generators.  Only a
-    band around the generic crossover is ranked: down to the first full
-    degree and up to the first degree where the generators' operators are
-    independent.  Every degree beyond either end is proved from its
-    neighbour (:func:`_hilbert_ranks`).
+    and the top entry counts linearly independent generators.  Only
+    degrees from the generic crossover up to the first degree where the
+    generators' operators are independent are ranked, and below the
+    crossover those whose bound from a ranked degree's column-prefix
+    ranks falls short of ``C(i+n-1, n-1)``, down to the first full degree.
+    Every other degree is proved: above the free degree, below the full
+    one, or from its bound (:func:`_hilbert_ranks`).
     """
     _check_generators(generators)
     if all(f.is_zero() for f in generators):
@@ -256,8 +263,8 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
                    ) -> tuple[tuple[int, ...], list[float]]:
     """Hilbert function of the module generated by ``generators`` and a
     monomial module T, with the seconds spent ranking each degree (0.0 for
-    a degree proved without a rank).  ``caps``, when given, holds a proved
-    upper bound on each degree's rank, passed to :func:`rank`.
+    a degree proved without a rank).  ``caps`` holds a proved upper bound
+    on each degree's rank, by default ``min(full_i, free_i)`` below.
 
     Let F_1..F_g be ``generators``, of degree s in n variables, and R the
     ring of operators.  T holds every monomial of degree at most s in the
@@ -269,11 +276,11 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
     rank is ``base_i`` plus the rank of that matrix with T's columns
     dropped, ``contraction_matrix(generators, i, shared)``: the row space
     modulo those unit vectors.  That rank is capped by ``caps[i] -
-    base_i``.
+    base_i`` (:func:`rank`).
 
     With ``full_i = C(i+n-1, n-1)`` and ``free_i = base_i +
-    g*C(s-i+n-1, n-1)``, the rank in degree i is at most both, and two
-    facts, exact over every field, settle a degree from its neighbour:
+    g*C(s-i+n-1, n-1)``, the rank in degree i is at most both, and three
+    facts, exact over every field, settle a degree from another:
 
     * Downward: a degree of rank ``full_i`` holds every monomial of
       degree i.  The module is closed under contraction and every monomial
@@ -286,37 +293,89 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
       so if K is zero in operator degree s-i it is zero in every lower
       operator degree: a degree of rank ``free_i`` makes every higher
       degree free too.
+    * Contraction: contraction has no multinomial factors, so ``x_v^h∘G``
+      has G's coefficient of x^a at x^(a-h e_v) for every a with a_v >= h.
+      So the rows of degree i's matrix, cut to its columns with a_v >= h,
+      are rows of degree i-h's, and degree i-h has rank at least that of
+      those columns.  For v below ``shared`` a column outside T stays
+      outside T, so this holds modulo T too.  Degree i is eliminated with
+      its columns walked by a_v, largest first (:func:`_walk`), marking
+      each column that yields a pivot, so the marks with a_v >= h count
+      that rank for every h at once.  A degree whose bound reaches its cap
+      is proved without a rank, and a bound above its cap raises
+      `ArithmeticError`, as :func:`rank` does.  In a codimension-5 trial
+      v = 1 is nonzero at every sampled point, so once a degree's rank is
+      the number N of points, its bounds are the Hilbert function of the
+      points, the true rank, in every lower degree.
 
-    The walk ranks the generic crossover, the first degree where ``full_i
-    >= free_i``, then walks down while a degree is not full and up while a
-    degree is not free; every degree in between is ranked, every lower one
-    gets ``full_i`` and every higher one ``free_i``.  Both walks stop at
-    degree 0 and s, so the start only changes the cost, never the result.
+    The walk ranks the first degree at or above the generic crossover, the
+    first degree where ``full_i >= free_i``, whose cap is ``free_i``, and
+    walks up while a degree is not free, ranking each; every higher degree
+    gets ``free_i``.  Then it walks down from the first degree ranked, while
+    a degree is not full, proving each from its bound when that reaches its
+    cap and ranking it otherwise; every lower degree gets ``full_i``.  The
+    walks stop at degree 0 and s, so the start only changes the cost, never
+    the result.
     """
     num_vars, form_degree, _ = _check_generators(generators)
     degrees = range(form_degree + 1)
     full = _monomial_counts(num_vars, form_degree)
     base = _monomial_counts(shared, form_degree)
     free = [base[i] + len(generators) * full[form_degree - i] for i in degrees]
+    caps = caps or list(map(min, full, free))
     ranks = list(free)
+    bounds = list(base)
     seconds = [0.0] * len(degrees)
 
     def rank_degree(i: int) -> None:
         start = time.perf_counter()
         matrix = contraction_matrix(generators, i, shared)
-        ranks[i] = base[i] + rank(matrix, caps[i] - base[i] if caps else None)
+        order, depth = _walk(num_vars, i, shared)
+        marks = list(order)
+        ranks[i] = base[i] + rank(matrix, caps[i] - base[i], marks)
+        marked = [0] * (i + 1)
+        for col in marks:
+            marked[depth[col]] += 1
+        # The k-th partial sum counts the marks with a_v >= i - k.
+        for j, bound in zip(range(i), accumulate(reversed(marked))):
+            bounds[j] = max(bounds[j], base[j] + bound)
         seconds[i] = time.perf_counter() - start
 
-    low = high = next((i for i in degrees if full[i] >= free[i]), form_degree)
-    rank_degree(low)
-    while low > 0 and ranks[low] < full[low]:
-        low -= 1
-        rank_degree(low)
+    # free_i - full_i never rises, so from the crossover on full_i >= free_i.
+    low = high = next((i for i in degrees if full[i] >= free[i] == caps[i]),
+                      form_degree)
+    rank_degree(high)
     while high < form_degree and ranks[high] < free[high]:
         high += 1
         rank_degree(high)
+    while low > 0 and ranks[low] < full[low]:
+        low -= 1
+        if bounds[low] > caps[low]:
+            raise ArithmeticError(f"degree {low} has rank at least "
+                                  f"{bounds[low]}, above its proved cap "
+                                  f"{caps[low]}")
+        if bounds[low] == caps[low]:
+            ranks[low] = caps[low]
+        else:
+            rank_degree(low)
     ranks[:low] = full[:low]
     return tuple(ranks), seconds
+
+
+@lru_cache(maxsize=None)
+def _walk(num_vars: int, degree: int, shared: int
+          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The columns of ``contraction_matrix(..., degree, shared)`` in the
+    order :func:`_hilbert_ranks` walks them, and each column's exponent of
+    the variable v that orders them, largest first.  v is 1, or 0 where it
+    must lie below ``shared`` = 1 or there is one variable.  Built in
+    Python: the first ``argsort`` or ``cumsum`` adds 0.1 MiB of numpy code
+    to RSS."""
+    v = 1 if num_vars > 1 and shared != 1 else 0
+    depth = tuple(a[v] for a in _exponents(num_vars, degree).tolist()
+                  if not shared or any(a[shared:]))
+    order = sorted(range(len(depth)), key=depth.__getitem__, reverse=True)
+    return tuple(order), depth
 
 
 def linear_combination(weights: np.ndarray, rows: np.ndarray,
@@ -424,9 +483,10 @@ class VerificationReport:
     invalid input raises instead; it stays in the JSON view, whose bytes
     reruns and golden reports compare.  ``degree_seconds``
     holds wall time per degree summed over trials, 0.0 for a degree every
-    trial proved from its neighbour without a rank (:func:`_hilbert_ranks`);
-    it is deliberately left out of the JSON view so that reruns with one
-    seed are byte-identical.
+    trial proved without a rank, from its neighbour or from the
+    column-prefix ranks of a ranked degree (:func:`_hilbert_ranks`); it is
+    deliberately left out of the JSON view so that reruns with one seed
+    are byte-identical.
     """
 
     kind: str

@@ -226,9 +226,9 @@ def test_rational_rank_survives_unlucky_prime(monkeypatch) -> None:
     assert _reduction_budget(first) >= 8
     primes = []
 
-    def recording(a, p):
+    def recording(a, p, marks=None):
         primes.append(p)
-        return _rank_mod_p(a, p)
+        return _rank_mod_p(a, p, marks)
 
     monkeypatch.setattr(exact, "_rank_mod_p", recording)
     # Determinant `first`: rank 1 modulo the first prime, 2 modulo the next.
@@ -252,9 +252,9 @@ def test_rational_rank_cap_is_only_a_check(monkeypatch) -> None:
     matrix = DenseMatrix.from_rows(QQ, product)
     primes = []
 
-    def recording(a, p):
+    def recording(a, p, marks=None):
         primes.append(p)
-        return _rank_mod_p(a, p)
+        return _rank_mod_p(a, p, marks)
 
     monkeypatch.setattr(exact, "_rank_mod_p", recording)
     assert rank(matrix) == 3
@@ -494,9 +494,9 @@ def test_panels_split_off_below_the_float64_bound(monkeypatch, p, dtype,
     neither argument is changed."""
     seen = []
 
-    def spy(a, width, p, trailing=None):
+    def spy(a, width, p, walked, trailing=None):
         seen.append(width)
-        return _eliminate_panel(a, width, p, trailing)
+        return _eliminate_panel(a, width, p, walked, trailing)
 
     monkeypatch.setattr(exact, "_eliminate_panel", spy)
     rng = random.Random(p)
@@ -739,6 +739,93 @@ def test_panel_updates_reduce_at_a_cut_budget(monkeypatch, budget) -> None:
                   for row in weighted_sums(left, right, 0)]
         expected = modular_rank(matrix, p)
         assert _rank_mod_p(np.array(matrix, dtype=np.int64), p) == expected
+
+
+def _profile_rows(rng: random.Random, p: int, rows: int, cols: int,
+                  pivots: int) -> tuple[list[list[int]], list[int]]:
+    """A matrix and a random order of its columns in which the columns at
+    ``pivots`` random positions are random and every other one is zero or
+    a combination of up to 3 before it, so that the columns which yield a
+    pivot spread over every panel of the walk; its last row is zero."""
+    order = rng.sample(range(cols), cols)
+    fresh = set(rng.sample(range(cols), pivots))
+    walked = []
+    for t in range(cols):
+        if t in fresh or not walked:
+            column = [rng.randrange(p) if p else rng.randint(-9, 9)
+                      for _ in range(rows)]
+        elif rng.random() < 0.2:
+            column = [0] * rows
+        else:
+            basis = rng.sample(walked, min(3, len(walked)))
+            weights = [rng.choice((1, p - 1, rng.randrange(p))) if p
+                       else rng.randint(-3, 3) for _ in basis]
+            column = [sum(w * c[i] for w, c in zip(weights, basis))
+                      for i in range(rows)]
+            if p:
+                column = [v % p for v in column]
+        walked.append(column)
+    matrix = [[0] * cols for _ in range(rows)]
+    for t, col in enumerate(order):
+        for i in range(rows - 1):
+            matrix[i][col] = walked[t][i]
+    return matrix, order
+
+
+@pytest.mark.parametrize("p", [1_000_003, _NEXT_PRIME, 2**31 - 1,
+                               2**61 - 1, 0],
+                         ids=["int64-delayed", "int64-limbs", "int64-limbs-31",
+                              "uint64", "QQ"])
+@pytest.mark.parametrize("cols", [_SPLIT_ROWS - 1, _SPLIT_ROWS + 1,
+                                  _LIMB_SHORT_ROWS - 1, _LIMB_SHORT_ROWS + 1])
+def test_pivot_marks_count_the_rank_of_every_prefix(p: int, cols: int) -> None:
+    """`rank` walks the columns in the order ``marks`` lists, on every
+    elimination path and with the walk on both sides of `_SPLIT_ROWS` and
+    `_LIMB_SHORT_ROWS`, and keeps the columns that yield a pivot: the marks
+    among the first k columns walked are the rank of those columns over
+    GF(p), and over QQ at most it.  The count is constant between marks,
+    and a prefix's rank never falls and rises by at most one per column,
+    so the prefixes that end just before and just after each mark cover
+    every prefix.  Rank 6 leaves rows without a pivot; rank 9, every row
+    but the zero one, ends the walk before its last column."""
+    field = FieldSpec(p)
+    rng = random.Random(p + cols)
+    for pivots in (6, 12):
+        matrix, order = _profile_rows(rng, p, 10, cols, pivots)
+        dense = DenseMatrix.from_rows(field, matrix)
+        marks = list(order)
+        found = rank(dense, marks=marks)
+        assert found == rank(dense) == _oracle_rank(field, matrix)
+        assert dense.entries.tolist() == matrix
+        positions = [order.index(col) for col in marks]
+        assert positions == sorted(positions)
+        for k in sorted({0, cols, *positions, *(t + 1 for t in positions)}):
+            count = sum(t < k for t in positions)
+            prefix = [[row[col] for col in order[:k]] for row in matrix]
+            if p:
+                assert count == modular_rank(prefix, p)
+            else:
+                assert count <= fraction_rank(prefix)
+
+
+def test_pivot_marks_of_degenerate_matrices() -> None:
+    """Over QQ the marks come from the first prime alone, which makes a
+    column vanish here, so they undercount the prefix it ends; a matrix of
+    zero rows marks no column; marks that do not list every column are
+    refused."""
+    first = next(q for q in range(_RATIONAL_PRIME_START, 2, -1)
+                 if is_prime(q))
+    matrix = DenseMatrix.from_rows(QQ, [[first, 0, 1], [0, 1, 1]])
+    marks = [0, 1, 2]
+    assert rank(matrix, marks=marks) == 2
+    assert marks == [1, 2]
+    for field in (GF, QQ):
+        marks = [2, 0, 1]
+        assert rank(DenseMatrix.from_rows(field, [[0, 0, 0]] * 2),
+                    marks=marks) == 0
+        assert marks == []
+        with pytest.raises(ValueError, match="every column once"):
+            rank(DenseMatrix.from_rows(field, [[1, 2, 3]]), marks=[0, 1])
 
 
 def test_field_dtype_by_prime() -> None:

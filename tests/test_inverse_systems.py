@@ -400,9 +400,9 @@ def test_uint64_fields_keep_uint64_arrays(monkeypatch) -> None:
             samples[:, :2], tables, field).dtype == uint64
     ranked = []
 
-    def spy(matrix, cap=None):
+    def spy(matrix, cap=None, marks=None):
         ranked.append(matrix.entries.dtype)
-        return rank(matrix, cap)
+        return rank(matrix, cap, marks)
 
     monkeypatch.setattr(inverse_systems, "rank", spy)
     for kind, parameter in ((KIND_CODIM5_EVEN, 10), (KIND_SOCLE_DEGREE, 8)):
@@ -540,6 +540,25 @@ def _witness_scalars(field: FieldSpec, count: int, mode: str,
             for _ in range(count)]
 
 
+def _band_walk(generators, shared: int, ranks) -> set[int]:
+    """The degrees the walk without column-prefix bounds ranks, given the
+    module's ranks: the generic crossover, then every degree below it
+    down to the first full one and above it up to the first free one."""
+    n, s, g = generators[0].num_vars, generators[0].degree, len(generators)
+    full = inverse_systems._monomial_counts(n, s)
+    base = inverse_systems._monomial_counts(shared, s)
+    free = [base[i] + g * full[s - i] for i in range(s + 1)]
+    low = high = next((i for i in range(s + 1) if full[i] >= free[i]), s)
+    band = {low}
+    while low > 0 and ranks[low] < full[low]:
+        low -= 1
+        band.add(low)
+    while high < s and ranks[high] < free[high]:
+        high += 1
+        band.add(high)
+    return band
+
+
 @given(st.sampled_from([KIND_CODIM5_ODD, KIND_CODIM5_EVEN, KIND_SOCLE_DEGREE]),
        st.integers(3, 12), st.sampled_from([2, 3, 101]),
        st.sampled_from(["ones", "sampled", "degenerate"]),
@@ -553,7 +572,9 @@ def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
     """Witnesses built as the trials build them, but from any scalars and
     in fields too small for a Schwartz-Zippel bound to reach below 1
     (GF(2) with every scalar 1 among them): no degree's rank exceeds its
-    cap."""
+    cap.  The walk a trial runs gives every degree's rank, also where the
+    column-prefix bounds fall short of the caps and lower degrees are
+    ranked, and it ranks no degree the walk without them would not."""
     field = FieldSpec(p)
     parity = KIND_PARITIES[kind]
     if parity is None:
@@ -561,6 +582,7 @@ def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
         form = Form.from_coefficients(3, e - 1, field, _witness_scalars(
             field, comb(e + 1, 2), mode, seed))
         forms = truncation(3, 2, e - 1, field) + [form]
+        generators, shared = [form], 2
         caps = inverse_systems._rank_caps(kind, e)
     else:
         d = min(parameter, 10)
@@ -578,17 +600,24 @@ def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
                            dtype=field.dtype).reshape(2, count)
         forms = [Form(3, power, field, row) for row in
                  inverse_systems.linear_combination(weights, powers, field)]
+        generators, shared = forms, 0
         caps = inverse_systems._rank_caps(kind, d)
     ranks = _per_degree_ranks(forms)
     assert all(r <= c for r, c in zip(ranks, caps)), (ranks, caps)
     assert tuple(rank(contraction_matrix(forms, i), caps[i])
                  for i in range(len(caps))) == ranks
+    walked, seconds = inverse_systems._hilbert_ranks(generators, shared, caps)
+    assert walked == ranks
+    assert {i for i, s in enumerate(seconds) if s} <= _band_walk(
+        generators, shared, ranks)
 
 
 def test_walk_ranks_only_the_band(monkeypatch) -> None:
-    """A generic thm-e trial ranks its crossover degree alone (even e) or
-    with the one below it (odd e); a codim-5 trial ranks the band from d
-    to the first degree where its two generators have no syzygy."""
+    """A generic thm-e trial ranks its crossover degree alone, and proves
+    the one below it for odd e from that elimination's column-prefix
+    ranks; a codim-5 trial ranks its first degree at or above the
+    crossover whose cap is free and the one above it, and proves every
+    lower degree from those two eliminations."""
     ranked = []
     build = inverse_systems.contraction_matrix
 
@@ -601,14 +630,65 @@ def test_walk_ranks_only_the_band(monkeypatch) -> None:
         ranked.clear()
         report = verify_construction(KIND_SOCLE_DEGREE, e, GF, trials=1)
         assert report.verdict == "match"
-        assert ranked == ([e // 2] if e % 2 == 0 else [e // 2 + 1, e // 2])
+        assert ranked == ([e // 2] if e % 2 == 0 else [e // 2 + 1])
         assert [i for i, s in enumerate(report.degree_seconds) if s] == sorted(
             ranked)
     ranked.clear()
     report = verify_construction(KIND_CODIM5_ODD, 10, FieldSpec(1_000_003),
                                  trials=1)
     assert report.verdict == "match"
-    assert ranked == [12, 11, 10, 13, 14]
+    assert ranked == [14, 13]
+
+
+@pytest.mark.parametrize("kind, parameters, characteristics", [
+    (KIND_CODIM5_ODD, (10, 11, 14), (13, 23, 1_000_003, 0)),
+    (KIND_CODIM5_EVEN, (10, 13), (13, 101, 2**61 - 1)),
+    (KIND_SOCLE_DEGREE, (6, 9, 12, 15), (2, 3, 32003, 0)),
+])
+def test_no_trial_ranks_a_degree_the_band_walk_would_not(
+        monkeypatch, kind, parameters, characteristics) -> None:
+    """A recorder on the matrix builds: every trial ranks each degree at
+    most once, and only degrees the walk without column-prefix bounds
+    ranks (`_band_walk`), in fields where the bounds settle every lower
+    degree and in small ones where they fall short."""
+    calls = []
+    build = inverse_systems.contraction_matrix
+
+    def record(generators, degree, shared=0):
+        calls.append((generators, degree, shared))
+        return build(generators, degree, shared)
+
+    monkeypatch.setattr(inverse_systems, "contraction_matrix", record)
+    for parameter in parameters:
+        for characteristic in characteristics:
+            for seed in (0, 1):
+                calls.clear()
+                report = verify_construction(
+                    kind, parameter, FieldSpec(characteristic), seed, 3)
+                trials = {}
+                for generators, degree, shared in calls:
+                    trials.setdefault(id(generators),
+                                      (generators, shared, []))[2].append(
+                        degree)
+                assert len(trials) == len(report.per_trial)
+                for (generators, shared, degrees), ranks in zip(
+                        trials.values(), report.per_trial):
+                    assert len(set(degrees)) == len(degrees)
+                    assert set(degrees) <= _band_walk(generators, shared,
+                                                      ranks)
+
+
+def test_a_prefix_bound_above_its_cap_raises() -> None:
+    """Three fourth powers of linear forms with nonzero y coordinates:
+    degree 2's columns divisible by y have rank 3, a bound on degree 1
+    that a cap of 2 there contradicts, as a rank above its cap does."""
+    field = FieldSpec(101)
+    form = _combination([1, 1, 1], [_power(field, c, 4) for c in
+                                    ([1, 1, 1], [1, 2, 3], [2, 1, 5])])
+    assert _per_degree_ranks([form]) == (1, 3, 3, 3, 1)
+    assert inverse_systems._hilbert_ranks([form], 0)[0] == (1, 3, 3, 3, 1)
+    with pytest.raises(ArithmeticError, match="above its proved cap 2"):
+        inverse_systems._hilbert_ranks([form], 0, (1, 2, 6, 3, 1))
 
 
 def test_thm_e_ranks_its_form_on_the_columns_outside_the_truncation(
@@ -623,9 +703,9 @@ def test_thm_e_ranks_its_form_on_the_columns_outside_the_truncation(
         degrees.append(degree)
         return build(generators, degree, shared)
 
-    def record_rank(matrix, cap=None):
+    def record_rank(matrix, cap=None, marks=None):
         shapes.append((matrix.rows, matrix.cols))
-        return rank(matrix, cap)
+        return rank(matrix, cap, marks)
 
     monkeypatch.setattr(inverse_systems, "contraction_matrix", record_build)
     monkeypatch.setattr(inverse_systems, "rank", record_rank)
@@ -864,9 +944,9 @@ def test_verify_over_qq_ranks_its_trials_in_gf_23726561(monkeypatch) -> None:
     q = FieldSpec(23_726_561)
     ranked = []
 
-    def spy(matrix, cap=None):
+    def spy(matrix, cap=None, marks=None):
         ranked.append((matrix.field, matrix.entries.dtype))
-        return rank(matrix, cap)
+        return rank(matrix, cap, marks)
 
     def refuse(entries):
         raise AssertionError("a verification ranked over QQ")
