@@ -7,23 +7,22 @@ only lists its rows.  The variables of the dual ring act by contraction
 (exponent subtraction, killing terms that would go negative), never term
 by term: the Hilbert function of the module generated by a list of forms
 is read off as the rank of the contraction coefficient matrix in each
-degree, one ``take`` from a grid indexed by exponents in radix P+1 for
-forms of degree P, under twice the forms in 3 variables and under six
-times in 4 (:func:`contraction_matrix`).  A monomial module every trial
-shares, the thm-e binary truncation, is never built as forms: it holds
-every monomial of its variables, so its columns are pinned and only the
-sampled generators are ranked, on the other columns, which the one
-``take`` selects.  Only one or two degrees per trial are ranked and the
-rest are proved: below a full degree every degree is full, because the
-module is closed under contraction; above a free degree every degree is
-free, because the generators' operator syzygies form a submodule of a
-free module, which has no torsion; and a lower degree reaches its cap
-from the column-prefix ranks of a ranked degree's matrix, because
-contraction has no multinomial factors, so a power of a variable maps
-those columns onto the lower degree's (:func:`_hilbert_ranks`).  On top
-of that sit the randomized drivers that check the constructed level
-h-vectors against actual rank computations, including a characteristic
-sweep.  Each witness bounds its own rank in
+degree, one ``take`` from the coefficients at the closed-form index of
+each operator x column product (:func:`_positions`), so memory follows
+the matrix in any number of variables (:func:`contraction_matrix`).  A
+monomial module every trial shares, the thm-e binary truncation, is
+never built as forms: it holds every monomial of its variables, so its
+columns are pinned and only the sampled generators are ranked, on the
+other columns, which the one ``take`` selects.  Only one or two degrees
+per trial are ranked and the rest are proved: above a free degree every
+degree is free, because the generators' operator syzygies form a
+submodule of a free module, which has no torsion; and a lower degree
+reaches its cap from the column-prefix ranks of a ranked degree's
+matrix, because contraction has no multinomial factors, so a power of a
+variable maps those columns onto the lower degree's
+(:func:`_hilbert_ranks`).  On top of that sit the randomized drivers that
+check the constructed level h-vectors against actual rank computations,
+including a characteristic sweep.  Each witness bounds its own rank in
 every degree (:func:`_rank_caps`): a rank at its cap is proved, over QQ by
 a trial in GF(23 726 561), and trials at every cap between them end the
 verification; a run whose trials all miss a cap states how likely that is
@@ -103,27 +102,26 @@ def _monomial_count(num_vars: int, degree: int) -> int:
     return comb(degree + num_vars - 1, num_vars - 1)
 
 
-def _positions(num_vars: int, degree: int, exps: np.ndarray) -> np.ndarray:
-    """Index among ``monomials(num_vars, degree)`` of each exponent row, for
-    `Form.from_terms` only.  With s_v the sum of a row's exponents after
+def _positions(num_vars: int, degree: int, *parts: np.ndarray) -> np.ndarray:
+    """Index among ``monomials(num_vars, degree)`` of the product of
+    ``parts``, exponent arrays whose last axis is the variables and whose
+    others broadcast.  With s_v the sum of a monomial's exponents after
     position v, the monomials before it in descending lex order are, for
     each v < num_vars - 1, the C(s_v + k - 1, k), k = num_vars - 1 - v, that
-    agree with it before v and are larger at v: one table lookup per v."""
-    after = degree - exps[:, :-1].cumsum(axis=1)
-    out = np.zeros(len(exps), dtype=np.int64)
-    for v, k in enumerate(range(num_vars - 1, 0, -1)):
-        table = np.array([comb(s + k - 1, k) for s in range(degree + 1)])
-        out += table[after[:, v]]
+    agree with it before v and are larger at v.  A product's s_v is the sum
+    of its factors', so each v costs one broadcast add and one table
+    lookup, none for k = 1, where the term is s_v itself."""
+    if num_vars == 1:
+        return np.zeros_like(sum(p[..., 0] for p in parts))
+    out, sums = 0, [0] * len(parts)
+    for k in range(1, num_vars):
+        sums = [s + p[..., num_vars - k] for s, p in zip(sums, parts)]
+        after = sum(sums)
+        if k > 1:
+            after = np.array([comb(s + k - 1, k)
+                              for s in range(degree + 1)]).take(after)
+        out = out + after
     return out
-
-
-def _cells(num_vars: int, form_degree: int, *degrees: int) -> list:
-    """Grid cells of each degree's monomials (:func:`contraction_matrix`),
-    summed elementwise: an integer ``@`` adds 0.1 MiB of numpy code to RSS."""
-    radix = form_degree + 1
-    return [sum((exps[:, v] * radix ** (v - 1) for v in range(1, num_vars)),
-                np.zeros(len(exps), dtype=np.int64))
-            for exps in (_exponents(num_vars, d) for d in degrees)]
 
 
 class Form:
@@ -208,27 +206,22 @@ def contraction_matrix(generators: Sequence[Form], degree: int,
     column monomial in the contracted generator.  With ``shared`` 0 its
     rank is the dimension of the generated module in that degree; an
     operator that divides none of a generator's terms gives a zero row,
-    which :func:`rank` drops.  The matrix is one ``take`` from a zeroed
-    grid per generator of degree P in n variables, (P+1)**(n-1) cells
-    numbered by the exponents of variables 1..n-1 as digits in radix P+1;
-    variable 0 follows from the degree.  Operator and column digits add
-    without a carry, so their product sits at the sum of their cells.  The
-    grid is under twice the form in 3 variables, where every witness
-    lives, under six times in 4, and 161 051 cells at n = 6, P = 10.  A
-    monomial in the first ``shared`` variables alone has a cell below
-    (P+1)**(shared-1), and every other one a cell at or above it.
+    which :func:`rank` drops.  The matrix is one ``take`` from the stacked
+    coefficients, at the index of each operator x column product
+    (:func:`_positions`), so its memory is that of the matrix.
     """
     num_vars, form_degree, field = _check_generators(generators)
     if not 0 <= degree <= form_degree:
         raise ValueError(f"degree must lie in [0, {form_degree}], got {degree}")
-    form, ops, cols = _cells(num_vars, form_degree, form_degree,
-                             form_degree - degree, degree)
+    if not 0 <= shared <= num_vars:
+        raise ValueError(f"shared must lie in [0, {num_vars}], got {shared}")
+    ops = _exponents(num_vars, form_degree - degree)
+    cols = _exponents(num_vars, degree)
     if shared:
-        cols = cols[cols >= (form_degree + 1) ** (shared - 1)]
-    grid = np.zeros((len(generators), (form_degree + 1) ** (num_vars - 1)),
-                    dtype=field.dtype)
-    grid[:, form] = [g.coeffs for g in generators]
-    matrix = grid.take(ops[:, None] + cols, axis=1)
+        cols = cols[cols[:, shared:].any(axis=1)]
+    coeffs = np.array([g.coeffs for g in generators], dtype=field.dtype)
+    matrix = coeffs.take(
+        _positions(num_vars, form_degree, ops[:, None], cols[None]), axis=1)
     return DenseMatrix(field, matrix.reshape(len(generators) * len(ops), -1))
 
 
@@ -240,9 +233,8 @@ def hilbert_function(generators: Sequence[Form]) -> HVector:
     degrees from the generic crossover up to the first degree where the
     generators' operators are independent are ranked, and below the
     crossover those whose bound from a ranked degree's column-prefix
-    ranks falls short of ``C(i+n-1, n-1)``, down to the first full degree.
-    Every other degree is proved: above the free degree, below the full
-    one, or from its bound (:func:`_hilbert_ranks`).
+    ranks falls short of ``C(i+n-1, n-1)``.  Every other degree is proved:
+    above the free degree or from its bound (:func:`_hilbert_ranks`).
     """
     _check_generators(generators)
     if all(f.is_zero() for f in generators):
@@ -279,13 +271,9 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
     base_i`` (:func:`rank`).
 
     With ``full_i = C(i+n-1, n-1)`` and ``free_i = base_i +
-    g*C(s-i+n-1, n-1)``, the rank in degree i is at most both, and three
+    g*C(s-i+n-1, n-1)``, the rank in degree i is at most both, and two
     facts, exact over every field, settle a degree from another:
 
-    * Downward: a degree of rank ``full_i`` holds every monomial of
-      degree i.  The module is closed under contraction and every monomial
-      of degree i-1 is a contraction of one of degree i, so every lower
-      degree is full too.
     * Upward: the operator tuples (o_1..o_g) with ``sum o_j∘F_j`` in T
       form a submodule K of the free module R^g, because T is closed under
       contraction and ``x∘sum o_j∘F_j = sum (x o_j)∘F_j``.  The rank in
@@ -306,16 +294,17 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
       `ArithmeticError`, as :func:`rank` does.  In a codimension-5 trial
       v = 1 is nonzero at every sampled point, so once a degree's rank is
       the number N of points, its bounds are the Hilbert function of the
-      points, the true rank, in every lower degree.
+      points, the true rank, in every lower degree.  A full degree marks
+      every column, full_{i-h} - base_{i-h} of them with a_v >= h, so every
+      lower degree is proved full from its bound.
 
     The walk ranks the first degree at or above the generic crossover, the
     first degree where ``full_i >= free_i``, whose cap is ``free_i``, and
     walks up while a degree is not free, ranking each; every higher degree
-    gets ``free_i``.  Then it walks down from the first degree ranked, while
-    a degree is not full, proving each from its bound when that reaches its
-    cap and ranking it otherwise; every lower degree gets ``full_i``.  The
-    walks stop at degree 0 and s, so the start only changes the cost, never
-    the result.
+    gets ``free_i``.  Then it walks down from the first degree ranked to
+    degree 0, proving each from its bound when that reaches its cap and
+    ranking it otherwise.  The walks stop at degree 0 and s, so the start
+    only changes the cost, never the result.
     """
     num_vars, form_degree, _ = _check_generators(generators)
     degrees = range(form_degree + 1)
@@ -348,7 +337,7 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
     while high < form_degree and ranks[high] < free[high]:
         high += 1
         rank_degree(high)
-    while low > 0 and ranks[low] < full[low]:
+    while low > 0:
         low -= 1
         if bounds[low] > caps[low]:
             raise ArithmeticError(f"degree {low} has rank at least "
@@ -358,7 +347,6 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
             ranks[low] = caps[low]
         else:
             rank_degree(low)
-    ranks[:low] = full[:low]
     return tuple(ranks), seconds
 
 

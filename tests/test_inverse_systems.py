@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -105,12 +106,10 @@ def test_monomials_order_and_count() -> None:
 
 def test_positions_by_formula_follow_the_monomial_order() -> None:
     """`_positions` computes an index in closed form from suffix sums of
-    exponents; it must equal the position in the oracle's enumeration.
-    `_cells` puts each monomial of a form of degree P in a grid cell whose
-    digits in radix P+1 are its exponents of variables 1..; the cells must
-    follow the oracle's enumeration, be distinct and lie in the grid, and
-    the operator x column sum that `contraction_matrix` broadcasts must be
-    the cell of their product, the form's monomial."""
+    exponents; it must equal the position in the oracle's enumeration, of
+    each monomial and, broadcast over operators x columns as
+    `contraction_matrix` calls it, of each product, for every split of
+    the degree."""
     for n in range(1, 7):
         for degree in range(11):
             order = descending_monomials(n, degree)
@@ -118,21 +117,14 @@ def test_positions_by_formula_follow_the_monomial_order() -> None:
             exps = np.array(monomials(n, degree)).reshape(-1, n)
             assert inverse_systems._positions(
                 n, degree, exps).tolist() == list(range(len(order)))
-            radix = degree + 1
-            [cells] = inverse_systems._cells(n, degree, degree)
-            cells = cells.tolist()
-            assert cells == [sum(e * radix**v for v, e in enumerate(m[1:]))
-                             for m in order]
-            assert len(set(cells)) == len(order)
-            assert 0 <= min(cells) and max(cells) < radix ** (n - 1)
             for low in range(degree + 1):
-                ops = descending_monomials(n, degree - low)
-                cols = descending_monomials(n, low)
-                ops_cells, col_cells = inverse_systems._cells(
-                    n, degree, degree - low, low)
-                assert (ops_cells[:, None] + col_cells).tolist() == [
-                    [cells[index[tuple(a + b for a, b in zip(op, col))]]
-                     for col in cols] for op in ops]
+                ops = inverse_systems._exponents(n, degree - low)
+                cols = inverse_systems._exponents(n, low)
+                assert inverse_systems._positions(
+                    n, degree, ops[:, None], cols[None]).tolist() == [
+                    [index[tuple(a + b for a, b in zip(op, col))]
+                     for col in descending_monomials(n, low)]
+                    for op in descending_monomials(n, degree - low)]
 
 
 def test_form_construction_and_lookup() -> None:
@@ -217,6 +209,26 @@ def test_contraction_matrix_validation() -> None:
         contraction_matrix([f, _random_form(3, 3, GF, seed=9)], 2)
     with pytest.raises(ValueError):
         contraction_matrix([f, _random_form(3, 4, QQ, seed=9)], 2)
+    # A negative ``shared`` must not act as 1 does, dropping the x0^i column.
+    for shared in (-1, 4):
+        with pytest.raises(ValueError, match=r"shared must lie in \[0, 3\]"):
+            contraction_matrix([f], 2, shared)
+
+
+def test_contraction_matrix_memory_follows_the_matrix() -> None:
+    """A form of degree 8 in 8 variables has 6435 terms and its degree-4
+    matrix 330 x 330 int64 entries (0.83 MiB); building it must not
+    allocate anything near (P+1)**(n-1) int64 cells per generator
+    (4.8 million, 36 MiB)."""
+    f = _random_form(8, 8, GF, seed=10)
+    tracemalloc.start()
+    try:
+        matrix = contraction_matrix([f], 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (matrix.rows, matrix.cols) == (330, 330)
+    assert peak < 8 * 2**20
 
 
 @st.composite
