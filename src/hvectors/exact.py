@@ -10,14 +10,18 @@ one % per term in int64, and in uint64 at once with a precomputed
 quotient (Shoup), so that no value wraps (`FieldSpec.multiply`).
 Every rank comes from one modular Gaussian elimination, in place on one
 C-contiguous copy of the matrix laid out long side first, or columns
-first in a caller's order when it asks which columns yield a pivot
-(`rank`), so that every vector it walks for a pivot is one contiguous
-row: over GF(p) directly, and over the rationals modulo primes below
-2**30, where it reduces its block only every 8 updates, until a Hadamard
-bound or a full rank shows the largest rank seen exact.  Following
-Dumas-Giorgi-Pernet (ACM TOMS 35(3), 2008), it splits panels of rows off
-the copy: the rows below each panel are updated by one matrix product,
-and a pivot in a panel updates only the tracking rows already set.  For
+first in a caller's order when it asks which columns, and which rows in
+an order of its own, yield a pivot (`rank`), so that every vector it
+walks for a pivot is one contiguous row.  Each pivot is the leftmost
+nonzero of its row, rotated to the front, so the pivots found are the
+row and the column rank profiles at once (Dumas, Pernet and Sultan,
+ISSAC 2013).  It runs over GF(p) directly, and over the rationals
+modulo primes below 2**30, where it reduces its block only every 8
+updates, until a Hadamard bound or a full rank shows the largest rank
+seen exact.  Following Dumas-Giorgi-Pernet (ACM TOMS 35(3), 2008), it
+splits panels of rows off the copy: the rows below each panel are
+updated by one matrix product, and a pivot in a panel updates only the
+tracking rows already set.  For
 int64 primes up to 23 726 561 the panels have 16 rows and the product is
 one float64 product; reduction mod p is then delayed until one more
 update could overflow.  For every other prime the panels have 32 rows,
@@ -251,7 +255,7 @@ class DenseMatrix:
 
 
 def rank(matrix: DenseMatrix, cap: Optional[int] = None,
-         marks: Optional[list] = None) -> int:
+         marks: Optional[list] = None, rows: Optional[list] = None) -> int:
     """Rank of the matrix over its field; exact and deterministic.  Its
     nonzero rows are ranked, and the matrix is left unchanged: they are
     taken out by a copy only when some row is zero, and the elimination
@@ -268,18 +272,26 @@ def rank(matrix: DenseMatrix, cap: Optional[int] = None,
     before them.  So the marks among the first k columns walked count the
     rank of those k columns: exactly over GF(p), and over QQ, where they
     come from the first prime, as a lower bound (`_rank_rational`).
+    ``rows``, given next to ``marks``, lists every row once in an order,
+    and is cut down the same way to the rows outside the span of the rows
+    before them; a zero row never is, and is dropped from it at once.
     """
     if marks is not None and len(marks) != matrix.cols:
         raise ValueError("marks must list every column once")
+    if rows is not None and (marks is None or len(rows) != matrix.rows):
+        raise ValueError("rows must list every row once, next to marks")
     entries = matrix.entries
     nonzero = (entries != 0).any(axis=1)
+    if rows is not None:  # the elimination copies the listed rows alone
+        keep = nonzero.tolist()
+        rows[:] = [row for row in rows if keep[row]]
+    elif not nonzero.all():
+        entries = entries[nonzero]
     found = 0
     if nonzero.any():
-        if not nonzero.all():
-            entries = entries[nonzero]
         p = matrix.field.characteristic
-        found = (_rank_mod_p(entries, p, marks) if p
-                 else _rank_rational(entries, marks))
+        found = (_rank_mod_p(entries, p, marks, rows) if p
+                 else _rank_rational(entries, marks, rows))
     elif marks:
         marks.clear()
     if cap is not None and found > cap:
@@ -297,17 +309,21 @@ def _integer_rows(entries) -> list[list[int]]:
     return rows
 
 
-def _rank_rational(entries: np.ndarray, marks: Optional[list] = None) -> int:
-    """Rank over QQ of nonzero rows, proved modulo primes below 2**30,
-    largest first (`_RATIONAL_PRIME_START` says why there).  It serves the
-    matrices users build: a verification over QQ ranks its witnesses in
-    GF(23 726 561) instead (`inverse_systems.verify_construction`).
+def _rank_rational(entries: np.ndarray, marks: Optional[list] = None,
+                   rows: Optional[list] = None) -> int:
+    """Rank over QQ of nonzero rows, or of the rows listed in ``rows``,
+    proved modulo primes below 2**30, largest first
+    (`_RATIONAL_PRIME_START` says why there).  It serves the matrices users
+    build: a verification over QQ ranks its witnesses in GF(23 726 561)
+    instead (`inverse_systems.verify_construction`).
 
     A rank mod q is at most the rank over QQ (a minor nonzero mod q is a
-    nonzero integer), for every set of columns too, so the first prime
-    alone sets ``marks`` (`rank`), and the largest rank seen, rho, is a
-    lower bound.  It is exact once rho reaches min(rows, cols); then one
-    prime is enough.
+    nonzero integer), for every set of columns or rows too, so the first
+    prime alone sets ``marks`` and ``rows`` (`rank`), and the largest rank
+    seen, rho, is a lower bound.  It is exact once rho reaches min(rows,
+    cols); then one prime is enough.  Zero rows left in for ``rows`` only
+    delay that: they have zero norm, so the Hadamard bound below is 0 once
+    rho counts every nonzero row.
     Otherwise rho is exact once the product of the primes used
     exceeds a Hadamard bound on every (rho+1)-minor, the smaller of the
     products of the rho+1 largest row and column norms: each prime used
@@ -317,19 +333,20 @@ def _rank_rational(entries: np.ndarray, marks: Optional[list] = None) -> int:
     rank proved by the first prime never reads them.  Python's % leaves a
     residue in [0, q) for negative integers too.
     """
-    rows = np.array(_integer_rows(entries.tolist()), dtype=object)
+    integers = np.array(_integer_rows(entries.tolist()), dtype=object)
     norms_sq = None
     best, bound_sq, modulus = -1, 0, 1
     for q in filter(is_prime, range(_RATIONAL_PRIME_START - 1, 2, -2)):
-        found = _rank_mod_p((rows % q).astype(np.int64), q, marks)
-        marks = None
+        found = _rank_mod_p((integers % q).astype(np.int64), q, marks, rows)
+        marks = rows = None
         if found > best:
             best = found
-            if best >= min(rows.shape):
+            if best >= min(integers.shape):
                 return best
             if norms_sq is None:  # squared: modulus**2 > bound**2 is exact
-                norms_sq = [sorted((rows * rows).sum(axis=k).tolist(),
-                                   reverse=True) for k in (1, 0)]
+                squares = integers * integers
+                norms_sq = [sorted(squares.sum(axis=k).tolist(), reverse=True)
+                            for k in (1, 0)]
             bound_sq = min(prod(sq[:best + 1]) for sq in norms_sq)
         modulus *= q
         if modulus * modulus > bound_sq:
@@ -529,25 +546,29 @@ def _matmul_mod_p(x: np.ndarray, y: np.ndarray, p: int,
     return acc
 
 
-def _rank_mod_p(a: np.ndarray, p: int, marks: Optional[list] = None) -> int:
+def _rank_mod_p(a: np.ndarray, p: int, marks: Optional[list] = None,
+                rows: Optional[list] = None) -> int:
     """Rank of a 2-D array of residues mod p held in the dtype of
     ``FieldSpec(p)`` (`FieldSpec.dtype`), which is left unchanged.
 
     It is copied once, C-contiguous and long side first: a tall array's
     rows as they are, or else its transpose, square too.  With ``marks``
     (`rank`) the copy is the transpose whatever the shape, its rows the
-    columns of a in the order ``marks`` lists, and ``marks`` keeps the
-    columns whose rows yield a pivot (`_eliminate_panel`).  The copy y is
-    eliminated in place by columns, one panel of rows at a time, each
-    eliminated pivot by pivot (`_eliminate_panel`), in the manner of
-    Dumas-Giorgi-Pernet: each row walked for a pivot is contiguous, and
-    only the columns right of a panel's pivots are read again.
+    columns of a in the order ``marks`` lists and its columns the rows of
+    a that ``rows`` lists, in that order, or every row.  ``marks`` keeps
+    the columns whose rows yield a pivot, and ``rows`` the rows whose
+    columns are pivots: each pivot is the leftmost nonzero of its row, and
+    the columns not yet pivots stay in order (`_eliminate_panel`).  The
+    copy y is eliminated in place by columns, one panel of rows at a time,
+    each eliminated pivot by pivot, in the manner of Dumas-Giorgi-Pernet:
+    each row walked for a pivot is contiguous, and only the columns right
+    of a panel's pivots are read again.
 
     While enough rows remain, a panel is split off: its rows are copied,
     reduced, above as many tracking rows, zero but for a 1 each pivot
     column puts in its own before it is added to the columns right of it;
     so every column's tracking rows hold the combination of the panel's
-    pivot columns added to it.  Each swap in the panel is made in the
+    pivot columns added to it.  Each rotation in the panel is made in the
     trailing block, the rows below the panel, too, which then holds every
     column as it was before the panel.  So one matrix product, of the
     pivot columns' trailing parts by the tracking rows of the columns
@@ -568,8 +589,10 @@ def _rank_mod_p(a: np.ndarray, p: int, marks: Optional[list] = None) -> int:
     a panel only the int64 tracking rows, left delayed, are reduced.
     """
     delayed = _float_exact(_PANEL_WIDTH, p)
-    y = (a.T.take(marks, axis=0) if marks
-         else (a if a.shape[0] > a.shape[1] else a.T).copy())
+    if marks:
+        y = a.T[np.ix_(marks, rows)] if rows else a.T.take(marks, axis=0)
+    else:
+        y = (a if a.shape[0] > a.shape[1] else a.T).copy()
     walked = []
     n, m = y.shape
     b = _PANEL_WIDTH if delayed or n < _LIMB_SHORT_ROWS else _LIMB_PANEL_WIDTH
@@ -602,7 +625,11 @@ def _rank_mod_p(a: np.ndarray, p: int, marks: Optional[list] = None) -> int:
         y[c:, r:] %= p
     r += _eliminate_panel(y[c:, r:], n - c, p, walked)
     if marks:
-        marks[:] = [col for col, pivot in zip(marks, walked) if pivot]
+        marks[:] = [col for col, j in zip(marks, walked) if j is not None]
+    if rows:
+        left = rows[:]
+        picked = {left.pop(j) for j in walked if j is not None}
+        rows[:] = [row for row in rows if row in picked]
     return r
 
 
@@ -612,16 +639,22 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int, walked: list,
     residues mod p, found by Gaussian elimination on columns in place.
 
     Each row in turn is searched for a pivot among the columns that are
-    not pivots yet, and ``walked`` gets one flag per row searched, whether
-    it yielded one; the search ends once every column is a pivot.  The
-    pivot column, scaled once in place by -1/pivot, is added times their
-    entry in the pivot row to every column right of it, below that row
-    only: above it those entries are never read again, the pivot row and
-    the pivot column are not read again, and a column with a zero
-    multiplier gets zero added, so one update of the trailing block as a
-    view serves every pivot.  Only when the first entry of a row is zero
-    is its largest entry, found by one ``argmax``, swapped to the front.
-    The pivot search, the swap and this row walk are shared by every
+    not pivots yet, and ``walked`` gets one entry per row searched: None
+    if it yielded none, else the pivot's offset j among those columns; the
+    search ends once every column is a pivot.  The pivot is the leftmost
+    nonzero of the row, and when it is not the first, columns r..r+j are
+    rotated to bring it to the front, so the columns not yet pivots stay
+    in the order given.  The pivot column, scaled once in place by
+    -1/pivot, is added times their entry in the pivot row to every column
+    right of it, below that row only: above it those entries are never
+    read again, the pivot row and the pivot column are not read again, and
+    a column with a zero multiplier gets zero added, so one update of the
+    trailing block as a view serves every pivot.  So a column only ever
+    gets columns added that were left of it in the order given: each pivot
+    column is outside the span of the columns before it, and the pivots
+    are the matrix's column rank profile, as the rows that yield them are
+    its row rank profile (Dumas, Pernet and Sultan, ISSAC 2013).  The
+    pivot search, the rotation and this row walk are shared by every
     dtype; only the update of the trailing block differs.
 
     int64 (p at most `_NUMPY_SAFE_MODULUS`): reduction mod p is delayed.
@@ -637,12 +670,12 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int, walked: list,
     right of it.
 
     With ``trailing``, the rows of the matrix below a panel split off in
-    either dtype (`_rank_mod_p`), every swap is made there too, and pivot
-    t sets its own tracking row, ``width + t``, to 1 before its column is
-    added.  The tracking rows below that one are still zero in every
-    column, so pivot t updates rows up to ``width + t`` only.  In int64
-    the tracking rows are left with the pending updates, and the caller
-    reduces them.
+    either dtype (`_rank_mod_p`), every rotation is made there too, and
+    pivot t sets its own tracking row, ``width + t``, to 1 before its
+    column is added.  The tracking rows below that one are still zero in
+    every column, so pivot t updates rows up to ``width + t`` only.  In
+    int64 the tracking rows are left with the pending updates, and the
+    caller reduces them.
     """
     shoup = a.dtype == np.uint64
     budget = None if shoup else _reduction_budget(p)
@@ -656,16 +689,17 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int, walked: list,
         if pending:
             row %= p
         pivot = int(row[0])
+        j = 0
         if not pivot:
-            j = int(row.argmax())
+            j = int((row != 0).argmax())
             pivot = int(row[j])
             if not pivot:
-                walked.append(False)
+                walked.append(None)
                 continue
-            swap = [r, r + j]
-            a[c:, swap] = a[c:, swap[::-1]]
+            turn = [r + j, *range(r, r + j)]
+            a[c:, r:r + j + 1] = a[c:, turn]
             if trailing is not None:
-                trailing[:, swap] = trailing[:, swap[::-1]]
+                trailing[:, r:r + j + 1] = trailing[:, turn]
         if trailing is not None:
             a[width + r, r] = 1
             end = width + r + 1
@@ -682,7 +716,7 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int, walked: list,
             a[c + 1:end, r + 1:] += np.multiply.outer(lead, row[1:])
             pending += 1
         r += 1
-        walked.append(True)
+        walked.append(j)
         if pending == budget:
             a[c + 1:, r:] %= p
             pending = 0

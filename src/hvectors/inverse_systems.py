@@ -13,16 +13,17 @@ the matrix in any number of variables (:func:`contraction_matrix`).  A
 monomial module every trial shares, the thm-e binary truncation, is
 never built as forms: it holds every monomial of its variables, so its
 columns are pinned and only the sampled generators are ranked, on the
-other columns, which the one ``take`` selects.  Only one or two degrees
-per trial are ranked and the rest are proved: above a free degree every
-degree is free, because the generators' operator syzygies form a
-submodule of a free module, which has no torsion; and a lower degree
-reaches its cap from the column-prefix ranks of a ranked degree's
-matrix, because contraction has no multinomial factors, so a power of a
-variable maps those columns onto the lower degree's
-(:func:`_hilbert_ranks`).  On top of that sit the randomized drivers that
-check the constructed level h-vectors against actual rank computations,
-including a characteristic sweep.  Each witness bounds its own rank in
+other columns, which the one ``take`` selects.  One degree per trial is
+ranked and the rest are proved: above a free degree every degree is
+free, because the generators' operator syzygies form a submodule of a
+free module, which has no torsion; and a lower or a higher degree
+reaches its cap from the column- or row-prefix ranks of a ranked
+degree's matrix, because contraction has no multinomial factors, so a
+power of a variable maps those columns onto the lower degree's, and
+those rows onto the higher degree's (:func:`_hilbert_ranks`).  On top of
+that sit the randomized drivers that check the constructed level
+h-vectors against actual rank computations, including a characteristic
+sweep.  Each witness bounds its own rank in
 every degree (:func:`_rank_caps`): a rank at its cap is proved, over QQ by
 a trial in GF(23 726 561), and trials at every cap between them end the
 verification; a run whose trials all miss a cap states how likely that is
@@ -229,12 +230,14 @@ def hilbert_function(generators: Sequence[Form]) -> HVector:
     """Hilbert function of the module generated by the forms.
 
     Entry i is the rank of the degree-i contraction matrix; entry 0 is 1
-    and the top entry counts linearly independent generators.  Only
-    degrees from the generic crossover up to the first degree where the
-    generators' operators are independent are ranked, and below the
-    crossover those whose bound from a ranked degree's column-prefix
-    ranks falls short of ``C(i+n-1, n-1)``.  Every other degree is proved:
-    above the free degree or from its bound (:func:`_hilbert_ranks`).
+    and the top entry counts linearly independent generators.  For g forms
+    of degree s in n variables, the last degree of largest cap
+    ``min(C(i+n-1, n-1), g*C(s-i+n-1, n-1))``, the generic crossover or
+    the degree below it, is ranked, and from there only the degrees whose
+    bound from a ranked degree's column- or row-prefix ranks falls short
+    of their cap, up to the first degree where the generators' operators
+    are independent.  Every other degree is proved: above the free degree
+    or from its bound (:func:`_hilbert_ranks`).
     """
     _check_generators(generators)
     if all(f.is_zero() for f in generators):
@@ -297,14 +300,25 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
       points, the true rank, in every lower degree.  A full degree marks
       every column, full_{i-h} - base_{i-h} of them with a_v >= h, so every
       lower degree is proved full from its bound.
+    * Rows: by the same identity, the rows (g, b) of degree i's matrix
+      with b_v >= h are the rows (g, b-h e_v) of degree i+h's, cut to its
+      columns a+h e_v, and a column outside T stays outside T for every
+      v.  So degree i+h has rank at least that of those rows.  When its
+      cap is below ``free_i``, so that some degree above may be open,
+      degree i is eliminated with its rows walked by b_v, largest first
+      (:func:`_walk` of the operators), marking each row that yields a
+      pivot, and the marks with b_v >= h bound degree i+h for every h at
+      once.  In a codimension-5 trial a degree of rank N spans the N
+      independent powers of the points, so these bounds are the true
+      rank of every higher degree.
 
-    The walk ranks the first degree at or above the generic crossover, the
-    first degree where ``full_i >= free_i``, whose cap is ``free_i``, and
-    walks up while a degree is not free, ranking each; every higher degree
-    gets ``free_i``.  Then it walks down from the first degree ranked to
-    degree 0, proving each from its bound when that reaches its cap and
-    ranking it otherwise.  The walks stop at degree 0 and s, so the start
-    only changes the cost, never the result.
+    The walk ranks the last degree of largest cap (for a codimension-5
+    trial the last degree of its plateau N, for thm-e its crossover,
+    whose cap is free) and walks up while a degree is not free, proving
+    each from its bound when that reaches its cap and ranking it
+    otherwise; every higher degree gets ``free_i``.  Then it walks down
+    from that degree to degree 0 alike.  The walks stop at degree 0 and
+    s, so the start only changes the cost, never the result.
     """
     num_vars, form_degree, _ = _check_generators(generators)
     degrees = range(form_degree + 1)
@@ -316,37 +330,51 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
     bounds = list(base)
     seconds = [0.0] * len(degrees)
 
+    def raise_bounds(targets, depths, top: int) -> None:
+        counts = [0] * (top + 1)
+        for depth in depths:
+            counts[depth] += 1
+        # The k-th partial sum counts the pivots of depth at least top - k.
+        for j, bound in zip(targets, accumulate(reversed(counts))):
+            bounds[j] = max(bounds[j], base[j] + bound)
+
     def rank_degree(i: int) -> None:
         start = time.perf_counter()
         matrix = contraction_matrix(generators, i, shared)
         order, depth = _walk(num_vars, i, shared)
         marks = list(order)
-        ranks[i] = base[i] + rank(matrix, caps[i] - base[i], marks)
-        marked = [0] * (i + 1)
-        for col in marks:
-            marked[depth[col]] += 1
-        # The k-th partial sum counts the marks with a_v >= i - k.
-        for j, bound in zip(range(i), accumulate(reversed(marked))):
-            bounds[j] = max(bounds[j], base[j] + bound)
+        rows = None
+        if caps[i] < free[i]:
+            ops, op_depth = _walk(num_vars, form_degree - i, 0)
+            rows = [g * len(ops) + o for o in ops
+                    for g in range(len(generators))]
+        ranks[i] = base[i] + rank(matrix, caps[i] - base[i], marks, rows)
+        raise_bounds(range(i), map(depth.__getitem__, marks), i)
+        if rows:
+            raise_bounds(range(form_degree, i, -1),
+                         (op_depth[row % len(ops)] for row in rows),
+                         form_degree - i)
         seconds[i] = time.perf_counter() - start
 
-    # free_i - full_i never rises, so from the crossover on full_i >= free_i.
-    low = high = next((i for i in degrees if full[i] >= free[i] == caps[i]),
-                      form_degree)
+    def settle(i: int) -> None:
+        if bounds[i] > caps[i]:
+            raise ArithmeticError(f"degree {i} has rank at least "
+                                  f"{bounds[i]}, above its proved cap "
+                                  f"{caps[i]}")
+        if bounds[i] == caps[i]:
+            ranks[i] = caps[i]
+        else:
+            rank_degree(i)
+
+    # Start at the last degree of largest cap.
+    low = high = form_degree - caps[::-1].index(max(caps))
     rank_degree(high)
     while high < form_degree and ranks[high] < free[high]:
         high += 1
-        rank_degree(high)
+        settle(high)
     while low > 0:
         low -= 1
-        if bounds[low] > caps[low]:
-            raise ArithmeticError(f"degree {low} has rank at least "
-                                  f"{bounds[low]}, above its proved cap "
-                                  f"{caps[low]}")
-        if bounds[low] == caps[low]:
-            ranks[low] = caps[low]
-        else:
-            rank_degree(low)
+        settle(low)
     return tuple(ranks), seconds
 
 
@@ -356,7 +384,9 @@ def _walk(num_vars: int, degree: int, shared: int
     """The columns of ``contraction_matrix(..., degree, shared)`` in the
     order :func:`_hilbert_ranks` walks them, and each column's exponent of
     the variable v that orders them, largest first.  v is 1, or 0 where it
-    must lie below ``shared`` = 1 or there is one variable.  Built in
+    must lie below ``shared`` = 1 or there is one variable.  With
+    ``shared`` 0 these are also the operators of that degree, whose rows
+    :func:`_hilbert_ranks` walks in the same order.  Built in
     Python: the first ``argsort`` or ``cumsum`` adds 0.1 MiB of numpy code
     to RSS."""
     v = 1 if num_vars > 1 and shared != 1 else 0
@@ -471,8 +501,8 @@ class VerificationReport:
     invalid input raises instead; it stays in the JSON view, whose bytes
     reruns and golden reports compare.  ``degree_seconds``
     holds wall time per degree summed over trials, 0.0 for a degree every
-    trial proved without a rank, from its neighbour or from the
-    column-prefix ranks of a ranked degree (:func:`_hilbert_ranks`); it is
+    trial proved without a rank, above a free degree or from the column-
+    or row-prefix ranks of a ranked degree (:func:`_hilbert_ranks`); it is
     deliberately left out of the JSON view so that reruns with one seed
     are byte-identical.
     """

@@ -226,9 +226,9 @@ def test_rational_rank_survives_unlucky_prime(monkeypatch) -> None:
     assert _reduction_budget(first) >= 8
     primes = []
 
-    def recording(a, p, marks=None):
+    def recording(a, p, marks=None, rows=None):
         primes.append(p)
-        return _rank_mod_p(a, p, marks)
+        return _rank_mod_p(a, p, marks, rows)
 
     monkeypatch.setattr(exact, "_rank_mod_p", recording)
     # Determinant `first`: rank 1 modulo the first prime, 2 modulo the next.
@@ -252,9 +252,9 @@ def test_rational_rank_cap_is_only_a_check(monkeypatch) -> None:
     matrix = DenseMatrix.from_rows(QQ, product)
     primes = []
 
-    def recording(a, p, marks=None):
+    def recording(a, p, marks=None, rows=None):
         primes.append(p)
-        return _rank_mod_p(a, p, marks)
+        return _rank_mod_p(a, p, marks, rows)
 
     monkeypatch.setattr(exact, "_rank_mod_p", recording)
     assert rank(matrix) == 3
@@ -772,10 +772,10 @@ def _profile_rows(rng: random.Random, p: int, rows: int, cols: int,
     return matrix, order
 
 
-@pytest.mark.parametrize("p", [1_000_003, _NEXT_PRIME, 2**31 - 1,
+@pytest.mark.parametrize("p", [2, 1_000_003, _NEXT_PRIME, 2**31 - 1,
                                2**61 - 1, 0],
-                         ids=["int64-delayed", "int64-limbs", "int64-limbs-31",
-                              "uint64", "QQ"])
+                         ids=["int64-delayed-2", "int64-delayed",
+                              "int64-limbs", "int64-limbs-31", "uint64", "QQ"])
 @pytest.mark.parametrize("cols", [_SPLIT_ROWS - 1, _SPLIT_ROWS + 1,
                                   _LIMB_SHORT_ROWS - 1, _LIMB_SHORT_ROWS + 1])
 def test_pivot_marks_count_the_rank_of_every_prefix(p: int, cols: int) -> None:
@@ -787,7 +787,16 @@ def test_pivot_marks_count_the_rank_of_every_prefix(p: int, cols: int) -> None:
     and a prefix's rank never falls and rises by at most one per column,
     so the prefixes that end just before and just after each mark cover
     every prefix.  Rank 6 leaves rows without a pivot; rank 9, every row
-    but the zero one, ends the walk before its last column."""
+    but the zero one, ends the walk before its last column.
+
+    The same columns, as the rows of a square matrix times a 10 x cols
+    matrix of full row rank, which keeps the rank of every set of them,
+    are listed in ``rows`` in the same order, with zero rows among them;
+    the square matrix is walked on both sides of the panel splits too, and
+    the rows it keeps count the rank of every prefix of the order alike.
+    Over GF(2) its rows are often zero at the next row of the order but
+    not at a later one, so a pivot search that did not keep the rows left
+    in order, such as a swap to the front, would keep other rows."""
     field = FieldSpec(p)
     rng = random.Random(p + cols)
     for pivots in (6, 12):
@@ -797,22 +806,34 @@ def test_pivot_marks_count_the_rank_of_every_prefix(p: int, cols: int) -> None:
         found = rank(dense, marks=marks)
         assert found == rank(dense) == _oracle_rank(field, matrix)
         assert dense.entries.tolist() == matrix
-        positions = [order.index(col) for col in marks]
-        assert positions == sorted(positions)
-        for k in sorted({0, cols, *positions, *(t + 1 for t in positions)}):
-            count = sum(t < k for t in positions)
-            prefix = [[row[col] for col in order[:k]] for row in matrix]
-            if p:
-                assert count == modular_rank(prefix, p)
-            else:
-                assert count <= fraction_rank(prefix)
+        right = [[rng.randrange(p) if p else rng.randint(-9, 9)
+                  for _ in range(cols)] for _ in range(10)]
+        assert _oracle_rank(field, right) == 10
+        square = [[sum(a * b for a, b in zip(column, other))
+                   for other in zip(*right)] for column in zip(*matrix)]
+        square = DenseMatrix.from_rows(field, square)
+        rows, walk = list(order), rng.sample(range(cols), cols)
+        assert rank(square, marks=walk, rows=rows) == found
+        assert rows and rows != order and len(walk) == len(rows)
+        oracle = {}
+        for picked in (marks, rows):
+            positions = [order.index(col) for col in picked]
+            assert positions == sorted(positions)
+            for k in sorted({0, cols, *positions,
+                             *(t + 1 for t in positions)}):
+                if k not in oracle:
+                    oracle[k] = _oracle_rank(field, [
+                        [row[col] for col in order[:k]] for row in matrix])
+                count = sum(t < k for t in positions)
+                assert count == oracle[k] if p else count <= oracle[k]
 
 
 def test_pivot_marks_of_degenerate_matrices() -> None:
     """Over QQ the marks come from the first prime alone, which makes a
     column vanish here, so they undercount the prefix it ends; a matrix of
-    zero rows marks no column; marks that do not list every column are
-    refused."""
+    zero rows marks no column and no row; marks that do not list every
+    column, and rows that do not list every row or come without marks,
+    are refused."""
     first = next(q for q in range(_RATIONAL_PRIME_START, 2, -1)
                  if is_prime(q))
     matrix = DenseMatrix.from_rows(QQ, [[first, 0, 1], [0, 1, 1]])
@@ -820,12 +841,16 @@ def test_pivot_marks_of_degenerate_matrices() -> None:
     assert rank(matrix, marks=marks) == 2
     assert marks == [1, 2]
     for field in (GF, QQ):
-        marks = [2, 0, 1]
+        marks, rows = [2, 0, 1], [1, 0]
         assert rank(DenseMatrix.from_rows(field, [[0, 0, 0]] * 2),
-                    marks=marks) == 0
-        assert marks == []
+                    marks=marks, rows=rows) == 0
+        assert marks == rows == []
         with pytest.raises(ValueError, match="every column once"):
             rank(DenseMatrix.from_rows(field, [[1, 2, 3]]), marks=[0, 1])
+        for marks, rows in (([0, 1, 2], [0, 1]), (None, [0])):
+            with pytest.raises(ValueError, match="every row once"):
+                rank(DenseMatrix.from_rows(field, [[1, 2, 3]]), marks=marks,
+                     rows=rows)
 
 
 def test_field_dtype_by_prime() -> None:

@@ -412,9 +412,9 @@ def test_uint64_fields_keep_uint64_arrays(monkeypatch) -> None:
             samples[:, :2], tables, field).dtype == uint64
     ranked = []
 
-    def spy(matrix, cap=None, marks=None):
+    def spy(matrix, cap=None, marks=None, rows=None):
         ranked.append(matrix.entries.dtype)
-        return rank(matrix, cap, marks)
+        return rank(matrix, cap, marks, rows)
 
     monkeypatch.setattr(inverse_systems, "rank", spy)
     for kind, parameter in ((KIND_CODIM5_EVEN, 10), (KIND_SOCLE_DEGREE, 8)):
@@ -627,9 +627,9 @@ def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
 def test_walk_ranks_only_the_band(monkeypatch) -> None:
     """A generic thm-e trial ranks its crossover degree alone, and proves
     the one below it for odd e from that elimination's column-prefix
-    ranks; a codim-5 trial ranks its first degree at or above the
-    crossover whose cap is free and the one above it, and proves every
-    lower degree from those two eliminations."""
+    ranks; a codim-5 trial ranks the last degree of its plateau alone, and
+    proves every lower degree from its column-prefix ranks and the free
+    degree above it from its row-prefix ranks."""
     ranked = []
     build = inverse_systems.contraction_matrix
 
@@ -645,11 +645,44 @@ def test_walk_ranks_only_the_band(monkeypatch) -> None:
         assert ranked == ([e // 2] if e % 2 == 0 else [e // 2 + 1])
         assert [i for i, s in enumerate(report.degree_seconds) if s] == sorted(
             ranked)
-    ranked.clear()
-    report = verify_construction(KIND_CODIM5_ODD, 10, FieldSpec(1_000_003),
-                                 trials=1)
-    assert report.verdict == "match"
-    assert ranked == [14, 13]
+    for kind, degree in ((KIND_CODIM5_ODD, 13), (KIND_CODIM5_EVEN, 12)):
+        ranked.clear()
+        report = verify_construction(kind, 10, FieldSpec(1_000_003), trials=1)
+        assert report.verdict == "match"
+        assert ranked == [degree]
+
+
+def test_every_trial_ranks_one_degree(monkeypatch) -> None:
+    """Every thm-r trial for d = 10..20 in both parities over GF(1000003)
+    ranks one degree, the last of its largest cap, whose row- and
+    column-prefix ranks prove every other degree; every thm-e trial for
+    e = 6..22 ranks its crossover degree alone, as without row bounds,
+    since its largest cap is free."""
+    calls = []
+    build = inverse_systems.contraction_matrix
+
+    def record(generators, degree, shared=0):
+        calls.append((id(generators), degree))
+        return build(generators, degree, shared)
+
+    monkeypatch.setattr(inverse_systems, "contraction_matrix", record)
+    field = FieldSpec(1_000_003)
+    runs = [(kind, d) for d in range(10, 21)
+            for kind in (KIND_CODIM5_ODD, KIND_CODIM5_EVEN)]
+    for kind, parameter in runs + [(KIND_SOCLE_DEGREE, e)
+                                   for e in range(6, 23)]:
+        calls.clear()
+        report = verify_construction(kind, parameter, field, seed=0)
+        assert report.verdict == "match"
+        caps = inverse_systems._rank_caps(kind, parameter)
+        start = max(range(len(caps)), key=lambda i: (caps[i], i))
+        if kind == KIND_SOCLE_DEGREE:
+            assert start == (parameter + parameter % 2) // 2
+        trials = {}
+        for trial, degree in calls:
+            trials.setdefault(trial, []).append(degree)
+        assert len(trials) == len(report.per_trial)
+        assert all(degrees == [start] for degrees in trials.values())
 
 
 @pytest.mark.parametrize("kind, parameters, characteristics", [
@@ -703,6 +736,26 @@ def test_a_prefix_bound_above_its_cap_raises() -> None:
         inverse_systems._hilbert_ranks([form], 0, (1, 2, 6, 3, 1))
 
 
+def test_a_row_prefix_bound_above_its_cap_raises() -> None:
+    """The same three fourth powers: degree 2, the last of the largest
+    cap, is ranked with its rows walked by their operator's exponent of y,
+    as its cap is below its 6 operators; the rows whose operator y divides
+    have rank 3, the columns of degree 3 they map to, a bound that proves
+    degree 3 at a cap of 3 and contradicts a cap of 2, as a rank above its
+    cap does."""
+    field = FieldSpec(101)
+    form = _combination([1, 1, 1], [_power(field, c, 4) for c in
+                                    ([1, 1, 1], [1, 2, 3], [2, 1, 5])])
+    ranks, seconds = inverse_systems._hilbert_ranks([form], 0,
+                                                    (1, 3, 4, 3, 1))
+    assert ranks == (1, 3, 3, 3, 1)
+    assert [i for i, s in enumerate(seconds) if s] == [2]
+    with pytest.raises(ArithmeticError,
+                       match="degree 3 has rank at least 3, above its "
+                             "proved cap 2"):
+        inverse_systems._hilbert_ranks([form], 0, (1, 3, 3, 2, 1))
+
+
 def test_thm_e_ranks_its_form_on_the_columns_outside_the_truncation(
         monkeypatch) -> None:
     """In degree i a thm-e trial ranks only its sampled form's C(e+1-i, 2)
@@ -715,9 +768,9 @@ def test_thm_e_ranks_its_form_on_the_columns_outside_the_truncation(
         degrees.append(degree)
         return build(generators, degree, shared)
 
-    def record_rank(matrix, cap=None, marks=None):
+    def record_rank(matrix, cap=None, marks=None, rows=None):
         shapes.append((matrix.rows, matrix.cols))
-        return rank(matrix, cap, marks)
+        return rank(matrix, cap, marks, rows)
 
     monkeypatch.setattr(inverse_systems, "contraction_matrix", record_build)
     monkeypatch.setattr(inverse_systems, "rank", record_rank)
@@ -956,9 +1009,9 @@ def test_verify_over_qq_ranks_its_trials_in_gf_23726561(monkeypatch) -> None:
     q = FieldSpec(23_726_561)
     ranked = []
 
-    def spy(matrix, cap=None, marks=None):
+    def spy(matrix, cap=None, marks=None, rows=None):
         ranked.append((matrix.field, matrix.entries.dtype))
-        return rank(matrix, cap, marks)
+        return rank(matrix, cap, marks, rows)
 
     def refuse(entries):
         raise AssertionError("a verification ranked over QQ")
