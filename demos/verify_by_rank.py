@@ -44,14 +44,23 @@ for i in (2, 3, 4):
           f"contraction matrix = {rank(matrix)}")
 print(f"  with one random quintic added: {hilbert_function(generators)}")
 print("  target level vector:            1,3,6,10,8,7")
-print("  The truncation holds every monomial in y1, y2, so the verification")
-print("  driver builds no forms for it: it pins those columns and ranks the")
-print("  quintic's rows alone on the others.")
+print("  The truncation holds every monomial in y1, y2, so verification")
+print("  builds no forms for it: each degree i gets its i+1 monomials, and")
+print("  the quintic's rows count only on the columns divisible by y3.")
+print("  Contraction carries no multinomial factors, so those rows are the")
+print("  rows of y3∘quintic, its terms divisible by y3 as a quartic, in")
+print("  degree i-1: verify_construction ranks that quartic one degree down.")
+by_y3 = [c for mono, c in zip(monomials(3, 5), quintic.coeffs.tolist())
+         if mono[2]]
+quartic = Form.from_coefficients(3, 4, field, by_y3)
 for i in (2, 3, 4):
     outside = [k for k, mono in enumerate(monomials(3, i)) if mono[2]]
     rows = contraction_matrix([quintic], i).entries[:, outside]
-    print(f"  degree {i}: {i + 1} pinned + rank {rank(DenseMatrix(field, rows))} "
-          f"of the quintic's {len(rows)}x{len(outside)} rows")
+    lowered = contraction_matrix([quartic], i - 1)
+    print(f"  degree {i}: {i + 1} + rank {rank(DenseMatrix(field, rows))} "
+          f"of the quintic's {len(rows)}x{len(outside)} rows on those columns")
+    print(f"            = {i + 1} + rank {rank(lowered)} of y3∘quintic's "
+          f"{lowered.rows}x{lowered.cols} matrix in degree {i - 1}")
 print()
 
 print("=" * 72)

@@ -9,25 +9,25 @@ by term: the Hilbert function of the module generated by a list of forms
 is read off as the rank of the contraction coefficient matrix in each
 degree, one ``take`` from the coefficients at the closed-form index of
 each operator x column product (:func:`_positions`), so memory follows
-the matrix in any number of variables (:func:`contraction_matrix`).  A
-monomial module every trial shares, the thm-e binary truncation, is
-never built as forms: it holds every monomial of its variables, so its
-columns are pinned and only the sampled generators are ranked, on the
-other columns, which the one ``take`` selects.  One degree per trial is
-ranked and the rest are proved: above a free degree every degree is
-free, because the generators' operator syzygies form a submodule of a
-free module, which has no torsion; and a lower or a higher degree
-reaches its cap from the column- or row-prefix ranks of a ranked
-degree's matrix, because contraction has no multinomial factors, so a
-power of a variable maps those columns onto the lower degree's, and
+the matrix in any number of variables (:func:`contraction_matrix`).  The
+thm-e binary truncation is never built as forms: it holds every monomial
+of its two variables, so a thm-e trial ranks only its sampled form
+contracted by the third variable, one degree down, and adds the
+truncation's monomials back (:func:`verify_construction`).  One degree
+per trial is ranked and the rest are proved: above a free degree every
+degree is free, because the generators' operator syzygies form a
+submodule of a free module, which has no torsion; and a lower or a
+higher degree reaches its cap from the column- or row-prefix ranks of a
+ranked degree's matrix, because contraction has no multinomial factors,
+so a power of a variable maps those columns onto the lower degree's, and
 those rows onto the higher degree's (:func:`_hilbert_ranks`).  On top of
 that sit the randomized drivers that check the constructed level
 h-vectors against actual rank computations, including a characteristic
-sweep.  Each witness bounds its own rank in
-every degree (:func:`_rank_caps`): a rank at its cap is proved, over QQ by
-a trial in GF(23 726 561), and trials at every cap between them end the
-verification; a run whose trials all miss a cap states how likely that is
-for a target that holds (:func:`verify_construction`).  Kinds and
+sweep.  Each witness bounds its own rank in every degree
+(:func:`_rank_caps`): a rank at its cap is proved, over QQ by a trial in
+GF(23 726 561), and trials at every cap between them end the
+verification; a run whose trials all miss a cap states how likely that
+is for a target that holds (:func:`verify_construction`).  Kinds and
 targets live in :mod:`families`; the witness facts (point counts, powers,
 the truncation's variables) stay here, never derived from them.
 """
@@ -196,30 +196,24 @@ def _check_generators(generators: Sequence[Form]) -> tuple[int, int, FieldSpec]:
     return num_vars, degree, field
 
 
-def contraction_matrix(generators: Sequence[Form], degree: int,
-                       shared: int = 0) -> DenseMatrix:
+def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
     """Coefficient matrix of the degree-lowering contractions.
 
     Rows are indexed by (generator, operator monomial of complementary
     degree), generator-major, columns by the monomials of the target
-    degree, in order, but for those in the first ``shared`` variables
-    alone (none when ``shared`` is 0); the entry is the coefficient of the
-    column monomial in the contracted generator.  With ``shared`` 0 its
-    rank is the dimension of the generated module in that degree; an
-    operator that divides none of a generator's terms gives a zero row,
-    which :func:`rank` drops.  The matrix is one ``take`` from the stacked
-    coefficients, at the index of each operator x column product
-    (:func:`_positions`), so its memory is that of the matrix.
+    degree, in order; the entry is the coefficient of the column monomial
+    in the contracted generator.  Its rank is the dimension of the
+    generated module in that degree; an operator that divides none of a
+    generator's terms gives a zero row, which :func:`rank` drops.  The
+    matrix is one ``take`` from the stacked coefficients, at the index of
+    each operator x column product (:func:`_positions`), so its memory is
+    that of the matrix.
     """
     num_vars, form_degree, field = _check_generators(generators)
     if not 0 <= degree <= form_degree:
         raise ValueError(f"degree must lie in [0, {form_degree}], got {degree}")
-    if not 0 <= shared <= num_vars:
-        raise ValueError(f"shared must lie in [0, {num_vars}], got {shared}")
     ops = _exponents(num_vars, form_degree - degree)
     cols = _exponents(num_vars, degree)
-    if shared:
-        cols = cols[cols[:, shared:].any(axis=1)]
     coeffs = np.array([g.coeffs for g in generators], dtype=field.dtype)
     matrix = coeffs.take(
         _positions(num_vars, form_degree, ops[:, None], cols[None]), axis=1)
@@ -242,92 +236,76 @@ def hilbert_function(generators: Sequence[Form]) -> HVector:
     _check_generators(generators)
     if all(f.is_zero() for f in generators):
         raise ValueError("no nonzero generator")
-    ranks, _ = _hilbert_ranks(generators, 0)
+    ranks, _ = _hilbert_ranks(generators)
     return HVector(ranks)
 
 
 def _monomial_counts(num_vars: int, degree: int) -> list[int]:
     """Number of monomials of each degree 0..``degree`` in ``num_vars``
-    variables; 0 throughout with no variables."""
-    return [comb(i + num_vars - 1, num_vars - 1) if num_vars else 0
-            for i in range(degree + 1)]
+    variables."""
+    return [comb(i + num_vars - 1, num_vars - 1) for i in range(degree + 1)]
 
 
-def _hilbert_ranks(generators: Sequence[Form], shared: int,
-                   caps: Sequence[int] = ()
+def _hilbert_ranks(generators: Sequence[Form], caps: Sequence[int] = ()
                    ) -> tuple[tuple[int, ...], list[float]]:
-    """Hilbert function of the module generated by ``generators`` and a
-    monomial module T, with the seconds spent ranking each degree (0.0 for
-    a degree proved without a rank).  ``caps`` holds a proved upper bound
-    on each degree's rank, by default ``min(full_i, free_i)`` below.
+    """Hilbert function of the module generated by ``generators``, with
+    the seconds spent ranking each degree (0.0 for a degree proved without
+    a rank).  Degree i's rank is that of ``contraction_matrix(generators,
+    i)``, capped by ``caps[i]``, a proved upper bound on it (:func:`rank`),
+    by default ``min(full_i, free_i)`` below.
 
     Let F_1..F_g be ``generators``, of degree s in n variables, and R the
-    ring of operators.  T holds every monomial of degree at most s in the
-    first ``shared`` variables (T is zero when ``shared`` is 0; for thm-e
-    it is the binary truncation), ``base_i = C(i+shared-1, shared-1)`` of
-    them in degree i, and is closed under contraction.  Degree i of the
-    module is T_i plus the row space of ``contraction_matrix(generators,
-    i)``, and T_i is spanned by the unit vectors on its columns.  So its
-    rank is ``base_i`` plus the rank of that matrix with T's columns
-    dropped, ``contraction_matrix(generators, i, shared)``: the row space
-    modulo those unit vectors.  That rank is capped by ``caps[i] -
-    base_i`` (:func:`rank`).
-
-    With ``full_i = C(i+n-1, n-1)`` and ``free_i = base_i +
-    g*C(s-i+n-1, n-1)``, the rank in degree i is at most both, and two
+    ring of operators.  With ``full_i = C(i+n-1, n-1)`` and ``free_i =
+    g*C(s-i+n-1, n-1)``, the rank in degree i is at most both, and three
     facts, exact over every field, settle a degree from another:
 
-    * Upward: the operator tuples (o_1..o_g) with ``sum o_j∘F_j`` in T
-      form a submodule K of the free module R^g, because T is closed under
-      contraction and ``x∘sum o_j∘F_j = sum (x o_j)∘F_j``.  The rank in
-      degree i is ``free_i - dim K_{s-i}``.  A free module has no torsion,
-      so if K is zero in operator degree s-i it is zero in every lower
-      operator degree: a degree of rank ``free_i`` makes every higher
-      degree free too.
-    * Contraction: contraction has no multinomial factors, so ``x_v^h∘G``
-      has G's coefficient of x^a at x^(a-h e_v) for every a with a_v >= h.
+    * Upward: the operator tuples (o_1..o_g) with ``sum o_j∘F_j = 0`` form
+      a submodule K of the free module R^g, because ``x∘sum o_j∘F_j = sum
+      (x o_j)∘F_j``.  The rank in degree i is ``free_i - dim K_{s-i}``.  A
+      free module has no torsion, so if K is zero in operator degree s-i
+      it is zero in every lower operator degree: a degree of rank
+      ``free_i`` makes every higher degree free too.
+    * Columns: contraction has no multinomial factors, so ``x_v^h∘G`` has
+      G's coefficient of x^a at x^(a-h e_v) for every a with a_v >= h.
       So the rows of degree i's matrix, cut to its columns with a_v >= h,
       are rows of degree i-h's, and degree i-h has rank at least that of
-      those columns.  For v below ``shared`` a column outside T stays
-      outside T, so this holds modulo T too.  Degree i is eliminated with
-      its columns walked by a_v, largest first (:func:`_walk`), marking
-      each column that yields a pivot, so the marks with a_v >= h count
-      that rank for every h at once.  A degree whose bound reaches its cap
-      is proved without a rank, and a bound above its cap raises
-      `ArithmeticError`, as :func:`rank` does.  In a codimension-5 trial
-      v = 1 is nonzero at every sampled point, so once a degree's rank is
-      the number N of points, its bounds are the Hilbert function of the
-      points, the true rank, in every lower degree.  A full degree marks
-      every column, full_{i-h} - base_{i-h} of them with a_v >= h, so every
-      lower degree is proved full from its bound.
+      those columns.  Degree i is eliminated with its columns walked by
+      a_v, largest first (:func:`_walk`), marking each column that yields
+      a pivot, so the marks with a_v >= h count that rank for every h at
+      once.  A degree whose bound reaches its cap is proved without a
+      rank, and a bound above its cap raises `ArithmeticError`, as
+      :func:`rank` does.  In a codimension-5 trial v = 1 is nonzero at
+      every sampled point, so once a degree's rank is the number N of
+      points, its bounds are the Hilbert function of the points, the true
+      rank, in every lower degree.  A full degree marks every column,
+      full_{i-h} of them with a_v >= h, so every lower degree is proved
+      full from its bound.
     * Rows: by the same identity, the rows (g, b) of degree i's matrix
       with b_v >= h are the rows (g, b-h e_v) of degree i+h's, cut to its
-      columns a+h e_v, and a column outside T stays outside T for every
-      v.  So degree i+h has rank at least that of those rows.  When its
-      cap is below ``free_i``, so that some degree above may be open,
-      degree i is eliminated with its rows walked by b_v, largest first
-      (:func:`_walk` of the operators), marking each row that yields a
-      pivot, and the marks with b_v >= h bound degree i+h for every h at
-      once.  In a codimension-5 trial a degree of rank N spans the N
-      independent powers of the points, so these bounds are the true
-      rank of every higher degree.
+      columns a+h e_v.  So degree i+h has rank at least that of those
+      rows.  When its cap is below ``free_i``, so that some degree above
+      may be open, degree i is eliminated with its rows walked by b_v,
+      largest first (:func:`_walk` of the operators), marking each row
+      that yields a pivot, and the marks with b_v >= h bound degree i+h
+      for every h at once.  In a codimension-5 trial a degree of rank N
+      spans the N independent powers of the points, so these bounds are
+      the true rank of every higher degree.
 
     The walk ranks the last degree of largest cap (for a codimension-5
-    trial the last degree of its plateau N, for thm-e its crossover,
-    whose cap is free) and walks up while a degree is not free, proving
-    each from its bound when that reaches its cap and ranking it
-    otherwise; every higher degree gets ``free_i``.  Then it walks down
-    from that degree to degree 0 alike.  The walks stop at degree 0 and
-    s, so the start only changes the cost, never the result.
+    trial the last degree of its plateau N, for thm-e's contracted form
+    its crossover, whose cap is free) and walks up while a degree is not
+    free, proving each from its bound when that reaches its cap and
+    ranking it otherwise; every higher degree gets ``free_i``.  Then it
+    walks down from that degree to degree 0 alike.  The walks stop at
+    degree 0 and s, so the start only changes the cost, never the result.
     """
     num_vars, form_degree, _ = _check_generators(generators)
     degrees = range(form_degree + 1)
     full = _monomial_counts(num_vars, form_degree)
-    base = _monomial_counts(shared, form_degree)
-    free = [base[i] + len(generators) * full[form_degree - i] for i in degrees]
+    free = [len(generators) * full[form_degree - i] for i in degrees]
     caps = caps or list(map(min, full, free))
     ranks = list(free)
-    bounds = list(base)
+    bounds = [0] * len(degrees)
     seconds = [0.0] * len(degrees)
 
     def raise_bounds(targets, depths, top: int) -> None:
@@ -336,19 +314,19 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
             counts[depth] += 1
         # The k-th partial sum counts the pivots of depth at least top - k.
         for j, bound in zip(targets, accumulate(reversed(counts))):
-            bounds[j] = max(bounds[j], base[j] + bound)
+            bounds[j] = max(bounds[j], bound)
 
     def rank_degree(i: int) -> None:
         start = time.perf_counter()
-        matrix = contraction_matrix(generators, i, shared)
-        order, depth = _walk(num_vars, i, shared)
+        matrix = contraction_matrix(generators, i)
+        order, depth = _walk(num_vars, i)
         marks = list(order)
         rows = None
         if caps[i] < free[i]:
-            ops, op_depth = _walk(num_vars, form_degree - i, 0)
+            ops, op_depth = _walk(num_vars, form_degree - i)
             rows = [g * len(ops) + o for o in ops
                     for g in range(len(generators))]
-        ranks[i] = base[i] + rank(matrix, caps[i] - base[i], marks, rows)
+        ranks[i] = rank(matrix, caps[i], marks, rows)
         raise_bounds(range(i), map(depth.__getitem__, marks), i)
         if rows:
             raise_bounds(range(form_degree, i, -1),
@@ -379,19 +357,16 @@ def _hilbert_ranks(generators: Sequence[Form], shared: int,
 
 
 @lru_cache(maxsize=None)
-def _walk(num_vars: int, degree: int, shared: int
+def _walk(num_vars: int, degree: int
           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The columns of ``contraction_matrix(..., degree, shared)`` in the
-    order :func:`_hilbert_ranks` walks them, and each column's exponent of
-    the variable v that orders them, largest first.  v is 1, or 0 where it
-    must lie below ``shared`` = 1 or there is one variable.  With
-    ``shared`` 0 these are also the operators of that degree, whose rows
-    :func:`_hilbert_ranks` walks in the same order.  Built in
+    """The monomials of the degree in the order :func:`_hilbert_ranks`
+    walks them, as the columns of a contraction matrix or as its
+    operators, and each one's exponent of the variable v that orders
+    them, largest first: v is 1, or 0 with one variable.  Built in
     Python: the first ``argsort`` or ``cumsum`` adds 0.1 MiB of numpy code
     to RSS."""
-    v = 1 if num_vars > 1 and shared != 1 else 0
-    depth = tuple(a[v] for a in _exponents(num_vars, degree).tolist()
-                  if not shared or any(a[shared:]))
+    v = 1 if num_vars > 1 else 0
+    depth = tuple(a[v] for a in _exponents(num_vars, degree).tolist())
     order = sorted(range(len(depth)), key=depth.__getitem__, reverse=True)
     return tuple(order), depth
 
@@ -448,7 +423,8 @@ def _codim5_counts(d: int, parity: str) -> tuple[int, int]:
 
 
 # thm-e's level module holds the binary truncation: every monomial of
-# degree at most e-1 in the first two variables.
+# degree at most e-1 in the first two variables.  A trial ranks its form
+# contracted by the next one, x2 (:func:`verify_construction`).
 _TRUNCATION_VARS = 2
 
 
@@ -599,6 +575,19 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     targets, so the verdict is ``match``, a proof in the field, exactly
     when ``best`` equals the target.
 
+    A thm-e trial's module is the binary truncation, every monomial of
+    degree at most e-1 in x0, x1, plus its sampled form G of degree e-1.
+    In degree i the truncation holds the i+1 monomials with a2 = 0, so
+    the rank there is i+1 plus that of G's matrix on the columns x^a with
+    a2 >= 1.  Contraction carries no multinomial factors, so on those
+    columns (x^b∘G) at x^a is (x^b∘(x2∘G)) at x^(a-e2), where x2∘G, of
+    degree e-2, holds G's coefficients at its monomials with a2 >= 1; and
+    a -> a-e2 keeps descending lex order onto the monomials of degree
+    i-1.  So that matrix is ``contraction_matrix([x2∘G], i-1)`` entry for
+    entry, exactly over every field, and the trial ranks x2∘G on the caps
+    less i+1, one degree down (:func:`_hilbert_ranks`): its Hilbert
+    function is 1 in degree 0 and i+1 plus x2∘G's degree i-1 above.
+
     Over QQ the trials run in GF(q), q = 23 726 561, the largest prime
     whose 16-row panels are exact in float64, so ``sweep --chars
     0,23726561`` runs the same trials twice.  Entries are integer
@@ -628,13 +617,21 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     trial_seeds, per_trial = [], []
     degree_seconds = [0.0] * len(target)
     parity = KIND_PARITIES[kind]
-    shared = _TRUNCATION_VARS if parity is None else 0
     caps = _rank_caps(kind, parameter)
     gf = field if field.is_modular else FieldSpec(_QQ_TRIAL_PRIME)
+    if parity is None:
+        by_x2 = _exponents(3, parameter - 1)[:, _TRUNCATION_VARS] > 0
+        form_caps = [cap - i for i, cap in enumerate(caps[1:], 2)]
     for t in range(trials):
         trial_seed = mix(seed, t)
         generators = _trial_generators(kind, parameter, gf, trial_seed)
-        ranks, seconds = _hilbert_ranks(generators, shared, caps)
+        if parity is None:
+            x2_form = Form(3, parameter - 2, gf, generators[0].coeffs[by_x2])
+            ranks, seconds = _hilbert_ranks([x2_form], form_caps)
+            ranks = (1, *(r + i for i, r in enumerate(ranks, 2)))
+            seconds = [0.0, *seconds]
+        else:
+            ranks, seconds = _hilbert_ranks(generators, caps)
         trial_seeds.append(trial_seed)
         per_trial.append(ranks)
         for i, s in enumerate(seconds):

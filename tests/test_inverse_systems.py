@@ -209,10 +209,6 @@ def test_contraction_matrix_validation() -> None:
         contraction_matrix([f, _random_form(3, 3, GF, seed=9)], 2)
     with pytest.raises(ValueError):
         contraction_matrix([f, _random_form(3, 4, QQ, seed=9)], 2)
-    # A negative ``shared`` must not act as 1 does, dropping the x0^i column.
-    for shared in (-1, 4):
-        with pytest.raises(ValueError, match=r"shared must lie in \[0, 3\]"):
-            contraction_matrix([f], 2, shared)
 
 
 def test_contraction_matrix_memory_follows_the_matrix() -> None:
@@ -252,9 +248,7 @@ def _generators_and_degree(draw):
 @settings(max_examples=120, deadline=None)
 def test_contraction_matrix_agrees_with_contract(case) -> None:
     """The matrix is the oracle's full matrix, one row per (generator,
-    operator), generator-major, and its rank is the full matrix's.  With
-    ``shared`` it drops the columns of monomials in the first ``shared``
-    variables alone, and only those."""
+    operator), generator-major, and its rank is the full matrix's."""
     generators, degree = case
     field = generators[0].field
     num_vars, form_degree = generators[0].num_vars, generators[0].degree
@@ -268,12 +262,6 @@ def test_contraction_matrix_agrees_with_contract(case) -> None:
                      if field.is_modular else fraction_rank(full))
     assert rank(matrix) == expected_rank
     assert matrix.cols == len(monomials(num_vars, degree))
-    for shared in range(1, num_vars + 1):
-        columns = descending_monomials(num_vars, degree)
-        kept = [k for k, col in enumerate(columns) if any(col[shared:])]
-        pinned = contraction_matrix(generators, degree, shared)
-        assert pinned.entries.tolist() == [[row[k] for k in kept]
-                                           for row in full]
 
 
 def test_witness_matrices_equal_a_lookup_oracle() -> None:
@@ -514,18 +502,34 @@ def test_walk_modulo_truncation_equals_every_degree_rank(field) -> None:
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_walk_modulo_pinned_monomials_equals_every_degree_rank(data) -> None:
-    """With the monomials of the first ``shared`` variables pinned, the walk
-    gives the ranks of the oracle's truncation forms plus the generators,
-    degree by degree."""
-    generators = data.draw(_walk_generators(
-        (FieldSpec(2), FieldSpec(3), FieldSpec(101), QQ)))
-    num_vars, degree, field = (generators[0].num_vars, generators[0].degree,
-                               generators[0].field)
-    shared = data.draw(st.integers(1, num_vars))
-    ranks, _ = inverse_systems._hilbert_ranks(generators, shared)
-    assert ranks == _per_degree_ranks(
-        truncation(num_vars, shared, degree, field) + generators)
+def test_truncation_ranks_are_the_contracted_forms_ranks_one_degree_down(
+        data) -> None:
+    """Forms of degree s in n variables next to the truncation T of the
+    first n-1 variables: T's degree i is spanned by the C(i+n-2, n-2) unit
+    vectors of its columns, and contraction has no multinomial factors, so
+    every degree i >= 1 has rank C(i+n-2, n-2) plus the walk's rank of the
+    forms contracted by the last variable in degree i-1."""
+    field = data.draw(st.sampled_from(
+        [FieldSpec(2), FieldSpec(3), FieldSpec(101), QQ]))
+    n = data.draw(st.integers(2, 5))
+    degree = data.draw(st.integers(1, 6 if n < 5 else 4))
+    size = len(monomials(n, degree))
+    coefficients = st.lists(st.one_of(st.just(0), st.integers(-3, 3)),
+                            min_size=size, max_size=size)
+    forms = [Form.from_coefficients(n, degree, field, data.draw(coefficients))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    last = (0,) * (n - 1) + (1,)
+    ranks, _ = inverse_systems._hilbert_ranks(
+        [_contract_form(last, f) for f in forms])
+    assert _per_degree_ranks(truncation(n, n - 1, degree, field) + forms) == (
+        1, *(comb(i + n - 2, n - 2) + r for i, r in enumerate(ranks, 1)))
+
+
+def _contracted_ranks(ranks) -> tuple[int, ...]:
+    """A thm-e trial's ranks less the truncation's i+1 monomials in each
+    degree i >= 1: the ranks of its form contracted by the third variable,
+    one degree down."""
+    return tuple(r - i for i, r in enumerate(ranks[1:], 2))
 
 
 def test_rank_caps_equal_the_family_targets() -> None:
@@ -552,14 +556,13 @@ def _witness_scalars(field: FieldSpec, count: int, mode: str,
             for _ in range(count)]
 
 
-def _band_walk(generators, shared: int, ranks) -> set[int]:
+def _band_walk(generators, ranks) -> set[int]:
     """The degrees the walk without column-prefix bounds ranks, given the
     module's ranks: the generic crossover, then every degree below it
     down to the first full one and above it up to the first free one."""
     n, s, g = generators[0].num_vars, generators[0].degree, len(generators)
     full = inverse_systems._monomial_counts(n, s)
-    base = inverse_systems._monomial_counts(shared, s)
-    free = [base[i] + g * full[s - i] for i in range(s + 1)]
+    free = [g * full[s - i] for i in range(s + 1)]
     low = high = next((i for i in range(s + 1) if full[i] >= free[i]), s)
     band = {low}
     while low > 0 and ranks[low] < full[low]:
@@ -594,7 +597,7 @@ def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
         form = Form.from_coefficients(3, e - 1, field, _witness_scalars(
             field, comb(e + 1, 2), mode, seed))
         forms = truncation(3, 2, e - 1, field) + [form]
-        generators, shared = [form], 2
+        generators = [_contract_form((0, 0, 1), form)]
         caps = inverse_systems._rank_caps(kind, e)
     else:
         d = min(parameter, 10)
@@ -612,39 +615,42 @@ def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
                            dtype=field.dtype).reshape(2, count)
         forms = [Form(3, power, field, row) for row in
                  inverse_systems.linear_combination(weights, powers, field)]
-        generators, shared = forms, 0
+        generators = forms
         caps = inverse_systems._rank_caps(kind, d)
     ranks = _per_degree_ranks(forms)
     assert all(r <= c for r, c in zip(ranks, caps)), (ranks, caps)
     assert tuple(rank(contraction_matrix(forms, i), caps[i])
                  for i in range(len(caps))) == ranks
-    walked, seconds = inverse_systems._hilbert_ranks(generators, shared, caps)
+    if parity is None:
+        caps, ranks = _contracted_ranks(caps), _contracted_ranks(ranks)
+    walked, seconds = inverse_systems._hilbert_ranks(generators, caps)
     assert walked == ranks
     assert {i for i, s in enumerate(seconds) if s} <= _band_walk(
-        generators, shared, ranks)
+        generators, ranks)
 
 
 def test_walk_ranks_only_the_band(monkeypatch) -> None:
-    """A generic thm-e trial ranks its crossover degree alone, and proves
-    the one below it for odd e from that elimination's column-prefix
-    ranks; a codim-5 trial ranks the last degree of its plateau alone, and
-    proves every lower degree from its column-prefix ranks and the free
-    degree above it from its row-prefix ranks."""
+    """A generic thm-e trial ranks its contracted form's crossover degree
+    alone, one below its own, and proves the one below it for odd e from
+    that elimination's column-prefix ranks; a codim-5 trial ranks the last
+    degree of its plateau alone, and proves every lower degree from its
+    column-prefix ranks and the free degree above it from its row-prefix
+    ranks."""
     ranked = []
     build = inverse_systems.contraction_matrix
 
-    def record(generators, degree, shared=0):
+    def record(generators, degree):
         ranked.append(degree)
-        return build(generators, degree, shared)
+        return build(generators, degree)
 
     monkeypatch.setattr(inverse_systems, "contraction_matrix", record)
     for e in range(6, 13):
         ranked.clear()
         report = verify_construction(KIND_SOCLE_DEGREE, e, GF, trials=1)
         assert report.verdict == "match"
-        assert ranked == ([e // 2] if e % 2 == 0 else [e // 2 + 1])
-        assert [i for i, s in enumerate(report.degree_seconds) if s] == sorted(
-            ranked)
+        assert ranked == ([e // 2 - 1] if e % 2 == 0 else [e // 2])
+        assert [i for i, s in enumerate(report.degree_seconds) if s] == [
+            d + 1 for d in ranked]
     for kind, degree in ((KIND_CODIM5_ODD, 13), (KIND_CODIM5_EVEN, 12)):
         ranked.clear()
         report = verify_construction(kind, 10, FieldSpec(1_000_003), trials=1)
@@ -656,14 +662,15 @@ def test_every_trial_ranks_one_degree(monkeypatch) -> None:
     """Every thm-r trial for d = 10..20 in both parities over GF(1000003)
     ranks one degree, the last of its largest cap, whose row- and
     column-prefix ranks prove every other degree; every thm-e trial for
-    e = 6..22 ranks its crossover degree alone, as without row bounds,
-    since its largest cap is free."""
+    e = 6..22 ranks its crossover degree alone, one degree down on its
+    contracted form, as without row bounds, since its largest cap is
+    free."""
     calls = []
     build = inverse_systems.contraction_matrix
 
-    def record(generators, degree, shared=0):
+    def record(generators, degree):
         calls.append((id(generators), degree))
-        return build(generators, degree, shared)
+        return build(generators, degree)
 
     monkeypatch.setattr(inverse_systems, "contraction_matrix", record)
     field = FieldSpec(1_000_003)
@@ -678,6 +685,7 @@ def test_every_trial_ranks_one_degree(monkeypatch) -> None:
         start = max(range(len(caps)), key=lambda i: (caps[i], i))
         if kind == KIND_SOCLE_DEGREE:
             assert start == (parameter + parameter % 2) // 2
+            start -= 1
         trials = {}
         for trial, degree in calls:
             trials.setdefault(trial, []).append(degree)
@@ -699,9 +707,9 @@ def test_no_trial_ranks_a_degree_the_band_walk_would_not(
     calls = []
     build = inverse_systems.contraction_matrix
 
-    def record(generators, degree, shared=0):
-        calls.append((generators, degree, shared))
-        return build(generators, degree, shared)
+    def record(generators, degree):
+        calls.append((generators, degree))
+        return build(generators, degree)
 
     monkeypatch.setattr(inverse_systems, "contraction_matrix", record)
     for parameter in parameters:
@@ -711,16 +719,16 @@ def test_no_trial_ranks_a_degree_the_band_walk_would_not(
                 report = verify_construction(
                     kind, parameter, FieldSpec(characteristic), seed, 3)
                 trials = {}
-                for generators, degree, shared in calls:
+                for generators, degree in calls:
                     trials.setdefault(id(generators),
-                                      (generators, shared, []))[2].append(
-                        degree)
+                                      (generators, []))[1].append(degree)
                 assert len(trials) == len(report.per_trial)
-                for (generators, shared, degrees), ranks in zip(
+                for (generators, degrees), ranks in zip(
                         trials.values(), report.per_trial):
+                    if kind == KIND_SOCLE_DEGREE:
+                        ranks = _contracted_ranks(ranks)
                     assert len(set(degrees)) == len(degrees)
-                    assert set(degrees) <= _band_walk(generators, shared,
-                                                      ranks)
+                    assert set(degrees) <= _band_walk(generators, ranks)
 
 
 def test_a_prefix_bound_above_its_cap_raises() -> None:
@@ -731,9 +739,9 @@ def test_a_prefix_bound_above_its_cap_raises() -> None:
     form = _combination([1, 1, 1], [_power(field, c, 4) for c in
                                     ([1, 1, 1], [1, 2, 3], [2, 1, 5])])
     assert _per_degree_ranks([form]) == (1, 3, 3, 3, 1)
-    assert inverse_systems._hilbert_ranks([form], 0)[0] == (1, 3, 3, 3, 1)
+    assert inverse_systems._hilbert_ranks([form])[0] == (1, 3, 3, 3, 1)
     with pytest.raises(ArithmeticError, match="above its proved cap 2"):
-        inverse_systems._hilbert_ranks([form], 0, (1, 2, 6, 3, 1))
+        inverse_systems._hilbert_ranks([form], (1, 2, 6, 3, 1))
 
 
 def test_a_row_prefix_bound_above_its_cap_raises() -> None:
@@ -746,27 +754,27 @@ def test_a_row_prefix_bound_above_its_cap_raises() -> None:
     field = FieldSpec(101)
     form = _combination([1, 1, 1], [_power(field, c, 4) for c in
                                     ([1, 1, 1], [1, 2, 3], [2, 1, 5])])
-    ranks, seconds = inverse_systems._hilbert_ranks([form], 0,
-                                                    (1, 3, 4, 3, 1))
+    ranks, seconds = inverse_systems._hilbert_ranks([form], (1, 3, 4, 3, 1))
     assert ranks == (1, 3, 3, 3, 1)
     assert [i for i, s in enumerate(seconds) if s] == [2]
     with pytest.raises(ArithmeticError,
                        match="degree 3 has rank at least 3, above its "
                              "proved cap 2"):
-        inverse_systems._hilbert_ranks([form], 0, (1, 3, 3, 2, 1))
+        inverse_systems._hilbert_ranks([form], (1, 3, 3, 2, 1))
 
 
 def test_thm_e_ranks_its_form_on_the_columns_outside_the_truncation(
         monkeypatch) -> None:
     """In degree i a thm-e trial ranks only its sampled form's C(e+1-i, 2)
-    operator rows, on the C(i+2, 2) - (i+1) columns the truncation does
-    not pin."""
-    degrees, shapes = [], []
+    operator rows, on the C(i+2, 2) - (i+1) = C(i+1, 2) columns the
+    truncation does not hold: the matrix of its form contracted by the
+    third variable, of degree e-2, in degree i-1."""
+    built, shapes = [], []
     build = inverse_systems.contraction_matrix
 
-    def record_build(generators, degree, shared=0):
-        degrees.append(degree)
-        return build(generators, degree, shared)
+    def record_build(generators, degree):
+        built.append(([g.degree for g in generators], degree))
+        return build(generators, degree)
 
     def record_rank(matrix, cap=None, marks=None, rows=None):
         shapes.append((matrix.rows, matrix.cols))
@@ -776,12 +784,14 @@ def test_thm_e_ranks_its_form_on_the_columns_outside_the_truncation(
     monkeypatch.setattr(inverse_systems, "rank", record_rank)
     for e in (6, 7, 12, 13):
         for field in (GF, QQ):
-            degrees.clear()
+            built.clear()
             shapes.clear()
             report = verify_construction(KIND_SOCLE_DEGREE, e, field, trials=1)
             assert report.verdict == "match"
-            assert degrees
-            assert shapes == [(comb(e + 1 - i, 2), comb(i + 2, 2) - (i + 1))
+            assert built
+            assert all(degrees == [e - 2] for degrees, _ in built)
+            degrees = [degree + 1 for _, degree in built]
+            assert shapes == [(comb(e + 1 - i, 2), comb(i + 1, 2))
                               for i in degrees]
 
 
@@ -927,9 +937,9 @@ def test_verify_stops_once_the_trials_reach_every_cap_between_them(
               for short in (2, 3)]
     ran = []
 
-    def complementary(generators, shared, caps=()):
+    def complementary(generators, caps=()):
         ran.append(trials[len(ran)])
-        return ran[-1], [0.0] * len(caps)
+        return _contracted_ranks(ran[-1]), [0.0] * len(caps)
 
     monkeypatch.setattr(inverse_systems, "_hilbert_ranks", complementary)
     report = verify_construction(KIND_SOCLE_DEGREE, 6, GF, seed=0, trials=5)
