@@ -90,7 +90,9 @@ report = verify_construction(KIND_CODIM5_ODD, 10, FieldSpec(13), seed=0,
 print(f"  {KIND_CODIM5_ODD} d=10 over GF(13): verdict {report.verdict}")
 print(f"    best   {','.join(map(str, report.best))}")
 print(f"    detail {report.detail}")
-print("  Degree 10 has cap 66, and a 66-minor is a polynomial of degree up to")
-print("  66*21 in the samples, far above the 13 elements of GF(13): the")
+print("  Degree 9 has cap 55, and a 55-minor is a polynomial of degree up to")
+print("  55*21 in the samples, far above the 13 elements of GF(13): the")
 print("  Schwartz-Zippel bound on a miss exceeds 1.  In a field large enough")
 print("  for a bound below 1, the same miss would be a mismatch stating it.")
+print("  Here degree 13 cannot reach its cap 69 at all: that needs 14")
+print("  distinct points (0 : 1 : t) on the line, and GF(13) has 13 values t.")

@@ -274,12 +274,12 @@ def _hilbert_ranks(generators: Sequence[Form], caps: Sequence[int] = ()
       a pivot, so the marks with a_v >= h count that rank for every h at
       once.  A degree whose bound reaches its cap is proved without a
       rank, and a bound above its cap raises `ArithmeticError`, as
-      :func:`rank` does.  In a codimension-5 trial v = 1 is nonzero at
-      every sampled point, so once a degree's rank is the number N of
-      points, its bounds are the Hilbert function of the points, the true
-      rank, in every lower degree.  A full degree marks every column,
-      full_{i-h} of them with a_v >= h, so every lower degree is proved
-      full from its bound.
+      :func:`rank` does.  In a codimension-5 trial every point has
+      coordinate 1 at v = 1 (:func:`codim5_generators`), so once a
+      degree's rank is the number N of points, its bounds are the Hilbert
+      function of the points, the true rank, in every lower degree.  A
+      full degree marks every column, full_{i-h} of them with a_v >= h,
+      so every lower degree is proved full from its bound.
     * Rows: by the same identity, the rows (g, b) of degree i's matrix
       with b_v >= h are the rows (g, b-h e_v) of degree i+h's, cut to its
       columns a+h e_v.  So degree i+h has rank at least that of those
@@ -381,37 +381,23 @@ def linear_combination(weights: np.ndarray, rows: np.ndarray,
     return _matmul_mod_p(weights, rows, p) if p else weights @ rows
 
 
-def contraction_power(linears: np.ndarray, power: int,
+def contraction_power(scalars: np.ndarray, power: int,
                       field: FieldSpec) -> np.ndarray:
-    """Degree-``power`` forms playing the role of powers of linear forms:
-    the coefficients of one for each row of linear coefficients, in the
-    order of :func:`monomials`.
-
-    The coefficient of y^a is c^a (the product of the linear coefficients
-    raised to the exponents, with no multinomial factors), so a monomial
-    contraction acts coefficient by coefficient: x^b sends the form of
-    degree P to c^b times the one of degree P-|b|.  That mirrors how
-    classical powers behave under differentiation in characteristic zero
-    and stays valid over every field.
-
-    Step k of the loop raises every coefficient of every form to the k-th
-    power with one array product into the contiguous slice of power k;
-    each variable then gathers its column of powers by exponent and
-    multiplies it in.  The quotients of the linear coefficients and of the
-    power tables are computed once each (`FieldSpec.multiplier`).
-    """
-    powers = np.ones((power + 1, *linears.shape), dtype=field.dtype)
-    step = field.multiplier(linears)
-    for k in range(1, power + 1):
-        field.multiply(powers[k - 1], step, out=powers[k])
-    tables = powers.transpose(1, 0, 2)
-    multipliers = field.multiplier(tables)
-    exponents = _exponents(linears.shape[1], power)
-    dense = tables[:, exponents[:, 0], 0]
-    for var in range(1, linears.shape[1]):
-        field.multiply(dense, multipliers[:, exponents[:, var], var],
-                       out=dense)
-    return dense
+    """Powers 0..``power`` of every scalar, on a new first axis: the tables
+    a codimension-5 witness is built from (:func:`codim5_generators`), with
+    0**0 = 1.  Step k doubles the known span: powers k+1..2k are powers
+    1..k times the k-th, one field product each (`FieldSpec.multiply`) on
+    contiguous blocks, so ``power`` takes about log2(power) products."""
+    out = np.empty((power + 1, *scalars.shape), dtype=field.dtype)
+    out[0] = 1
+    out[1:] = scalars
+    k = 1
+    while k < power:
+        width = min(k, power - k)
+        field.multiply(out[1:width + 1], field.multiplier(out[k]),
+                       out=out[k + 1:k + width + 1])
+        k *= 2
+    return out
 
 
 def _codim5_counts(d: int, parity: str) -> tuple[int, int]:
@@ -435,13 +421,20 @@ def _codim5_power(d: int, parity: str) -> int:
 def codim5_generators(
     d: int, parity: str, field: FieldSpec, seed: int
 ) -> tuple[Form, Form]:
-    """Two random generators for the codimension-5 level module.
-
-    Samples C(d+1,2) general linear forms in 3 variables and d+4 (odd) or
-    d+3 (even) linear forms supported on the last two variables, raises
-    each to the contraction power 2d (odd) or 2d-1 (even), and returns two
-    independent random combinations.  Fully determined by (d, parity,
-    field, seed).
+    """Two random generators for the codimension-5 level module: ``sum_k
+    w_k L_k^[P]`` with random weights over C(d+1,2) general points and d+4
+    (odd) or d+3 (even) points on the line x0 = 0, P = 2d (odd) or 2d-1.
+    L^[P], the contraction power of L = c0 x0 + c1 x1 + c2 x2, has c^a at
+    x^a, with no multinomial factors, so x^b contracts it to c^b L^[P-|b|]
+    over every field, as classical powers differentiate in characteristic
+    zero.  Points are sampled in the chart c1 = 1, general ones as (s : 1 :
+    t) and line ones as (0 : 1 : t).  As (λc)^[P] = λ^P c^[P] and a weight
+    absorbs λ^P, the chart reaches the witnesses of every point with c1 !=
+    0, a dense open set, in every field.  The coefficient at x^a is ``sum_k
+    w_k s_k^a0 t_k^a2``: both generators are one product
+    (:func:`linear_combination`) of the weights times the s-powers, 2(P+1)
+    x count, by the t-powers, count x (P+1) (:func:`contraction_power`),
+    read at a0 (P+1) + a2.  Fully determined by (d, parity, field, seed).
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
@@ -450,15 +443,18 @@ def codim5_generators(
     n_general, n_line = _codim5_counts(d, parity)
     power = _codim5_power(d, parity)
     count = n_general + n_line
-    cut = 3 * n_general + 2 * n_line
-    samples = np.array(sample_scalars(field, cut + 2 * count, seed),
+    # The s of the general points, the t of every point, then the weights.
+    samples = np.array(sample_scalars(field, n_general + 3 * count, seed),
                        dtype=field.dtype)
-    linears = np.zeros((count, 3), dtype=field.dtype)
-    linears[:n_general] = samples[:3 * n_general].reshape(-1, 3)
-    linears[n_general:, 1:] = samples[3 * n_general:cut].reshape(-1, 2)
-    weights = samples[cut:].reshape(2, count)
-    first, second = linear_combination(
-        weights, contraction_power(linears, power, field), field)
+    chart = np.concatenate((samples[:n_general], np.zeros(n_line, field.dtype),
+                            samples[n_general:n_general + count]))
+    weights = samples[n_general + count:].reshape(2, 1, count)
+    s_powers, t_powers = contraction_power(
+        chart.reshape(2, count), power, field).swapaxes(0, 1)
+    left = field.multiply(s_powers, field.multiplier(weights))
+    table = linear_combination(left.reshape(-1, count), t_powers.T, field)
+    a0, _, a2 = _exponents(3, power).T
+    first, second = table.reshape(2, -1).take(a0 * (power + 1) + a2, axis=1)
     return Form(3, power, field, first), Form(3, power, field, second)
 
 
@@ -521,14 +517,13 @@ def _rank_caps(kind: str, parameter: int) -> tuple[int, ...]:
     most its number of operator rows.  Beyond that:
 
     * Codimension 5: each generator is ``sum_k w_k L_k^[P]``
-      (:func:`linear_combination`), where L_k^[P] is the contraction power
-      of the sampled linear form L_k (:func:`contraction_power`), and
-      contracting it by x^g gives ``sum_k w_k c_k^g L_k^[i]``.  So degree i
-      lies in the span of the n_general powers of general forms and the
-      n_line powers of forms in the last two variables, and the latter lie
-      in the ``i+1`` binary forms of degree i.  With two generators of
-      ``C(P-i+2, 2)`` operators each, the cap is ``min(C(i+2,2),
-      2*C(P-i+2,2), min(n_general, C(i+2,2)) + min(n_line, i+1))``.
+      (:func:`codim5_generators`), and contracting it by x^g gives ``sum_k
+      w_k c_k^g L_k^[i]``.  So degree i lies in the span of the n_general
+      powers of general points and the n_line powers of points on the line
+      x0 = 0, and the latter lie in the ``i+1`` binary forms of degree i.
+      With two generators of ``C(P-i+2, 2)`` operators each, the cap is
+      ``min(C(i+2,2), 2*C(P-i+2,2), min(n_general, C(i+2,2)) + min(n_line,
+      i+1))``, whatever the points, in the chart c1 = 1 or not.
     * thm-e: the truncation spans the ``i+1`` binary monomials of degree i
       (`_TRUNCATION_VARS`), and the sampled form of degree e-1 adds at
       most its ``C(e+1-i, 2)`` operators.
@@ -591,25 +586,27 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     Over QQ the trials run in GF(q), q = 23 726 561, the largest prime
     whose 16-row panels are exact in float64, so ``sweep --chars
     0,23726561`` runs the same trials twice.  Entries are integer
-    polynomials in the samples (contraction powers carry no multinomial
-    factors), so the samples lifted to [0, q) give a QQ witness whose
-    matrices reduce mod q to the trial's, of rank at least the trial's in
-    every degree: a degree the trial proves, at its cap or by the walk, is
-    proved over QQ.
+    polynomials in the samples (sums of w s^a0 t^a2 for codimension 5, as
+    contraction powers carry no multinomial factors), so the samples
+    lifted to [0, q) give a QQ witness whose matrices reduce mod q to the
+    trial's, of rank at least the trial's in every degree: a degree the
+    trial proves, at its cap or by the walk, is proved over QQ.
 
     Otherwise some degree fell short of its cap in every trial, all of
     which ran.  Over QQ the verdict is ``inconclusive``, as a miss mod q
     bounds no miss over QQ.  Over GF(p) an entry of a trial's matrices has
-    degree k in its samples (k = P+1 for the codimension-5 power P, a
-    weight times P linear coefficients; k = 1 for thm-e).  If degree i has
+    degree at most k in its samples (k = P+1 for the codimension-5 power P,
+    w s^a0 t^a2 with a0 + a2 <= P; k = 1 for thm-e).  If degree i has
     generic rank cap_i, some cap_i-minor is a nonzero polynomial of degree
-    at most cap_i*k, so by Schwartz-Zippel (Schwartz, JACM 27, 1980;
-    Zippel, EUROSAM 1979) independent trials drawing uniformly from the p
-    residues all miss degree i with probability at most
-    (cap_i*k/p)**trials.  If the least of these over the short degrees is
-    below 1, the verdict is ``mismatch`` with that bound in ``detail``, as
-    (n/d)**trials so that its digits stay few; otherwise the field is too
-    small to bound a miss and the verdict is ``inconclusive``.
+    at most cap_i*k, nonzero on the chart c1 = 1 too, as the chart reaches
+    a dense open set of witnesses (:func:`codim5_generators`), so by
+    Schwartz-Zippel (Schwartz, JACM 27, 1980; Zippel, EUROSAM 1979)
+    independent trials drawing uniformly from the p residues all miss
+    degree i with probability at most (cap_i*k/p)**trials.  If the least
+    of these over the short degrees is below 1, the verdict is
+    ``mismatch`` with that bound in ``detail``, as (n/d)**trials so that
+    its digits stay few; otherwise the field is too small to bound a miss
+    and the verdict is ``inconclusive``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")

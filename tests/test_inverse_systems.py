@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -75,6 +76,43 @@ def _combination(weights: list, forms: list[Form]) -> Form:
     rows = [g.coeffs.tolist() for g in forms]
     [coeffs] = weighted_sums([weights], rows, f.field.characteristic)
     return Form.from_coefficients(f.num_vars, f.degree, f.field, coeffs)
+
+
+def _chart_sample_count(d: int, parity: str) -> int:
+    """Scalars a codimension-5 trial draws: the s of each general point,
+    the t of every point, then two weights per point."""
+    n_general, n_line = inverse_systems._codim5_counts(d, parity)
+    return n_general + 3 * (n_general + n_line)
+
+
+def _chart_witness(d: int, parity: str, field: FieldSpec,
+                   samples: list) -> tuple[Form, Form]:
+    """Both generators of a codimension-5 trial that draws ``samples``, by
+    the Python-integer oracle: the weighted sums of the contraction powers
+    of its general points (s : 1 : t) and its line points (0 : 1 : t)."""
+    n_general, n_line = inverse_systems._codim5_counts(d, parity)
+    power = inverse_systems._codim5_power(d, parity)
+    count = n_general + n_line
+    points = list(zip(samples[:n_general] + [0] * n_line,
+                      samples[n_general:n_general + count]))
+    powers = {(s, t): _power(field, [s, 1, t], power)
+              for s, t in set(points)}
+    forms = [powers[point] for point in points]
+    weights = samples[n_general + count:]
+    return (_combination(weights[:count], forms),
+            _combination(weights[count:], forms))
+
+
+def _drawn_generators(d: int, parity: str, field: FieldSpec,
+                      samples: list) -> tuple[Form, Form]:
+    """`codim5_generators` with ``samples`` in place of its sampled
+    scalars."""
+    def draw(sample_field, count, seed):
+        assert (sample_field, count) == (field, len(samples))
+        return samples
+
+    with mock.patch.object(inverse_systems, "sample_scalars", draw):
+        return codim5_generators(d, parity, field, seed=0)
 
 
 def test_monomials_order_and_count() -> None:
@@ -290,32 +328,36 @@ def test_witness_matrices_equal_a_lookup_oracle() -> None:
 
 def test_word_prime_overflow_boundary() -> None:
     """At the largest int64-safe prime, every array path equals plain
-    Python integer arithmetic on the same forms."""
+    Python integer arithmetic: power tables, weighted sums, a witness whose
+    points, weights and sums take the boundary residues, and its contraction
+    matrices and ranks."""
     p = 3_037_000_493
     assert p <= _NUMPY_SAFE_MODULUS
     assert not any(is_prime(q) for q in range(p + 1, _NUMPY_SAFE_MODULUS + 1))
     field = FieldSpec(p)
     assert field.dtype is np.int64
     top = p - 1
-    linears = [[top, top, top], [top, top - 1, 1],
-               sample_scalars(field, 3, seed=8)]
-    power = 6
-    powers = inverse_systems.contraction_power(
-        np.array(linears, dtype=np.int64), power, field)
-    assert powers.tolist() == [power_coefficients(c, power, p)
-                               for c in linears]
+    residues = [top, top - 1, 0, 1, *sample_scalars(field, 3, seed=8)]
+    tables = inverse_systems.contraction_power(
+        np.array(residues, dtype=np.int64), 40, field)
+    assert tables.T.tolist() == [[pow(x, j, p) for j in range(41)]
+                                 for x in residues]
     weight_lists = [[top] * 3, [top, 1, top - 1]]
+    rows = tables[:, :3].T
     sums = inverse_systems.linear_combination(
-        np.array(weight_lists, dtype=np.int64), powers, field)
-    assert sums.tolist() == weighted_sums(weight_lists, powers.tolist(), p)
-    generators = [Form(3, power, field, row) for row in sums]
-    for degree in range(power + 1):
+        np.array(weight_lists, dtype=np.int64), rows, field)
+    assert sums.tolist() == weighted_sums(weight_lists, rows.tolist(), p)
+    samples = [residues[k % len(residues)]
+               for k in range(_chart_sample_count(10, "odd"))]
+    generators = _drawn_generators(10, "odd", field, samples)
+    assert generators == _chart_witness(10, "odd", field, samples)
+    lookups = [dict(terms(g)) for g in generators]
+    for degree in (0, 1, 12, 17, 18, 19, 20):
         matrix = contraction_matrix(generators, degree)
         reference = [
-            [contract(op, dict(terms(g))).get(c, 0)
-             for c in descending_monomials(3, degree)]
-            for g in generators
-            for op in descending_monomials(3, power - degree)
+            [row.get(c, 0) for c in descending_monomials(3, degree)]
+            for row in (contract(op, lookup) for lookup in lookups
+                        for op in descending_monomials(3, 20 - degree))
         ]
         assert matrix.entries.tolist() == reference
         assert rank(matrix) == modular_rank(reference, p)
@@ -326,27 +368,43 @@ def test_word_prime_overflow_boundary() -> None:
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_witness_arithmetic_matches_python_integers(data) -> None:
-    """Over the uint64 range, contraction powers and linear combinations
-    equal plain Python-integer arithmetic; residues 0, 1, p - 2 and p - 1
-    make products and sums as large as they can be."""
+    """Over the uint64 range, a codimension-5 witness equals plain
+    Python-integer arithmetic on its points and weights; residues 0, 1,
+    p - 2 and p - 1 make products and sums as large as they can be.  The
+    samples repeat a drawn pool, so points repeat too."""
     p = data.draw(st.sampled_from(WIDE_PRIMES))
     field = FieldSpec(p)
     residue = st.one_of(st.sampled_from((0, 1, p - 2, p - 1)),
                         st.integers(0, p - 1))
-    count = data.draw(st.integers(1, 4))
-    power = data.draw(st.integers(1, 6))
-    linears = data.draw(st.lists(st.lists(residue, min_size=3, max_size=3),
-                                 min_size=count, max_size=count))
-    weights = data.draw(st.lists(
-        st.lists(residue, min_size=count, max_size=count),
-        min_size=1, max_size=3))
-    powers = [power_coefficients(linear, power, p) for linear in linears]
+    parity = data.draw(st.sampled_from(["odd", "even"]))
+    pool = data.draw(st.lists(residue, min_size=1, max_size=12))
+    samples = [pool[k % len(pool)]
+               for k in range(_chart_sample_count(10, parity))]
+    assert _drawn_generators(10, parity, field, samples) == _chart_witness(
+        10, parity, field, samples)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_contraction_power_matches_python_pow(data) -> None:
+    """The doubled power tables, one per power on the first axis, equal
+    Python's ``pow``, 0**0 = 1 included, at the largest int64-safe prime
+    and across the uint64 range, where residues 0, 1, p - 2 and p - 1 make
+    every product as large as it can be."""
+    p = data.draw(st.sampled_from((3_037_000_493, *WIDE_PRIMES)))
+    field = FieldSpec(p)
+    residue = st.one_of(st.sampled_from((0, 1, p - 2, p - 1)),
+                        st.integers(0, p - 1))
+    width = data.draw(st.integers(1, 4))
+    scalars = data.draw(st.lists(st.lists(residue, min_size=width,
+                                          max_size=width),
+                                 min_size=1, max_size=3))
+    power = data.draw(st.integers(0, 45))
     tables = inverse_systems.contraction_power(
-        np.array(linears, dtype=np.uint64), power, field)
-    assert tables.tolist() == powers
-    sums = inverse_systems.linear_combination(
-        np.array(weights, dtype=np.uint64), tables, field)
-    assert sums.tolist() == weighted_sums(weights, powers, p)
+        np.array(scalars, dtype=field.dtype), power, field)
+    assert tables.dtype == field.dtype
+    assert tables.tolist() == [[[pow(x, j, p) for x in row]
+                                for row in scalars] for j in range(power + 1)]
 
 
 @pytest.mark.parametrize("p", [2, 1_000_003, 7_598_543, 7_598_593,
@@ -392,12 +450,13 @@ def test_uint64_fields_keep_uint64_arrays(monkeypatch) -> None:
             np.stack([f.coeffs for f in linears]), 4, field)
         assert powers.dtype == uint64
         assert inverse_systems.linear_combination(
-            field.array([p - 1, 2])[None], powers, field).dtype == uint64
+            field.array([p - 1, 2, 1])[None], powers[:, 0].T,
+            field).dtype == uint64
         samples = np.array([[p - 1, 1, 0], [2, p - 2, 1]], dtype=np.uint64)
         tables = inverse_systems.contraction_power(samples, 5, field)
         assert tables.dtype == uint64
         assert inverse_systems.linear_combination(
-            samples[:, :2], tables, field).dtype == uint64
+            samples, tables[:, 1].T, field).dtype == uint64
     ranked = []
 
     def spy(matrix, cap=None, marks=None, rows=None):
@@ -584,12 +643,14 @@ def _band_walk(generators, ranks) -> set[int]:
 @settings(max_examples=80, deadline=None)
 def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
                                           seed) -> None:
-    """Witnesses built as the trials build them, but from any scalars and
-    in fields too small for a Schwartz-Zippel bound to reach below 1
-    (GF(2) with every scalar 1 among them): no degree's rank exceeds its
-    cap.  The walk a trial runs gives every degree's rank, also where the
-    column-prefix bounds fall short of the caps and lower degrees are
-    ranked, and it ranks no degree the walk without them would not."""
+    """Witnesses built as the trials build them (codimension 5 by the
+    oracle, which `codim5_generators` matches below, so also below d = 10),
+    but from any scalars and in fields too small for a Schwartz-Zippel
+    bound to reach below 1 (GF(2) with every scalar 1 among them): no
+    degree's rank exceeds its cap.  The walk a trial runs gives every
+    degree's rank, also where the column-prefix bounds fall short of the
+    caps and lower degrees are ranked, and it ranks no degree the walk
+    without them would not."""
     field = FieldSpec(p)
     parity = KIND_PARITIES[kind]
     if parity is None:
@@ -601,20 +662,9 @@ def test_exact_rank_never_exceeds_its_cap(kind, parameter, p, mode,
         caps = inverse_systems._rank_caps(kind, e)
     else:
         d = min(parameter, 10)
-        n_general, n_line = inverse_systems._codim5_counts(d, parity)
-        power = inverse_systems._codim5_power(d, parity)
-        count = n_general + n_line
-        values = _witness_scalars(field, 3 * n_general + 2 * n_line
-                                  + 2 * count, mode, seed)
-        coords = [values[3 * k:3 * k + 3] for k in range(n_general)] + [
-            [0, *values[3 * n_general + 2 * k:3 * n_general + 2 * k + 2]]
-            for k in range(n_line)]
-        powers = inverse_systems.contraction_power(
-            np.array(coords, dtype=field.dtype), power, field)
-        weights = np.array(values[len(values) - 2 * count:],
-                           dtype=field.dtype).reshape(2, count)
-        forms = [Form(3, power, field, row) for row in
-                 inverse_systems.linear_combination(weights, powers, field)]
+        values = _witness_scalars(field, _chart_sample_count(d, parity),
+                                  mode, seed)
+        forms = list(_chart_witness(d, parity, field, values))
         generators = forms
         caps = inverse_systems._rank_caps(kind, d)
     ranks = _per_degree_ranks(forms)
@@ -820,36 +870,38 @@ def test_hilbert_monotone_under_generators() -> None:
 
 
 def test_contraction_power_acts_coefficientwise() -> None:
-    linear = GF.array(sample_scalars(GF, 3, seed=77))
-    fifth, cube = (inverse_systems.contraction_power(linear[None], power, GF)
-                   for power in (5, 3))
-    assert fifth.shape == (1, len(monomials(3, 5)))
-    c1, c2, _ = linear.tolist()
-    lowered = _contract_form((1, 1, 0), Form(3, 5, GF, fifth[0]))
+    """The power of a point (s : 1 : t) read from its power tables, s^a0
+    t^a2 at x^a as `codim5_generators` reads them, is the oracle's
+    contraction power, and x0 x1 sends the fifth power to s times the
+    cube."""
+    s, t = sample_scalars(GF, 2, seed=77)
+
+    def power_form(power: int) -> Form:
+        s_powers, t_powers = inverse_systems.contraction_power(
+            GF.array([s, t]), power, GF).T.tolist()
+        return Form.from_coefficients(3, power, GF, [
+            s_powers[a0] * t_powers[a2] for a0, _, a2 in monomials(3, power)])
+
+    fifth, cube = power_form(5), power_form(3)
+    assert fifth == _power(GF, [s, 1, t], 5)
+    lowered = _contract_form((1, 1, 0), fifth)
     expected = Form(3, 3, GF, inverse_systems.linear_combination(
-        GF.array([c1 * c2 % 32003])[None], cube, GF)[0])
+        GF.array([s])[None], cube.coeffs[None], GF)[0])
     assert lowered == expected
 
 
-@pytest.mark.parametrize("field", [FieldSpec(1_000_003),
+@pytest.mark.parametrize("field", [FieldSpec(2), FieldSpec(3), FieldSpec(101),
+                                   FieldSpec(1_000_003),
                                    FieldSpec(2**61 - 1), QQ], ids=str)
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_codim5_generators_combine_their_powers(field, parity) -> None:
     """Each generator is the linear combination, with its sampled weights,
-    of the contraction powers of its own sampled linear forms."""
+    of the contraction powers of its sampled points (s : 1 : t) and
+    (0 : 1 : t).  Small fields make s = 0, t = 0 and repeated points
+    common."""
     d, seed = 10, mix(0, 0)
-    n_general, n_line = inverse_systems._codim5_counts(d, parity)
-    power = 2 * d if parity == "odd" else 2 * d - 1
-    count = n_general + n_line
-    samples = sample_scalars(field, 3 * n_general + 2 * n_line + 2 * count,
-                             seed)
-    coefficients = [samples[3 * k:3 * k + 3] for k in range(n_general)] + [
-        [0, *samples[3 * n_general + 2 * k:3 * n_general + 2 * k + 2]]
-        for k in range(n_line)]
-    powers = [_power(field, c, power) for c in coefficients]
-    weights = samples[-2 * count:]
-    expected = (_combination(weights[:count], powers),
-                _combination(weights[count:], powers))
+    samples = sample_scalars(field, _chart_sample_count(d, parity), seed)
+    expected = _chart_witness(d, parity, field, samples)
     assert codim5_generators(d, parity, field, seed) == expected
 
 
@@ -1107,12 +1159,12 @@ WITNESS_DIGESTS = {
     (KIND_SOCLE_DEGREE, 6, 32003): "f747631c18a750c2",
     (KIND_SOCLE_DEGREE, 6, 2**61 - 1): "3b00dd426826795d",
     (KIND_SOCLE_DEGREE, 6, 0): "1e8e96ffe629e8dc",
-    (KIND_CODIM5_ODD, 10, 32003): "c67dfae1bad7b29b",
-    (KIND_CODIM5_ODD, 10, 2**61 - 1): "cdd218a05f5cbbb4",
-    (KIND_CODIM5_ODD, 10, 0): "e23c2bf749b54780",
-    (KIND_CODIM5_EVEN, 10, 32003): "9a898b4352431b90",
-    (KIND_CODIM5_EVEN, 10, 2**61 - 1): "82e99facb9619ded",
-    (KIND_CODIM5_EVEN, 10, 0): "51c45aa13f38fdcb",
+    (KIND_CODIM5_ODD, 10, 32003): "fca5826f75e71913",
+    (KIND_CODIM5_ODD, 10, 2**61 - 1): "f7d9359e8c50d4ff",
+    (KIND_CODIM5_ODD, 10, 0): "4293b303edd1b689",
+    (KIND_CODIM5_EVEN, 10, 32003): "5d68816dc5970bb3",
+    (KIND_CODIM5_EVEN, 10, 2**61 - 1): "ec0634faa8e96a98",
+    (KIND_CODIM5_EVEN, 10, 0): "b04af24dab524e3e",
 }
 
 
@@ -1128,9 +1180,10 @@ def test_trial_witnesses_are_pinned(kind, parameter, characteristic) -> None:
 
 
 def test_rational_rank_on_codim5_plateau_within_budget() -> None:
-    """The odd d=10 plateau over QQ: entries of about 420 bits and a rank
-    below both dimensions, so only the Hadamard bound can stop the primes
-    (about 900 of them).  Budget: 60 s."""
+    """The odd d=10 plateau over QQ: entries of up to about 420 bits (w
+    s^a0 t^a2 at x^a, about 300 at the median) and a rank below both
+    dimensions, so only the Hadamard bound can stop the primes (about 850
+    of them).  Budget: 60 s."""
     generators = inverse_systems._trial_generators(KIND_CODIM5_ODD, 10, QQ,
                                                    mix(0, 0))
     matrix = contraction_matrix(generators, 12)
