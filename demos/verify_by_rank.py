@@ -85,14 +85,28 @@ print(f"  {KIND_SOCLE_DEGREE} e=6 over GF(2): verdict {report.verdict} "
       f"after {len(report.per_trial)} trials")
 print("  Every trial's rank is capped in every field, so a trial at every")
 print("  cap proves the vector even over GF(2).")
-report = verify_construction(KIND_CODIM5_ODD, 10, FieldSpec(13), seed=0,
-                             trials=5)
-print(f"  {KIND_CODIM5_ODD} d=10 over GF(13): verdict {report.verdict}")
+d, small = 10, FieldSpec(13)
+power = 2 * d  # P for the odd parity: every entry has degree P + 1
+report = verify_construction(KIND_CODIM5_ODD, d, small, seed=0, trials=5)
+print(f"  {KIND_CODIM5_ODD} d={d} over {small}: verdict {report.verdict}")
 print(f"    best   {','.join(map(str, report.best))}")
 print(f"    detail {report.detail}")
-print("  Degree 9 has cap 55, and a 55-minor is a polynomial of degree up to")
-print("  55*21 in the samples, far above the 13 elements of GF(13): the")
+# The figures below are read off this report: the caps are its targets.
+short = [i for i, (b, t) in enumerate(zip(report.best, report.target))
+         if b < t]
+least = min(short, key=report.target.__getitem__)
+cap = report.target[least]
+plateau = max(report.target)
+first = report.target.index(plateau)
+p = small.characteristic
+print(f"  Degree {least} has cap {cap}, and a {cap}-minor is a polynomial of "
+      "degree up to")
+print(f"  {cap}*{power + 1} in the samples, far above the {p} elements of "
+      f"{small}: the")
 print("  Schwartz-Zippel bound on a miss exceeds 1.  In a field large enough")
 print("  for a bound below 1, the same miss would be a mismatch stating it.")
-print("  Here degree 13 cannot reach its cap 69 at all: that needs 14")
-print("  distinct points (0 : 1 : t) on the line, and GF(13) has 13 values t.")
+print(f"  Here degree {first} cannot reach its cap {plateau} at all: that "
+      f"needs {first + 1}")
+print(f"  distinct points (1 : 0 : t) on the line, and {small} has {p} "
+      "values t.")
+assert first in short and first + 1 > p

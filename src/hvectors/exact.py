@@ -9,13 +9,12 @@ Python integers over the rationals.  Products of residues are reduced by
 one % per term in int64, and in uint64 at once with a precomputed
 quotient (Shoup), so that no value wraps (`FieldSpec.multiply`).
 Every rank comes from one modular Gaussian elimination, in place on one
-C-contiguous copy of the matrix laid out long side first, or columns
-first in a caller's order when it asks which columns, and which rows in
-an order of its own, yield a pivot (`rank`), so that every vector it
-walks for a pivot is one contiguous row.  Each pivot is the leftmost
-nonzero of its row, rotated to the front, so the pivots found are the
-row and the column rank profiles at once (Dumas, Pernet and Sultan,
-ISSAC 2013).  It runs over GF(p) directly, and over the rationals
+C-contiguous copy of the matrix laid out long side first, so that every
+vector it walks for a pivot is one contiguous row.  Each pivot is the
+leftmost nonzero of its row, rotated to the front, so the pivots found
+are the row and the column rank profiles at once (Dumas, Pernet and
+Sultan, ISSAC 2013), read in the matrix's own order whichever side was
+walked (`rank`).  It runs over GF(p) directly, and over the rationals
 modulo primes below 2**30, where it reduces its block only every 8
 updates, until a Hadamard bound or a full rank shows the largest rank
 seen exact.  Following Dumas-Giorgi-Pernet (ACM TOMS 35(3), 2008), it
@@ -179,37 +178,25 @@ class FieldSpec:
         """Normalized 1-D array of the given values."""
         return np.array([self.normalize(v) for v in values], dtype=self.dtype)
 
-    def multiplier(self, y) -> np.ndarray:
-        """Scalars ``y`` ready to multiply by in :meth:`multiply`: in a
-        uint64 field y stacked on a last axis with its Shoup quotients
-        (`_shoup_quotients`), in the others y with a last axis of length
-        one.  Index it as ``y``, leaving that axis, so the quotients are
-        computed once for every product taken from them."""
-        y = np.asarray(y, dtype=self.dtype)
-        if self.dtype is np.uint64:
-            return np.stack([y, _shoup_quotients(y, self.characteristic)],
-                            axis=-1)
-        return y[..., None]
-
-    def multiply(self, x: np.ndarray, multiplier: np.ndarray,
+    def multiply(self, x: np.ndarray, y: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``x * y`` over the field, elementwise and broadcast, where
-        ``multiplier`` is :meth:`multiplier` of y and x and y hold the
-        field's scalars.  The result goes to ``out``, which may be x, or to
-        a new array.
+        """``x * y`` over the field, elementwise and broadcast, for arrays
+        x and y of the field's scalars.  The result goes to ``out``, which
+        may be x, or to a new array.
 
         int64 takes one % per product, as a product of two residues fits
         int64 for word primes; over the rationals nothing is reduced.
-        uint64 takes Shoup's product, which stays below 2**64 where
-        ``x * y`` would wrap (`_shoup_product`).
+        uint64 takes Shoup's product, with the quotients of y
+        (`_shoup_quotients`), which stays below 2**64 where ``x * y``
+        would wrap (`_shoup_product`).
         """
         p = self.characteristic
         if self.dtype is not np.uint64:
-            out = np.multiply(x, multiplier[..., 0], out=out)
+            out = np.multiply(x, y, out=out)
             if p:
                 out %= p
             return out
-        t = _shoup_product(x, multiplier[..., 0], multiplier[..., 1], p)
+        t = _shoup_product(x, y, _shoup_quotients(y, p), p)
         if out is None:
             return t
         out[...] = t
@@ -255,7 +242,7 @@ class DenseMatrix:
 
 
 def rank(matrix: DenseMatrix, cap: Optional[int] = None,
-         marks: Optional[list] = None, rows: Optional[list] = None) -> int:
+         profile: Optional[list] = None) -> int:
     """Rank of the matrix over its field; exact and deterministic.  Its
     nonzero rows are ranked, and the matrix is left unchanged: they are
     taken out by a copy only when some row is zero, and the elimination
@@ -266,34 +253,28 @@ def rank(matrix: DenseMatrix, cap: Optional[int] = None,
     in every field, as a rank above it means the proof was wrong, so it
     raises `ArithmeticError` instead of returning.
 
-    ``marks``, when given, lists every column once, in the order the
-    elimination is to walk them, and is cut down in place to the columns
-    that yield a pivot, the ones outside the span of the columns walked
-    before them.  So the marks among the first k columns walked count the
-    rank of those k columns: exactly over GF(p), and over QQ, where they
-    come from the first prime, as a lower bound (`_rank_rational`).
-    ``rows``, given next to ``marks``, lists every row once in an order,
-    and is cut down the same way to the rows outside the span of the rows
-    before them; a zero row never is, and is dropped from it at once.
+    ``profile``, when given, is set to the column and the row rank
+    profiles, ascending: the indices of the columns outside the span of
+    the columns before them, and of the rows outside the span of the rows
+    before them, a zero row never.  So the entries of either below k count
+    the rank of the first k columns or rows: exactly over GF(p), and over
+    QQ, where they come from the first prime, as a lower bound
+    (`_rank_rational`).
     """
-    if marks is not None and len(marks) != matrix.cols:
-        raise ValueError("marks must list every column once")
-    if rows is not None and (marks is None or len(rows) != matrix.rows):
-        raise ValueError("rows must list every row once, next to marks")
     entries = matrix.entries
     nonzero = (entries != 0).any(axis=1)
-    if rows is not None:  # the elimination copies the listed rows alone
-        keep = nonzero.tolist()
-        rows[:] = [row for row in rows if keep[row]]
-    elif not nonzero.all():
+    if not nonzero.all():
         entries = entries[nonzero]
     found = 0
-    if nonzero.any():
+    if len(entries):
         p = matrix.field.characteristic
-        found = (_rank_mod_p(entries, p, marks, rows) if p
-                 else _rank_rational(entries, marks, rows))
-    elif marks:
-        marks.clear()
+        found = (_rank_mod_p(entries, p, profile) if p
+                 else _rank_rational(entries, profile))
+        if profile is not None and not nonzero.all():
+            kept = np.flatnonzero(nonzero).tolist()
+            profile[1] = [kept[row] for row in profile[1]]
+    elif profile is not None:
+        profile[:] = [[], []]
     if cap is not None and found > cap:
         raise ArithmeticError(f"rank {found} exceeds its proved cap {cap}")
     return found
@@ -309,36 +290,32 @@ def _integer_rows(entries) -> list[list[int]]:
     return rows
 
 
-def _rank_rational(entries: np.ndarray, marks: Optional[list] = None,
-                   rows: Optional[list] = None) -> int:
-    """Rank over QQ of nonzero rows, or of the rows listed in ``rows``,
-    proved modulo primes below 2**30, largest first
-    (`_RATIONAL_PRIME_START` says why there).  It serves the matrices users
-    build: a verification over QQ ranks its witnesses in GF(23 726 561)
-    instead (`inverse_systems.verify_construction`).
+def _rank_rational(entries: np.ndarray,
+                   profile: Optional[list] = None) -> int:
+    """Rank over QQ of nonzero rows, proved modulo primes below 2**30,
+    largest first (`_RATIONAL_PRIME_START` says why there).  It serves the
+    matrices users build: a verification over QQ ranks its witnesses in
+    GF(23 726 561) instead (`inverse_systems.verify_construction`).
 
     A rank mod q is at most the rank over QQ (a minor nonzero mod q is a
     nonzero integer), for every set of columns or rows too, so the first
-    prime alone sets ``marks`` and ``rows`` (`rank`), and the largest rank
-    seen, rho, is a lower bound.  It is exact once rho reaches min(rows,
-    cols); then one prime is enough.  Zero rows left in for ``rows`` only
-    delay that: they have zero norm, so the Hadamard bound below is 0 once
-    rho counts every nonzero row.
-    Otherwise rho is exact once the product of the primes used
-    exceeds a Hadamard bound on every (rho+1)-minor, the smaller of the
-    products of the rho+1 largest row and column norms: each prime used
-    gave rank at most rho, so each such minor is a multiple of that
-    product, and smaller than it in absolute value, hence zero.  The norms
-    are computed only once a prime falls short of min(rows, cols), as a
-    rank proved by the first prime never reads them.  Python's % leaves a
-    residue in [0, q) for negative integers too.
+    prime alone sets ``profile`` (`rank`), and the largest rank seen, rho,
+    is a lower bound.  It is exact once rho reaches min(rows, cols); then
+    one prime is enough.  Otherwise rho is exact once the product of the
+    primes used exceeds a Hadamard bound on every (rho+1)-minor, the
+    smaller of the products of the rho+1 largest row and column norms:
+    each prime used gave rank at most rho, so each such minor is a
+    multiple of that product, and smaller than it in absolute value, hence
+    zero.  The norms are computed only once a prime falls short of
+    min(rows, cols), as a rank proved by the first prime never reads them.
+    Python's % leaves a residue in [0, q) for negative integers too.
     """
     integers = np.array(_integer_rows(entries.tolist()), dtype=object)
     norms_sq = None
     best, bound_sq, modulus = -1, 0, 1
     for q in filter(is_prime, range(_RATIONAL_PRIME_START - 1, 2, -2)):
-        found = _rank_mod_p((integers % q).astype(np.int64), q, marks, rows)
-        marks = rows = None
+        found = _rank_mod_p((integers % q).astype(np.int64), q, profile)
+        profile = None
         if found > best:
             best = found
             if best >= min(integers.shape):
@@ -546,23 +523,22 @@ def _matmul_mod_p(x: np.ndarray, y: np.ndarray, p: int,
     return acc
 
 
-def _rank_mod_p(a: np.ndarray, p: int, marks: Optional[list] = None,
-                rows: Optional[list] = None) -> int:
+def _rank_mod_p(a: np.ndarray, p: int,
+                profile: Optional[list] = None) -> int:
     """Rank of a 2-D array of residues mod p held in the dtype of
     ``FieldSpec(p)`` (`FieldSpec.dtype`), which is left unchanged.
 
     It is copied once, C-contiguous and long side first: a tall array's
-    rows as they are, or else its transpose, square too.  With ``marks``
-    (`rank`) the copy is the transpose whatever the shape, its rows the
-    columns of a in the order ``marks`` lists and its columns the rows of
-    a that ``rows`` lists, in that order, or every row.  ``marks`` keeps
-    the columns whose rows yield a pivot, and ``rows`` the rows whose
-    columns are pivots: each pivot is the leftmost nonzero of its row, and
-    the columns not yet pivots stay in order (`_eliminate_panel`).  The
-    copy y is eliminated in place by columns, one panel of rows at a time,
-    each eliminated pivot by pivot, in the manner of Dumas-Giorgi-Pernet:
-    each row walked for a pivot is contiguous, and only the columns right
-    of a panel's pivots are read again.
+    rows as they are, or else its transpose, square too.  The rows of the
+    copy that yield a pivot are its row rank profile, and the pivot
+    columns its column rank profile, as each pivot is the leftmost nonzero
+    of its row and the columns not yet pivots stay in order
+    (`_eliminate_panel`); with ``profile`` (`rank`), they are read back
+    as a's columns and rows, in a's order.  The copy y is eliminated in
+    place by columns, one panel of rows at a time, each eliminated pivot
+    by pivot, in the manner of Dumas-Giorgi-Pernet: each row walked for a
+    pivot is contiguous, and only the columns right of a panel's pivots
+    are read again.
 
     While enough rows remain, a panel is split off: its rows are copied,
     reduced, above as many tracking rows, zero but for a 1 each pivot
@@ -589,10 +565,8 @@ def _rank_mod_p(a: np.ndarray, p: int, marks: Optional[list] = None,
     a panel only the int64 tracking rows, left delayed, are reduced.
     """
     delayed = _float_exact(_PANEL_WIDTH, p)
-    if marks:
-        y = a.T[np.ix_(marks, rows)] if rows else a.T.take(marks, axis=0)
-    else:
-        y = (a if a.shape[0] > a.shape[1] else a.T).copy()
+    tall = a.shape[0] > a.shape[1]
+    y = (a if tall else a.T).copy()
     walked = []
     n, m = y.shape
     b = _PANEL_WIDTH if delayed or n < _LIMB_SHORT_ROWS else _LIMB_PANEL_WIDTH
@@ -624,12 +598,11 @@ def _rank_mod_p(a: np.ndarray, p: int, marks: Optional[list] = None,
     if pending:
         y[c:, r:] %= p
     r += _eliminate_panel(y[c:, r:], n - c, p, walked)
-    if marks:
-        marks[:] = [col for col, j in zip(marks, walked) if j is not None]
-    if rows:
-        left = rows[:]
-        picked = {left.pop(j) for j in walked if j is not None}
-        rows[:] = [row for row in rows if row in picked]
+    if profile is not None:
+        left = list(range(m))
+        pivots = sorted(left.pop(j) for j in walked if j is not None)
+        found = [c for c, j in enumerate(walked) if j is not None]
+        profile[:] = [pivots, found] if tall else [found, pivots]
     return r
 
 

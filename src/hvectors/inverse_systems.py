@@ -19,25 +19,25 @@ degree is free, because the generators' operator syzygies form a
 submodule of a free module, which has no torsion; and a lower or a
 higher degree reaches its cap from the column- or row-prefix ranks of a
 ranked degree's matrix, because contraction has no multinomial factors,
-so a power of a variable maps those columns onto the lower degree's, and
-those rows onto the higher degree's (:func:`_hilbert_ranks`).  On top of
-that sit the randomized drivers that check the constructed level
-h-vectors against actual rank computations, including a characteristic
-sweep.  Each witness bounds its own rank in every degree
-(:func:`_rank_caps`): a rank at its cap is proved, over QQ by a trial in
-GF(23 726 561), and trials at every cap between them end the
-verification; a run whose trials all miss a cap states how likely that
-is for a target that holds (:func:`verify_construction`).  Kinds and
-targets live in :mod:`families`; the witness facts (point counts, powers,
-the truncation's variables) stay here, never derived from them.
+so a power of the first variable maps a prefix of its columns onto the
+lower degree's, and a prefix of its rows onto the higher degree's
+(:func:`_hilbert_ranks`).  On top of that sit the randomized drivers that
+check the constructed level h-vectors against actual rank computations,
+including a characteristic sweep.  Each witness bounds its own rank in
+every degree (:func:`_rank_caps`): a rank at its cap is proved, over QQ
+by a trial in GF(23 726 561), and trials at every cap between them end
+the verification; a run whose trials all miss a cap states how likely
+that is for a target that holds (:func:`verify_construction`).  Kinds
+and targets live in :mod:`families`; the witness facts (point counts,
+powers, the truncation's variables) stay here, never derived from them.
 """
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
 from typing import Optional, Sequence
 
@@ -76,7 +76,9 @@ def _exponents(num_vars: int, degree: int) -> np.ndarray:
     This is the canonical order of dense form storage and of
     contraction-matrix rows and columns.  Each leading exponent h =
     degree..0 heads the block of ``_exponents(num_vars - 1, degree - h)``;
-    two variables need no blocks, as the rows are (h, degree - h).
+    two variables need no blocks, as the rows are (h, degree - h).  So
+    the monomials with a0 >= h are the first ``_monomial_count(num_vars,
+    degree - h)``, x0**h times every monomial of degree - h in order.
     """
     out = np.empty((_monomial_count(num_vars, degree), num_vars),
                    dtype=np.int64, order="F")
@@ -199,15 +201,15 @@ def _check_generators(generators: Sequence[Form]) -> tuple[int, int, FieldSpec]:
 def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
     """Coefficient matrix of the degree-lowering contractions.
 
-    Rows are indexed by (generator, operator monomial of complementary
-    degree), generator-major, columns by the monomials of the target
+    Rows are indexed by (operator monomial of complementary degree,
+    generator), operator-major, columns by the monomials of the target
     degree, in order; the entry is the coefficient of the column monomial
     in the contracted generator.  Its rank is the dimension of the
     generated module in that degree; an operator that divides none of a
     generator's terms gives a zero row, which :func:`rank` drops.  The
     matrix is one ``take`` from the stacked coefficients, at the index of
-    each operator x column product (:func:`_positions`), so its memory is
-    that of the matrix.
+    each operator x column product (:func:`_positions`) plus each
+    generator's offset, so its memory is that of the matrix.
     """
     num_vars, form_degree, field = _check_generators(generators)
     if not 0 <= degree <= form_degree:
@@ -215,9 +217,10 @@ def contraction_matrix(generators: Sequence[Form], degree: int) -> DenseMatrix:
     ops = _exponents(num_vars, form_degree - degree)
     cols = _exponents(num_vars, degree)
     coeffs = np.array([g.coeffs for g in generators], dtype=field.dtype)
-    matrix = coeffs.take(
-        _positions(num_vars, form_degree, ops[:, None], cols[None]), axis=1)
-    return DenseMatrix(field, matrix.reshape(len(generators) * len(ops), -1))
+    offsets = np.arange(0, coeffs.size, coeffs.shape[1])[:, None]
+    index = _positions(num_vars, form_degree, ops[:, None], cols[None])
+    matrix = coeffs.take(index[:, None] + offsets)
+    return DenseMatrix(field, matrix.reshape(-1, len(cols)))
 
 
 def hilbert_function(generators: Sequence[Form]) -> HVector:
@@ -265,31 +268,29 @@ def _hilbert_ranks(generators: Sequence[Form], caps: Sequence[int] = ()
       free module has no torsion, so if K is zero in operator degree s-i
       it is zero in every lower operator degree: a degree of rank
       ``free_i`` makes every higher degree free too.
-    * Columns: contraction has no multinomial factors, so ``x_v^h∘G`` has
-      G's coefficient of x^a at x^(a-h e_v) for every a with a_v >= h.
-      So the rows of degree i's matrix, cut to its columns with a_v >= h,
+    * Columns: contraction has no multinomial factors, so ``x0^h∘G`` has
+      G's coefficient of x^a at x^(a-h e_0) for every a with a0 >= h.
+      So the rows of degree i's matrix, cut to its columns with a0 >= h,
       are rows of degree i-h's, and degree i-h has rank at least that of
-      those columns.  Degree i is eliminated with its columns walked by
-      a_v, largest first (:func:`_walk`), marking each column that yields
-      a pivot, so the marks with a_v >= h count that rank for every h at
-      once.  A degree whose bound reaches its cap is proved without a
-      rank, and a bound above its cap raises `ArithmeticError`, as
-      :func:`rank` does.  In a codimension-5 trial every point has
-      coordinate 1 at v = 1 (:func:`codim5_generators`), so once a
-      degree's rank is the number N of points, its bounds are the Hilbert
-      function of the points, the true rank, in every lower degree.  A
-      full degree marks every column, full_{i-h} of them with a_v >= h,
-      so every lower degree is proved full from its bound.
-    * Rows: by the same identity, the rows (g, b) of degree i's matrix
-      with b_v >= h are the rows (g, b-h e_v) of degree i+h's, cut to its
-      columns a+h e_v.  So degree i+h has rank at least that of those
-      rows.  When its cap is below ``free_i``, so that some degree above
-      may be open, degree i is eliminated with its rows walked by b_v,
-      largest first (:func:`_walk` of the operators), marking each row
-      that yields a pivot, and the marks with b_v >= h bound degree i+h
-      for every h at once.  In a codimension-5 trial a degree of rank N
-      spans the N independent powers of the points, so these bounds are
-      the true rank of every higher degree.
+      those columns, the first ``full_{i-h}`` in storage order
+      (:func:`_exponents`).  The elimination of degree i gives its column
+      rank profile (:func:`rank`), so the profile's entries below
+      ``full_{i-h}`` count that rank for every h at once.  A degree whose
+      bound reaches its cap is proved without a rank, and a bound above
+      its cap raises `ArithmeticError`, as :func:`rank` does.  In a
+      codimension-5 trial every point has coordinate 1 at x0
+      (:func:`codim5_generators`), so once a degree's rank is the number N
+      of points, its bounds are the Hilbert function of the points, the
+      true rank, in every lower degree.  A full degree's profile holds
+      every column, so every lower degree is proved full from its bound.
+    * Rows: by the same identity, the rows (b, g) of degree i's matrix
+      with b0 >= h are the rows (b-h e_0, g) of degree i+h's, cut to its
+      columns a+h e_0.  So degree i+h has rank at least that of those
+      rows, the first ``free_{i+h}`` as the rows are operator-major
+      (:func:`contraction_matrix`), and the row rank profile's entries
+      below it count that rank for every h at once.  In a codimension-5
+      trial a degree of rank N spans the N independent powers of the
+      points, so these bounds are the true rank of every higher degree.
 
     The walk ranks the last degree of largest cap (for a codimension-5
     trial the last degree of its plateau N, for thm-e's contracted form
@@ -308,30 +309,15 @@ def _hilbert_ranks(generators: Sequence[Form], caps: Sequence[int] = ()
     bounds = [0] * len(degrees)
     seconds = [0.0] * len(degrees)
 
-    def raise_bounds(targets, depths, top: int) -> None:
-        counts = [0] * (top + 1)
-        for depth in depths:
-            counts[depth] += 1
-        # The k-th partial sum counts the pivots of depth at least top - k.
-        for j, bound in zip(targets, accumulate(reversed(counts))):
-            bounds[j] = max(bounds[j], bound)
-
     def rank_degree(i: int) -> None:
         start = time.perf_counter()
-        matrix = contraction_matrix(generators, i)
-        order, depth = _walk(num_vars, i)
-        marks = list(order)
-        rows = None
-        if caps[i] < free[i]:
-            ops, op_depth = _walk(num_vars, form_degree - i)
-            rows = [g * len(ops) + o for o in ops
-                    for g in range(len(generators))]
-        ranks[i] = rank(matrix, caps[i], marks, rows)
-        raise_bounds(range(i), map(depth.__getitem__, marks), i)
-        if rows:
-            raise_bounds(range(form_degree, i, -1),
-                         (op_depth[row % len(ops)] for row in rows),
-                         form_degree - i)
+        profile = []
+        ranks[i] = rank(contraction_matrix(generators, i), caps[i], profile)
+        cols, rows = profile
+        for j in range(i):
+            bounds[j] = max(bounds[j], bisect_left(cols, full[j]))
+        for j in range(i + 1, form_degree + 1):
+            bounds[j] = max(bounds[j], bisect_left(rows, free[j]))
         seconds[i] = time.perf_counter() - start
 
     def settle(i: int) -> None:
@@ -354,21 +340,6 @@ def _hilbert_ranks(generators: Sequence[Form], caps: Sequence[int] = ()
         low -= 1
         settle(low)
     return tuple(ranks), seconds
-
-
-@lru_cache(maxsize=None)
-def _walk(num_vars: int, degree: int
-          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The monomials of the degree in the order :func:`_hilbert_ranks`
-    walks them, as the columns of a contraction matrix or as its
-    operators, and each one's exponent of the variable v that orders
-    them, largest first: v is 1, or 0 with one variable.  Built in
-    Python: the first ``argsort`` or ``cumsum`` adds 0.1 MiB of numpy code
-    to RSS."""
-    v = 1 if num_vars > 1 else 0
-    depth = tuple(a[v] for a in _exponents(num_vars, degree).tolist())
-    order = sorted(range(len(depth)), key=depth.__getitem__, reverse=True)
-    return tuple(order), depth
 
 
 def linear_combination(weights: np.ndarray, rows: np.ndarray,
@@ -394,7 +365,7 @@ def contraction_power(scalars: np.ndarray, power: int,
     k = 1
     while k < power:
         width = min(k, power - k)
-        field.multiply(out[1:width + 1], field.multiplier(out[k]),
+        field.multiply(out[1:width + 1], out[k],
                        out=out[k + 1:k + width + 1])
         k *= 2
     return out
@@ -423,18 +394,18 @@ def codim5_generators(
 ) -> tuple[Form, Form]:
     """Two random generators for the codimension-5 level module: ``sum_k
     w_k L_k^[P]`` with random weights over C(d+1,2) general points and d+4
-    (odd) or d+3 (even) points on the line x0 = 0, P = 2d (odd) or 2d-1.
+    (odd) or d+3 (even) points on the line x1 = 0, P = 2d (odd) or 2d-1.
     L^[P], the contraction power of L = c0 x0 + c1 x1 + c2 x2, has c^a at
     x^a, with no multinomial factors, so x^b contracts it to c^b L^[P-|b|]
     over every field, as classical powers differentiate in characteristic
-    zero.  Points are sampled in the chart c1 = 1, general ones as (s : 1 :
-    t) and line ones as (0 : 1 : t).  As (λc)^[P] = λ^P c^[P] and a weight
-    absorbs λ^P, the chart reaches the witnesses of every point with c1 !=
+    zero.  Points are sampled in the chart c0 = 1, general ones as (1 : s :
+    t) and line ones as (1 : 0 : t).  As (λc)^[P] = λ^P c^[P] and a weight
+    absorbs λ^P, the chart reaches the witnesses of every point with c0 !=
     0, a dense open set, in every field.  The coefficient at x^a is ``sum_k
-    w_k s_k^a0 t_k^a2``: both generators are one product
+    w_k s_k^a1 t_k^a2``: both generators are one product
     (:func:`linear_combination`) of the weights times the s-powers, 2(P+1)
     x count, by the t-powers, count x (P+1) (:func:`contraction_power`),
-    read at a0 (P+1) + a2.  Fully determined by (d, parity, field, seed).
+    read at a1 (P+1) + a2.  Fully determined by (d, parity, field, seed).
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
@@ -451,10 +422,10 @@ def codim5_generators(
     weights = samples[n_general + count:].reshape(2, 1, count)
     s_powers, t_powers = contraction_power(
         chart.reshape(2, count), power, field).swapaxes(0, 1)
-    left = field.multiply(s_powers, field.multiplier(weights))
+    left = field.multiply(s_powers, weights)
     table = linear_combination(left.reshape(-1, count), t_powers.T, field)
-    a0, _, a2 = _exponents(3, power).T
-    first, second = table.reshape(2, -1).take(a0 * (power + 1) + a2, axis=1)
+    _, a1, a2 = _exponents(3, power).T
+    first, second = table.reshape(2, -1).take(a1 * (power + 1) + a2, axis=1)
     return Form(3, power, field, first), Form(3, power, field, second)
 
 
@@ -520,10 +491,10 @@ def _rank_caps(kind: str, parameter: int) -> tuple[int, ...]:
       (:func:`codim5_generators`), and contracting it by x^g gives ``sum_k
       w_k c_k^g L_k^[i]``.  So degree i lies in the span of the n_general
       powers of general points and the n_line powers of points on the line
-      x0 = 0, and the latter lie in the ``i+1`` binary forms of degree i.
+      x1 = 0, and the latter lie in the ``i+1`` binary forms of degree i.
       With two generators of ``C(P-i+2, 2)`` operators each, the cap is
       ``min(C(i+2,2), 2*C(P-i+2,2), min(n_general, C(i+2,2)) + min(n_line,
-      i+1))``, whatever the points, in the chart c1 = 1 or not.
+      i+1))``, whatever the points, in the chart c0 = 1 or not.
     * thm-e: the truncation spans the ``i+1`` binary monomials of degree i
       (`_TRUNCATION_VARS`), and the sampled form of degree e-1 adds at
       most its ``C(e+1-i, 2)`` operators.
@@ -586,7 +557,7 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     Over QQ the trials run in GF(q), q = 23 726 561, the largest prime
     whose 16-row panels are exact in float64, so ``sweep --chars
     0,23726561`` runs the same trials twice.  Entries are integer
-    polynomials in the samples (sums of w s^a0 t^a2 for codimension 5, as
+    polynomials in the samples (sums of w s^a1 t^a2 for codimension 5, as
     contraction powers carry no multinomial factors), so the samples
     lifted to [0, q) give a QQ witness whose matrices reduce mod q to the
     trial's, of rank at least the trial's in every degree: a degree the
@@ -596,9 +567,9 @@ def verify_construction(kind: str, parameter: int, field: FieldSpec,
     which ran.  Over QQ the verdict is ``inconclusive``, as a miss mod q
     bounds no miss over QQ.  Over GF(p) an entry of a trial's matrices has
     degree at most k in its samples (k = P+1 for the codimension-5 power P,
-    w s^a0 t^a2 with a0 + a2 <= P; k = 1 for thm-e).  If degree i has
+    w s^a1 t^a2 with a1 + a2 <= P; k = 1 for thm-e).  If degree i has
     generic rank cap_i, some cap_i-minor is a nonzero polynomial of degree
-    at most cap_i*k, nonzero on the chart c1 = 1 too, as the chart reaches
+    at most cap_i*k, nonzero on the chart c0 = 1 too, as the chart reaches
     a dense open set of witnesses (:func:`codim5_generators`), so by
     Schwartz-Zippel (Schwartz, JACM 27, 1980; Zippel, EUROSAM 1979)
     independent trials drawing uniformly from the p residues all miss

@@ -118,7 +118,7 @@ def test_field_axioms_on_samples(field: FieldSpec) -> None:
         return field.array([u + v for u, v in zip(x.tolist(), y.tolist())])
 
     def mul(x, y):
-        return field.multiply(x, field.multiplier(y))
+        return field.multiply(x, y)
 
     assert np.array_equal(add(a, b), add(b, a))
     assert np.array_equal(add(add(a, b), c), add(a, add(b, c)))
@@ -226,9 +226,9 @@ def test_rational_rank_survives_unlucky_prime(monkeypatch) -> None:
     assert _reduction_budget(first) >= 8
     primes = []
 
-    def recording(a, p, marks=None, rows=None):
+    def recording(a, p, profile=None):
         primes.append(p)
-        return _rank_mod_p(a, p, marks, rows)
+        return _rank_mod_p(a, p, profile)
 
     monkeypatch.setattr(exact, "_rank_mod_p", recording)
     # Determinant `first`: rank 1 modulo the first prime, 2 modulo the next.
@@ -252,9 +252,9 @@ def test_rational_rank_cap_is_only_a_check(monkeypatch) -> None:
     matrix = DenseMatrix.from_rows(QQ, product)
     primes = []
 
-    def recording(a, p, marks=None, rows=None):
+    def recording(a, p, profile=None):
         primes.append(p)
-        return _rank_mod_p(a, p, marks, rows)
+        return _rank_mod_p(a, p, profile)
 
     monkeypatch.setattr(exact, "_rank_mod_p", recording)
     assert rank(matrix) == 3
@@ -741,35 +741,30 @@ def test_panel_updates_reduce_at_a_cut_budget(monkeypatch, budget) -> None:
         assert _rank_mod_p(np.array(matrix, dtype=np.int64), p) == expected
 
 
-def _profile_rows(rng: random.Random, p: int, rows: int, cols: int,
-                  pivots: int) -> tuple[list[list[int]], list[int]]:
-    """A matrix and a random order of its columns in which the columns at
-    ``pivots`` random positions are random and every other one is zero or
-    a combination of up to 3 before it, so that the columns which yield a
-    pivot spread over every panel of the walk; its last row is zero."""
-    order = rng.sample(range(cols), cols)
+def _profile_columns(rng: random.Random, p: int, rows: int,
+                     cols: int, pivots: int) -> list[list[int]]:
+    """A matrix whose columns at ``pivots`` random positions are random and
+    every other one is zero or a combination of up to 3 before it, so that
+    the columns outside the span of those before them spread over every
+    panel of the elimination; its last row is zero."""
     fresh = set(rng.sample(range(cols), pivots))
-    walked = []
+    columns = []
     for t in range(cols):
-        if t in fresh or not walked:
+        if t in fresh or not columns:
             column = [rng.randrange(p) if p else rng.randint(-9, 9)
-                      for _ in range(rows)]
+                      for _ in range(rows - 1)]
         elif rng.random() < 0.2:
-            column = [0] * rows
+            column = [0] * (rows - 1)
         else:
-            basis = rng.sample(walked, min(3, len(walked)))
+            basis = rng.sample(columns, min(3, len(columns)))
             weights = [rng.choice((1, p - 1, rng.randrange(p))) if p
                        else rng.randint(-3, 3) for _ in basis]
             column = [sum(w * c[i] for w, c in zip(weights, basis))
-                      for i in range(rows)]
+                      for i in range(rows - 1)]
             if p:
                 column = [v % p for v in column]
-        walked.append(column)
-    matrix = [[0] * cols for _ in range(rows)]
-    for t, col in enumerate(order):
-        for i in range(rows - 1):
-            matrix[i][col] = walked[t][i]
-    return matrix, order
+        columns.append(column)
+    return [list(row) for row in zip(*columns)] + [[0] * cols]
 
 
 @pytest.mark.parametrize("p", [2, 1_000_003, _NEXT_PRIME, 2**31 - 1,
@@ -779,78 +774,88 @@ def _profile_rows(rng: random.Random, p: int, rows: int, cols: int,
 @pytest.mark.parametrize("cols", [_SPLIT_ROWS - 1, _SPLIT_ROWS + 1,
                                   _LIMB_SHORT_ROWS - 1, _LIMB_SHORT_ROWS + 1])
 def test_pivot_marks_count_the_rank_of_every_prefix(p: int, cols: int) -> None:
-    """`rank` walks the columns in the order ``marks`` lists, on every
-    elimination path and with the walk on both sides of `_SPLIT_ROWS` and
-    `_LIMB_SHORT_ROWS`, and keeps the columns that yield a pivot: the marks
-    among the first k columns walked are the rank of those columns over
-    GF(p), and over QQ at most it.  The count is constant between marks,
-    and a prefix's rank never falls and rises by at most one per column,
-    so the prefixes that end just before and just after each mark cover
-    every prefix.  Rank 6 leaves rows without a pivot; rank 9, every row
-    but the zero one, ends the walk before its last column.
+    """`rank` sets ``profile`` to the column and the row rank profiles, on
+    every elimination path and with the long side on both sides of
+    `_SPLIT_ROWS` and `_LIMB_SHORT_ROWS`: the entries of either below k
+    are the rank of the first k columns or rows over GF(p), and over QQ at
+    most it.  The count is constant between entries, and a prefix's rank
+    never falls and rises by at most one per column or row, so the
+    prefixes that end just before and just after each entry cover every
+    prefix.  Rank 6 leaves rows without a pivot; rank 9, every row but the
+    zero one, ends the walk before its last column.
 
+    The 10 x cols matrix is wide, so the elimination walks its columns and
+    reads its rows back from the pivot columns of its copy; its transpose
+    is tall, so the elimination walks its rows and reads its columns back.
     The same columns, as the rows of a square matrix times a 10 x cols
     matrix of full row rank, which keeps the rank of every set of them,
-    are listed in ``rows`` in the same order, with zero rows among them;
-    the square matrix is walked on both sides of the panel splits too, and
-    the rows it keeps count the rank of every prefix of the order alike.
-    Over GF(2) its rows are often zero at the next row of the order but
-    not at a later one, so a pivot search that did not keep the rows left
-    in order, such as a swap to the front, would keep other rows."""
+    are read back from the pivot columns of a long side: over GF(2) its
+    rows are often zero at the next row but not at a later one, so a pivot
+    search that did not keep the columns left in order, such as a swap to
+    the front, would read other rows."""
     field = FieldSpec(p)
     rng = random.Random(p + cols)
     for pivots in (6, 12):
-        matrix, order = _profile_rows(rng, p, 10, cols, pivots)
-        dense = DenseMatrix.from_rows(field, matrix)
-        marks = list(order)
-        found = rank(dense, marks=marks)
-        assert found == rank(dense) == _oracle_rank(field, matrix)
-        assert dense.entries.tolist() == matrix
+        matrix = _profile_columns(rng, p, 10, cols, pivots)
+        transpose = [list(column) for column in zip(*matrix)]
         right = [[rng.randrange(p) if p else rng.randint(-9, 9)
                   for _ in range(cols)] for _ in range(10)]
         assert _oracle_rank(field, right) == 10
         square = [[sum(a * b for a, b in zip(column, other))
-                   for other in zip(*right)] for column in zip(*matrix)]
-        square = DenseMatrix.from_rows(field, square)
-        rows, walk = list(order), rng.sample(range(cols), cols)
-        assert rank(square, marks=walk, rows=rows) == found
-        assert rows and rows != order and len(walk) == len(rows)
-        oracle = {}
-        for picked in (marks, rows):
-            positions = [order.index(col) for col in picked]
-            assert positions == sorted(positions)
-            for k in sorted({0, cols, *positions,
-                             *(t + 1 for t in positions)}):
-                if k not in oracle:
-                    oracle[k] = _oracle_rank(field, [
-                        [row[col] for col in order[:k]] for row in matrix])
-                count = sum(t < k for t in positions)
-                assert count == oracle[k] if p else count <= oracle[k]
+                   for other in zip(*right)] for column in transpose]
+        if p:
+            square = [[v % p for v in row] for row in square]
+        oracles = {}
+
+        def prefix_rank(rows, k):
+            if (id(rows), k) not in oracles:
+                oracles[id(rows), k] = _oracle_rank(field, rows[:k])
+            return oracles[id(rows), k]
+
+        found = _oracle_rank(field, matrix)
+        for entries, sides in ((matrix, (transpose, matrix)),
+                               (transpose, (matrix, transpose)),
+                               (square, (None, transpose))):
+            dense = DenseMatrix.from_rows(field, entries)
+            profile = []
+            assert rank(dense, profile=profile) == rank(dense) == found
+            assert dense.entries.tolist() == entries
+            assert len(profile) == 2
+            for picked, rows in zip(profile, sides):
+                assert picked == sorted(set(picked))
+                assert len(picked) == found if p else len(picked) <= found
+                if rows is None:
+                    continue
+                for k in sorted({0, len(rows), *picked,
+                                 *(t + 1 for t in picked)}):
+                    count = sum(t < k for t in picked)
+                    oracle = prefix_rank(rows, k)
+                    assert count == oracle if p else count <= oracle
 
 
 def test_pivot_marks_of_degenerate_matrices() -> None:
-    """Over QQ the marks come from the first prime alone, which makes a
+    """Over QQ the profiles come from the first prime alone, which makes a
     column vanish here, so they undercount the prefix it ends; a matrix of
-    zero rows marks no column and no row; marks that do not list every
-    column, and rows that do not list every row or come without marks,
-    are refused."""
+    zero rows has two empty profiles, and a zero row is in neither, while
+    the row profile counts the other rows by their place in the matrix,
+    wide or tall."""
     first = next(q for q in range(_RATIONAL_PRIME_START, 2, -1)
                  if is_prime(q))
     matrix = DenseMatrix.from_rows(QQ, [[first, 0, 1], [0, 1, 1]])
-    marks = [0, 1, 2]
-    assert rank(matrix, marks=marks) == 2
-    assert marks == [1, 2]
+    profile = []
+    assert rank(matrix, profile=profile) == 2
+    assert profile == [[1, 2], [0, 1]]
     for field in (GF, QQ):
-        marks, rows = [2, 0, 1], [1, 0]
+        profile = [[0], [0]]
         assert rank(DenseMatrix.from_rows(field, [[0, 0, 0]] * 2),
-                    marks=marks, rows=rows) == 0
-        assert marks == rows == []
-        with pytest.raises(ValueError, match="every column once"):
-            rank(DenseMatrix.from_rows(field, [[1, 2, 3]]), marks=[0, 1])
-        for marks, rows in (([0, 1, 2], [0, 1]), (None, [0])):
-            with pytest.raises(ValueError, match="every row once"):
-                rank(DenseMatrix.from_rows(field, [[1, 2, 3]]), marks=marks,
-                     rows=rows)
+                    profile=profile) == 0
+        assert profile == [[], []]
+        wide = [[0, 0, 0], [0, 2, 0], [0, 0, 0], [0, 4, 1]]
+        assert rank(DenseMatrix.from_rows(field, wide), profile=profile) == 2
+        assert profile == [[1, 2], [1, 3]]
+        tall = [[0, 0], [1, 2], [0, 0], [2, 4], [3, 5]]
+        assert rank(DenseMatrix.from_rows(field, tall), profile=profile) == 2
+        assert profile == [[0, 1], [1, 4]]
 
 
 def test_field_dtype_by_prime() -> None:

@@ -89,13 +89,13 @@ def _chart_witness(d: int, parity: str, field: FieldSpec,
                    samples: list) -> tuple[Form, Form]:
     """Both generators of a codimension-5 trial that draws ``samples``, by
     the Python-integer oracle: the weighted sums of the contraction powers
-    of its general points (s : 1 : t) and its line points (0 : 1 : t)."""
+    of its general points (1 : s : t) and its line points (1 : 0 : t)."""
     n_general, n_line = inverse_systems._codim5_counts(d, parity)
     power = inverse_systems._codim5_power(d, parity)
     count = n_general + n_line
     points = list(zip(samples[:n_general] + [0] * n_line,
                       samples[n_general:n_general + count]))
-    powers = {(s, t): _power(field, [s, 1, t], power)
+    powers = {(s, t): _power(field, [1, s, t], power)
               for s, t in set(points)}
     forms = [powers[point] for point in points]
     weights = samples[n_general + count:]
@@ -285,15 +285,15 @@ def _generators_and_degree(draw):
 @given(_generators_and_degree())
 @settings(max_examples=120, deadline=None)
 def test_contraction_matrix_agrees_with_contract(case) -> None:
-    """The matrix is the oracle's full matrix, one row per (generator,
-    operator), generator-major, and its rank is the full matrix's."""
+    """The matrix is the oracle's full matrix, one row per (operator,
+    generator), operator-major, and its rank is the full matrix's."""
     generators, degree = case
     field = generators[0].field
     num_vars, form_degree = generators[0].num_vars, generators[0].degree
     full = [[contract(op, dict(terms(g))).get(c, 0)
              for c in descending_monomials(num_vars, degree)]
-            for g in generators
-            for op in descending_monomials(num_vars, form_degree - degree)]
+            for op in descending_monomials(num_vars, form_degree - degree)
+            for g in generators]
     matrix = contraction_matrix(generators, degree)
     assert matrix.entries.tolist() == full
     expected_rank = (modular_rank(full, field.characteristic)
@@ -302,11 +302,33 @@ def test_contraction_matrix_agrees_with_contract(case) -> None:
     assert matrix.cols == len(monomials(num_vars, degree))
 
 
+def test_storage_order_puts_every_prefix_bound_first() -> None:
+    """The prefix bounds of `_hilbert_ranks` are read in storage order: the
+    first C(d-h+n-1, n-1) rows of `_exponents(n, d)` have a0 >= h and the
+    rest a0 < h, and `contraction_matrix` is operator-major, row k*g + j
+    contracting form j of g by operator k, so the rows whose operator has
+    b0 >= h come first too."""
+    for n in range(1, 6):
+        for d in range(9):
+            a0 = inverse_systems._exponents(n, d)[:, 0].tolist()
+            for h in range(d + 1):
+                count = comb(d - h + n - 1, n - 1)
+                assert min(a0[:count]) >= h
+                assert all(a < h for a in a0[count:])
+    forms = [_random_form(3, 5, GF, seed=seed) for seed in (11, 12, 13)]
+    for degree in range(6):
+        matrix = contraction_matrix(forms, degree).entries.tolist()
+        for k, op in enumerate(monomials(3, 5 - degree)):
+            for j, form in enumerate(forms):
+                assert matrix[k * len(forms) + j] == _contract_form(
+                    op, form).coeffs.tolist()
+
+
 def test_witness_matrices_equal_a_lookup_oracle() -> None:
     """Every degree of real witnesses, thm-r of powers 23 (d=12 even) and
     32 (d=16 odd) and thm-e e=22, over a word prime, a uint64 prime and
     the prime QQ trials run in, equals the entry-by-entry lookup of
-    operator x column among each generator's terms."""
+    operator x column among each generator's terms, operator-major."""
     fields = [FieldSpec(p) for p in (1_000_003, 2**61 - 1, 23_726_561)]
     for kind, parameter in ((KIND_CODIM5_EVEN, 12), (KIND_CODIM5_ODD, 16),
                             (KIND_SOCLE_DEGREE, 22)):
@@ -321,7 +343,7 @@ def test_witness_matrices_equal_a_lookup_oracle() -> None:
             for generators in witnesses:
                 lookups = [dict(terms(g)) for g in generators]
                 expected = [[coeffs.get(m, 0) for m in row]
-                            for coeffs in lookups for row in products]
+                            for row in products for coeffs in lookups]
                 matrix = contraction_matrix(generators, degree)
                 assert matrix.entries.tolist() == expected
 
@@ -356,8 +378,9 @@ def test_word_prime_overflow_boundary() -> None:
         matrix = contraction_matrix(generators, degree)
         reference = [
             [row.get(c, 0) for c in descending_monomials(3, degree)]
-            for row in (contract(op, lookup) for lookup in lookups
-                        for op in descending_monomials(3, 20 - degree))
+            for row in (contract(op, lookup)
+                        for op in descending_monomials(3, 20 - degree)
+                        for lookup in lookups)
         ]
         assert matrix.entries.tolist() == reference
         assert rank(matrix) == modular_rank(reference, p)
@@ -459,9 +482,9 @@ def test_uint64_fields_keep_uint64_arrays(monkeypatch) -> None:
             samples, tables[:, 1].T, field).dtype == uint64
     ranked = []
 
-    def spy(matrix, cap=None, marks=None, rows=None):
+    def spy(matrix, cap=None, profile=None):
         ranked.append(matrix.entries.dtype)
-        return rank(matrix, cap, marks, rows)
+        return rank(matrix, cap, profile)
 
     monkeypatch.setattr(inverse_systems, "rank", spy)
     for kind, parameter in ((KIND_CODIM5_EVEN, 10), (KIND_SOCLE_DEGREE, 8)):
@@ -782,8 +805,8 @@ def test_no_trial_ranks_a_degree_the_band_walk_would_not(
 
 
 def test_a_prefix_bound_above_its_cap_raises() -> None:
-    """Three fourth powers of linear forms with nonzero y coordinates:
-    degree 2's columns divisible by y have rank 3, a bound on degree 1
+    """Three fourth powers of linear forms with nonzero x coordinates:
+    degree 2's columns divisible by x have rank 3, a bound on degree 1
     that a cap of 2 there contradicts, as a rank above its cap does."""
     field = FieldSpec(101)
     form = _combination([1, 1, 1], [_power(field, c, 4) for c in
@@ -796,11 +819,10 @@ def test_a_prefix_bound_above_its_cap_raises() -> None:
 
 def test_a_row_prefix_bound_above_its_cap_raises() -> None:
     """The same three fourth powers: degree 2, the last of the largest
-    cap, is ranked with its rows walked by their operator's exponent of y,
-    as its cap is below its 6 operators; the rows whose operator y divides
-    have rank 3, the columns of degree 3 they map to, a bound that proves
-    degree 3 at a cap of 3 and contradicts a cap of 2, as a rank above its
-    cap does."""
+    cap, is ranked, and its row rank profile read; the rows whose operator
+    x divides have rank 3, the columns of degree 3 they map to, a bound
+    that proves degree 3 at a cap of 3 and contradicts a cap of 2, as a
+    rank above its cap does."""
     field = FieldSpec(101)
     form = _combination([1, 1, 1], [_power(field, c, 4) for c in
                                     ([1, 1, 1], [1, 2, 3], [2, 1, 5])])
@@ -826,9 +848,9 @@ def test_thm_e_ranks_its_form_on_the_columns_outside_the_truncation(
         built.append(([g.degree for g in generators], degree))
         return build(generators, degree)
 
-    def record_rank(matrix, cap=None, marks=None, rows=None):
+    def record_rank(matrix, cap=None, profile=None):
         shapes.append((matrix.rows, matrix.cols))
-        return rank(matrix, cap, marks, rows)
+        return rank(matrix, cap, profile)
 
     monkeypatch.setattr(inverse_systems, "contraction_matrix", record_build)
     monkeypatch.setattr(inverse_systems, "rank", record_rank)
@@ -870,7 +892,7 @@ def test_hilbert_monotone_under_generators() -> None:
 
 
 def test_contraction_power_acts_coefficientwise() -> None:
-    """The power of a point (s : 1 : t) read from its power tables, s^a0
+    """The power of a point (1 : s : t) read from its power tables, s^a1
     t^a2 at x^a as `codim5_generators` reads them, is the oracle's
     contraction power, and x0 x1 sends the fifth power to s times the
     cube."""
@@ -880,10 +902,10 @@ def test_contraction_power_acts_coefficientwise() -> None:
         s_powers, t_powers = inverse_systems.contraction_power(
             GF.array([s, t]), power, GF).T.tolist()
         return Form.from_coefficients(3, power, GF, [
-            s_powers[a0] * t_powers[a2] for a0, _, a2 in monomials(3, power)])
+            s_powers[a1] * t_powers[a2] for _, a1, a2 in monomials(3, power)])
 
     fifth, cube = power_form(5), power_form(3)
-    assert fifth == _power(GF, [s, 1, t], 5)
+    assert fifth == _power(GF, [1, s, t], 5)
     lowered = _contract_form((1, 1, 0), fifth)
     expected = Form(3, 3, GF, inverse_systems.linear_combination(
         GF.array([s])[None], cube.coeffs[None], GF)[0])
@@ -896,8 +918,8 @@ def test_contraction_power_acts_coefficientwise() -> None:
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_codim5_generators_combine_their_powers(field, parity) -> None:
     """Each generator is the linear combination, with its sampled weights,
-    of the contraction powers of its sampled points (s : 1 : t) and
-    (0 : 1 : t).  Small fields make s = 0, t = 0 and repeated points
+    of the contraction powers of its sampled points (1 : s : t) and
+    (1 : 0 : t).  Small fields make s = 0, t = 0 and repeated points
     common."""
     d, seed = 10, mix(0, 0)
     samples = sample_scalars(field, _chart_sample_count(d, parity), seed)
@@ -1071,9 +1093,9 @@ def test_verify_over_qq_ranks_its_trials_in_gf_23726561(monkeypatch) -> None:
     q = FieldSpec(23_726_561)
     ranked = []
 
-    def spy(matrix, cap=None, marks=None, rows=None):
+    def spy(matrix, cap=None, profile=None):
         ranked.append((matrix.field, matrix.entries.dtype))
-        return rank(matrix, cap, marks, rows)
+        return rank(matrix, cap, profile)
 
     def refuse(entries):
         raise AssertionError("a verification ranked over QQ")
@@ -1159,12 +1181,12 @@ WITNESS_DIGESTS = {
     (KIND_SOCLE_DEGREE, 6, 32003): "f747631c18a750c2",
     (KIND_SOCLE_DEGREE, 6, 2**61 - 1): "3b00dd426826795d",
     (KIND_SOCLE_DEGREE, 6, 0): "1e8e96ffe629e8dc",
-    (KIND_CODIM5_ODD, 10, 32003): "fca5826f75e71913",
-    (KIND_CODIM5_ODD, 10, 2**61 - 1): "f7d9359e8c50d4ff",
-    (KIND_CODIM5_ODD, 10, 0): "4293b303edd1b689",
-    (KIND_CODIM5_EVEN, 10, 32003): "5d68816dc5970bb3",
-    (KIND_CODIM5_EVEN, 10, 2**61 - 1): "ec0634faa8e96a98",
-    (KIND_CODIM5_EVEN, 10, 0): "b04af24dab524e3e",
+    (KIND_CODIM5_ODD, 10, 32003): "2c3dd40e0ac364b8",
+    (KIND_CODIM5_ODD, 10, 2**61 - 1): "c0d8589d3e6391e1",
+    (KIND_CODIM5_ODD, 10, 0): "5d6fc9dc56eae2c3",
+    (KIND_CODIM5_EVEN, 10, 32003): "bb47c8f5520f11f5",
+    (KIND_CODIM5_EVEN, 10, 2**61 - 1): "7db6bc63be5c7f2e",
+    (KIND_CODIM5_EVEN, 10, 0): "6f2a1e6a4c114090",
 }
 
 
@@ -1181,7 +1203,7 @@ def test_trial_witnesses_are_pinned(kind, parameter, characteristic) -> None:
 
 def test_rational_rank_on_codim5_plateau_within_budget() -> None:
     """The odd d=10 plateau over QQ: entries of up to about 420 bits (w
-    s^a0 t^a2 at x^a, about 300 at the median) and a rank below both
+    s^a1 t^a2 at x^a, about 300 at the median) and a rank below both
     dimensions, so only the Hadamard bound can stop the primes (about 850
     of them).  Budget: 60 s."""
     generators = inverse_systems._trial_generators(KIND_CODIM5_ODD, 10, QQ,
