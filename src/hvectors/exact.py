@@ -20,20 +20,24 @@ updates, until a Hadamard bound or a full rank shows the largest rank
 seen exact.  Following Dumas-Giorgi-Pernet (ACM TOMS 35(3), 2008), it
 splits panels of rows off the copy: the rows below each panel are
 updated by one matrix product, and a pivot in a panel updates only the
-tracking rows already set.  For
-int64 primes up to 23 726 561 the panels have 16 rows and the product is
-one float64 product; reduction mod p is then delayed until one more
-update could overflow.  For every other prime the panels have 32 rows,
-or 16 while the long side is under 200, and the product is exact mod p,
-from float64 products of limbs (`_matmul_mod_p`, after Ozaki, Ogita, Oishi and Rump,
-Numer. Algorithms 59, 2012), which also forms the witnesses' weighted
-sums (`inverse_systems.linear_combination`).
-Inside a panel only the update of its trailing block depends on the
-dtype: delayed reduction in int64, and in uint64 every product reduced
-with the same Shoup product as the field's.  Floats hold only integers
-below 2**53, so no float64 operation rounds (`_float_exact`).  Random
-sampling is driven by splitmix64, a fixed, portable, counter-based 64-bit
-generator, so every result is reproducible from its seed.
+tracking rows already set.  Every block eliminated pivot by pivot is a
+C-contiguous array of its own, and each pivot updates whole rows of it
+in one contiguous pass, the columns left of the pivot too: never read
+again, they are reduced with the rest, so no entry outgrows the
+reduction budget.  For int64 primes up to 23 726 561 the
+panels have 16 rows and the product is one float64 product; reduction
+mod p is then delayed until one more update could overflow.  For every
+other prime the panels have 32 rows, or 16 while the long side is under
+200, and the product is exact mod p, from float64 products of limbs
+(`_matmul_mod_p`, after Ozaki, Ogita, Oishi and Rump, Numer. Algorithms
+59, 2012), which also forms the witnesses' weighted sums
+(`inverse_systems.linear_combination`).  Inside a block only the update
+of the rows below each pivot depends on the dtype: delayed reduction in
+int64, and in uint64 every product reduced with the same Shoup product
+as the field's.  Floats hold only integers below 2**53, so no float64
+operation rounds (`_float_exact`).  Random sampling is driven by
+splitmix64, a fixed, portable, counter-based 64-bit generator, so every
+result is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -550,7 +554,10 @@ def _rank_mod_p(a: np.ndarray, p: int,
     pivot columns' trailing parts by the tracking rows of the columns
     right of the pivots, T, both reduced, updates the trailing block of
     those columns: ``y[c+b:, r+k:] += y[c+b:, r:r+k] @ T``.  The rest of
-    y is one panel, eliminated in place.
+    y is one block, eliminated in place: y itself when no panel was
+    split, else a copy, reduced, of its rows left and columns not yet
+    pivots, so that each pivot updates whole rows of an array of its own
+    (`_eliminate_panel`).
 
     In int64, for primes where a sum of `_PANEL_WIDTH` products of two
     residues is exact in float64 (`_float_exact`, up to 23 726 561),
@@ -595,9 +602,9 @@ def _rank_mod_p(a: np.ndarray, p: int,
             _matmul_mod_p(trailing[:, :k], t, p, below)
         r += k
         c += b
-    if pending:
-        y[c:, r:] %= p
-    r += _eliminate_panel(y[c:, r:], n - c, p, walked)
+    if c:
+        y = y[c:, r:] % p if pending else y[c:, r:].copy()
+    r += _eliminate_panel(y, n - c, p, walked)
     if profile is not None:
         left = list(range(m))
         pivots = sorted(left.pop(j) for j in walked if j is not None)
@@ -618,29 +625,33 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int, walked: list,
     nonzero of the row, and when it is not the first, columns r..r+j are
     rotated to bring it to the front, so the columns not yet pivots stay
     in the order given.  The pivot column, scaled once in place by
-    -1/pivot, is added times their entry in the pivot row to every column
-    right of it, below that row only: above it those entries are never
-    read again, the pivot row and the pivot column are not read again, and
-    a column with a zero multiplier gets zero added, so one update of the
-    trailing block as a view serves every pivot.  So a column only ever
-    gets columns added that were left of it in the order given: each pivot
+    -1/pivot, is added times their entry in the pivot row to every column,
+    below that row only: above it the entries are never read again, nor
+    are the pivot row and the columns up to the pivot's, which may hold
+    any value, and a column with a zero multiplier gets zero added.  So
+    each pivot updates the whole rows below it in one contiguous pass, as
+    ``a`` must be C-contiguous and the elimination's own: numpy walks
+    whole rows faster than the strided view of the columns right of the
+    pivot, although they hold more entries.  A column only ever gets
+    columns added that were left of it in the order given: each pivot
     column is outside the span of the columns before it, and the pivots
     are the matrix's column rank profile, as the rows that yield them are
     its row rank profile (Dumas, Pernet and Sultan, ISSAC 2013).  The
     pivot search, the rotation and this row walk are shared by every
-    dtype; only the update of the trailing block differs.
+    dtype; only the update of the rows below differs.
 
     int64 (p at most `_NUMPY_SAFE_MODULUS`): reduction mod p is delayed.
-    While updates are pending, each step reduces only the row that yields
-    the next pivot and multipliers and the pivot column, so every product
-    added is of two residues.  The trailing block is reduced once
-    `_reduction_budget(p)` updates are pending, before an entry could
-    overflow.
+    While updates are pending, each step reduces only the whole row that
+    yields the next pivot and multipliers and the pivot column, so every
+    product added is of two residues, in the columns never read again
+    too.  The rows below are reduced, whole, once `_reduction_budget(p)`
+    updates are pending, so that no entry of ``a`` ever exceeds (p - 1) +
+    budget * (p - 1)**2 and none overflows.
 
     uint64 (`_NUMPY_SAFE_MODULUS` < p < 2**63): every update is reduced at
     once (`_add_shoup_products`), with the scaled pivot column's quotients
-    computed once per pivot for the Shoup products of every multiplier
-    right of it.
+    computed once per pivot for the Shoup products of every entry of the
+    pivot row.
 
     With ``trailing``, the rows of the matrix below a panel split off in
     either dtype (`_rank_mod_p`), every rotation is made there too, and
@@ -658,14 +669,14 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int, walked: list,
     for c in range(width):
         if r == m:
             break
-        row = a[c, r:]
+        row = a[c]
         if pending:
             row %= p
-        pivot = int(row[0])
+        pivot = int(row[r])
         j = 0
         if not pivot:
-            j = int((row != 0).argmax())
-            pivot = int(row[j])
+            j = int((row[r:] != 0).argmax())
+            pivot = int(row[r + j])
             if not pivot:
                 walked.append(None)
                 continue
@@ -679,19 +690,18 @@ def _eliminate_panel(a: np.ndarray, width: int, p: int, walked: list,
         scale = p - pow(pivot, -1, p)
         lead = a[c + 1:end, r]
         if shoup:
-            _add_shoup_products(a[c + 1:end, r + 1:], row[1:], lead, scale,
-                                p)
+            _add_shoup_products(a[c + 1:end], row, lead, scale, p)
         else:
             if pending:
                 lead %= p
             lead *= scale
             lead %= p
-            a[c + 1:end, r + 1:] += np.multiply.outer(lead, row[1:])
+            a[c + 1:end] += np.multiply.outer(lead, row)
             pending += 1
         r += 1
         walked.append(j)
         if pending == budget:
-            a[c + 1:, r:] %= p
+            a[c + 1:] %= p
             pending = 0
     return r
 

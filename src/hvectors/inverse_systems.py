@@ -39,6 +39,7 @@ from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Rational
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,6 +133,9 @@ class Form:
 
     Coefficients live in a single :class:`FieldSpec`, in a read-only array
     of its dtype, and are kept reduced; a zero means the monomial is absent.
+    The constructor takes them reduced: over GF(p) an integer array of
+    residues in [0, p), checked as a whole, over QQ exact rationals; use
+    :meth:`from_coefficients` to reduce any exact rationals.
     """
 
     __slots__ = ("num_vars", "degree", "field", "coeffs")
@@ -144,10 +148,28 @@ class Form:
                 f"need {expected} coefficients for degree {degree} in "
                 f"{num_vars} variables, got {len(coeffs)}"
             )
+        p = field.characteristic
+        if p:
+            values = np.array(coeffs)
+            if values.dtype.kind not in "iu":
+                raise TypeError(f"coefficients over {field} must be integers, "
+                                f"got an array of {values.dtype}")
+            # Seen as uint64, a negative entry is 2**63 or more, past every p.
+            top = (values.view(np.uint64) if values.itemsize == 8
+                   else values.astype(np.uint64))
+            if int(top.max()) >= p:
+                raise ValueError(f"coefficients over {field} must be residues "
+                                 f"in [0, {p}); Form.from_coefficients "
+                                 "reduces them")
+            values = values.astype(field.dtype, copy=False)
+        else:
+            values = np.array(coeffs, dtype=object)
+            if not all(isinstance(v, Rational) for v in values):
+                raise TypeError("coefficients over QQ must be exact rationals")
         self.num_vars = num_vars
         self.degree = degree
         self.field = field
-        self.coeffs = np.array(coeffs, dtype=field.dtype)
+        self.coeffs = values
         self.coeffs.flags.writeable = False
 
     @classmethod
@@ -525,7 +547,7 @@ def _trial_generators(kind: str, parameter: int, field: FieldSpec,
         return list(codim5_generators(parameter, parity, field, trial_seed))
     e = parameter
     coeffs = sample_scalars(field, comb(e + 1, 2), trial_seed)
-    return [Form(3, e - 1, field, coeffs)]
+    return [Form(3, e - 1, field, np.array(coeffs, dtype=field.dtype))]
 
 
 def verify_construction(kind: str, parameter: int, field: FieldSpec,

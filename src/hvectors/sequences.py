@@ -6,9 +6,12 @@ predicates (O-sequence, symmetric, unimodal, differentiable, SI).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -22,7 +25,10 @@ class HVector:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(v) for v in self.entries)
+        bad = [v for v in self.entries if isinstance(v, (bool, np.bool_))]
+        if bad:
+            raise TypeError(f"h-vector entries must be ints, got {bad[0]!r}")
+        entries = tuple(operator.index(v) for v in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("h-vector must have at least one entry")

@@ -741,6 +741,15 @@ def test_panel_updates_reduce_at_a_cut_budget(monkeypatch, budget) -> None:
         assert _rank_mod_p(np.array(matrix, dtype=np.int64), p) == expected
 
 
+# Every arithmetic path of the elimination: int64 with delayed reduction
+# (panels of one float64 product), int64 with products of limbs, uint64,
+# and QQ through its first prime, an int64 limb path.
+_PATHS = pytest.mark.parametrize(
+    "p", [2, 1_000_003, _NEXT_PRIME, 2**31 - 1, 2**61 - 1, 0],
+    ids=["int64-delayed-2", "int64-delayed", "int64-limbs", "int64-limbs-31",
+         "uint64", "QQ"])
+
+
 def _profile_columns(rng: random.Random, p: int, rows: int,
                      cols: int, pivots: int) -> list[list[int]]:
     """A matrix whose columns at ``pivots`` random positions are random and
@@ -767,10 +776,7 @@ def _profile_columns(rng: random.Random, p: int, rows: int,
     return [list(row) for row in zip(*columns)] + [[0] * cols]
 
 
-@pytest.mark.parametrize("p", [2, 1_000_003, _NEXT_PRIME, 2**31 - 1,
-                               2**61 - 1, 0],
-                         ids=["int64-delayed-2", "int64-delayed",
-                              "int64-limbs", "int64-limbs-31", "uint64", "QQ"])
+@_PATHS
 @pytest.mark.parametrize("cols", [_SPLIT_ROWS - 1, _SPLIT_ROWS + 1,
                                   _LIMB_SHORT_ROWS - 1, _LIMB_SHORT_ROWS + 1])
 def test_pivot_marks_count_the_rank_of_every_prefix(p: int, cols: int) -> None:
@@ -856,6 +862,122 @@ def test_pivot_marks_of_degenerate_matrices() -> None:
         tall = [[0, 0], [1, 2], [0, 0], [2, 4], [3, 5]]
         assert rank(DenseMatrix.from_rows(field, tall), profile=profile) == 2
         assert profile == [[0, 1], [1, 4]]
+
+
+def _tail_rows(rng: random.Random, p: int, rows: int,
+               dependent: set) -> tuple[list[list[int]], list[int]]:
+    """A rows x (rows - 1) matrix and its column rank profile.  Its rows
+    at ``dependent`` (never row 0) combine up to 3 of the rows before
+    them, and the others are the rows of an echelon form E, each plus
+    multiples of up to 2 of E's rows before it, so they are its row rank
+    profile.  E is reduced, with 1 at random pivot columns, its column
+    rank profile, which the matrix shares, as its rows span E's.  Every
+    determinant that proves this is 1, so over QQ the ranks and profiles
+    are the same modulo every prime."""
+    cols = rows - 1
+    pivots = sorted(rng.sample(range(cols), rows - len(dependent)))
+
+    def scalar() -> int:
+        return rng.choice((1, p - 1, rng.randrange(1, p))) if p else \
+            rng.choice((-3, -2, -1, 1, 2, 3))
+
+    def combine(picked: list[list[int]]) -> list[int]:
+        weights = [scalar() for _ in picked]
+        row = [sum(w * v[j] for w, v in zip(weights, picked))
+               for j in range(cols)]
+        return [v % p for v in row] if p else row
+
+    echelon = []
+    for lead in pivots:
+        row = [int(j == lead) if j <= lead or j in pivots
+               else rng.choice((0, scalar())) for j in range(cols)]
+        echelon.append(row)
+    matrix, kept = [], []
+    for i in range(rows):
+        if i in dependent:
+            matrix.append(combine(rng.sample(kept, min(3, len(kept)))))
+            continue
+        t = len(kept)
+        extra = combine([echelon[s] for s in rng.sample(range(t), min(2, t))])
+        kept.append([(a + b) % p if p else a + b
+                     for a, b in zip(echelon[t], extra)])
+        matrix.append(kept[-1])
+    return matrix, pivots
+
+
+def _tail_cases(p: int):
+    """For long sides on both sides of `_SPLIT_ROWS`: rows past the rank
+    all dependent, at the end of the in-place block; and a dependent row
+    before the block's last pivot row.  Each yields the matrix, its rank
+    and its row and column rank profiles."""
+    rng = random.Random(p)
+    for rows in (_SPLIT_ROWS - 1, _SPLIT_ROWS + 7):
+        for dependent in (set(range(rows - 5, rows)),
+                          {rows - 6, rows - 2, rows - 1}):
+            matrix, pivots = _tail_rows(rng, p, rows, dependent)
+            kept = [i for i in range(rows) if i not in dependent]
+            yield matrix, len(kept), kept, pivots
+
+
+@_PATHS
+def test_dependent_rows_in_the_in_place_block(p: int) -> None:
+    """Rank and both profiles match the construction, tall (walked as
+    given) and wide (walked transposed), whether the rows below the first
+    row without a pivot are all dependent or not.  The in-place block is,
+    with panels of one float64 product, all of the copy at 71 rows and the
+    63 rows left after one panel at 79; with products of limbs, the 7 or
+    15 rows left after four panels."""
+    field = FieldSpec(p)
+    for matrix, found, rows, columns in _tail_cases(p):
+        transpose = [list(column) for column in zip(*matrix)]
+        for entries, expected in ((matrix, [columns, rows]),
+                                  (transpose, [rows, columns])):
+            profile = []
+            assert rank(DenseMatrix.from_rows(field, entries),
+                        profile=profile) == found
+            assert profile == expected
+
+
+@pytest.mark.parametrize("p, budget", [(2**31 - 1, None),
+                                       (3_037_000_493, None),
+                                       (1_000_003, 1), (1_000_003, 2),
+                                       (1_000_003, 3)])
+def test_no_entry_of_an_eliminated_block_wraps(monkeypatch, p,
+                                               budget) -> None:
+    """Each pivot updates whole rows, so the columns left of it, never read
+    again, take products too: after every panel and in-place block, each
+    entry, those columns included, is at most (p - 1) + budget * (p - 1)**2
+    and nonnegative.  The own budgets of 2**31 - 1 and 3 037 000 493 are 2
+    and 1; at 1 000 003 the budget is cut to 1, 2 and 3, so the panels of
+    one float64 product are reduced inside too, and at 3 a block can end
+    with two updates pending, which the pivot row's left columns, had they
+    been left unreduced, would have pushed past the bound."""
+    if budget is not None:
+        monkeypatch.setattr(exact, "_reduction_budget", lambda p: budget)
+    top = (p - 1) + exact._reduction_budget(p) * (p - 1) ** 2
+    blocks = []
+
+    def spy(a, width, p, walked, trailing=None):
+        found = _eliminate_panel(a, width, p, walked, trailing)
+        blocks.append(a.shape)
+        assert a.dtype == np.int64
+        assert not a.size or 0 <= int(a.min()) and int(a.max()) <= top
+        return found
+
+    monkeypatch.setattr(exact, "_eliminate_panel", spy)
+    rng = random.Random(p)
+    cases = [matrix for matrix, *_ in _tail_cases(p)]
+    for rows, cols, inner in ((40, 120, 25), (130, 90, 60)):
+        left = _edgy_rows(rng, p, rows, inner)
+        right = _edgy_rows(rng, p, inner, cols)
+        cases.append([[v % p for v in row]
+                      for row in weighted_sums(left, right, 0)])
+    for matrix in cases:
+        expected = modular_rank(matrix, p)
+        for entries in (matrix, [list(column) for column in zip(*matrix)]):
+            assert _rank_mod_p(np.array(entries, dtype=np.int64),
+                               p) == expected
+    assert len(blocks) > 2 * len(cases)
 
 
 def test_field_dtype_by_prime() -> None:

@@ -184,6 +184,37 @@ def test_form_construction_and_lookup() -> None:
         Form(0, 2, GF, ())
 
 
+@pytest.mark.parametrize("field", [FieldSpec(5), FieldSpec(2**61 - 1)])
+def test_form_takes_its_coefficients_reduced(field: FieldSpec) -> None:
+    """Over GF(p) the constructor takes an integer array of residues:
+    floats are refused, not truncated, and an entry outside [0, p) is
+    refused with a pointer to `Form.from_coefficients`, which reduces it,
+    so forms always compare by their residues."""
+    p = field.characteristic
+    assert Form(3, 1, field, np.array([p - 1, 0, 1], dtype=field.dtype)) == \
+        Form.from_coefficients(3, 1, field, [-1, p, 1])
+    for bad in ([2.5, 1, 0], [1.0, 1, 0], [Fraction(1, 2), 1, 0],
+                ["1", 1, 0]):
+        with pytest.raises(TypeError):
+            Form(3, 1, field, bad)
+    for bad in ([-1, 7, 0], [0, p, 0], [0, 0, 2**63 - 1]):
+        with pytest.raises(ValueError, match="Form.from_coefficients"):
+            Form(3, 1, field, bad)
+
+
+def test_form_over_qq_takes_exact_rationals() -> None:
+    """Over QQ the coefficients must be exact rationals; over GF(p) a
+    coefficient that is not a residue raises in the constructor, not inside
+    a rank."""
+    form = Form(3, 1, QQ, [Fraction(1, 2), -3, np.int64(2)])
+    assert form == Form.from_coefficients(3, 1, QQ, [Fraction(1, 2), -3, 2])
+    for bad in ([2.5, 1, 0], ["1", 1, 0]):
+        with pytest.raises(TypeError):
+            Form(3, 1, QQ, bad)
+    with pytest.raises(ValueError, match="Form.from_coefficients"):
+        hilbert_function([Form(3, 2, FieldSpec(3), [3, 0, 0, 0, 0, 1])])
+
+
 def test_contract_examples() -> None:
     assert contract((1, 0, 0), {(2, 1, 0): 1}) == {(1, 1, 0): 1}
     assert contract((1, 0, 0), {(0, 3, 0): 1}) == {}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,18 @@ def test_hvector_validation() -> None:
         HVector((1, 0, 2))
     with pytest.raises(ValueError):
         HVector((1, -3))
+
+
+def test_hvector_takes_only_integer_entries() -> None:
+    """Entries are taken with `operator.index`, so numpy integers pass
+    and floats, strings and bools are refused, not coerced."""
+    h = HVector((np.int64(1), np.uint8(3), 6))
+    assert h.entries == (1, 3, 6)
+    assert all(type(v) is int for v in h)
+    for bad in ((1, 2.7, "3"), (1, 2.0), (1, "3"), (1, True), (True, 2),
+                (1, np.True_), (1, np.float64(3))):
+        with pytest.raises(TypeError):
+            HVector(bad)
 
 
 def test_hvector_accessors() -> None:
